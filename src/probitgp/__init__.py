@@ -4,7 +4,7 @@ Probit-likelihood GP classification with three inference routes sharing one
 site parameterization: natural-gradient variational inference, classic
 expectation propagation, and an annealed-importance-sampling evidence
 estimate for calibration.  Training alternates natural-gradient E-steps with
-finite-difference M-steps on either the evidence lower bound or the
+exact-gradient M-steps on either the evidence lower bound or the
 unnormalized-site free-energy objective.
 """
 

@@ -181,7 +181,6 @@ def _train_config(args):
         outer_rounds=args.rounds,
         outer_tol=args.tol,
         jitter=args.jitter,
-        seed=args.seed,
     )
 
 

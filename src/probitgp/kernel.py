@@ -80,6 +80,21 @@ def cross_gram(X, Z, theta):
     return theta.magnitude ** 2 * _profile(r)
 
 
+def gram_grads(X, theta, K, jitter=None):
+    """Derivatives of gram(X, theta, jitter) = K wrt (log lengthscale, log magnitude).
+
+    With u = sqrt(5) r / ell, dK/dlog ell = sig^2 (u^2/3)(1 + u) exp(-u).  The
+    jitter rung that K used scales with sig^2 unless it is the explicit jitter,
+    which stays fixed, so dK/dlog sig is 2 K or 2 (K - jitter I) respectively.
+    """
+    u = _SQRT5 * cdist(X, X) / theta.lengthscale
+    d_ell = theta.magnitude ** 2 * (u * u / 3.0) * (1.0 + u) * np.exp(-u)
+    d_sig = 2.0 * K.K
+    if jitter is not None and K.jitter == float(jitter):
+        d_sig[np.diag_indices_from(d_sig)] -= 2.0 * K.jitter
+    return d_ell, d_sig
+
+
 def gram(X, theta, jitter=None):
     """Train covariance with jitter escalation until Cholesky succeeds.
 

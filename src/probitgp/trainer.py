@@ -1,12 +1,12 @@
 """Variational EM: natural-gradient E-steps alternating with gradient M-steps.
 
 The E-step fits sites at fixed hyperparameters; the M-step ascends the chosen
-learning objective ("elbo" or "ep_like") in log-hyperparameter space with
-central finite differences, holding the sites fixed.  Every objective probe
-rebuilds the Gram matrix and reassembles the posterior at the probed point, so
-the objective's dependence on the hyperparameters through the posterior is
-honored.  A final E-step refresh leaves the returned sites consistent with the
-returned hyperparameters.
+learning objective ("elbo" or "ep_like") in log-hyperparameter space with its
+exact gradient, holding the sites fixed.  Every probe builds the Gram matrix
+and assembles the posterior once at the probed point and returns the value
+and the gradient together, so the objective's dependence on the
+hyperparameters through the posterior is honored.  A final E-step refresh
+leaves the returned sites consistent with the returned hyperparameters.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +15,9 @@ import numpy as np
 
 from .cvi import e_step
 from .errors import NumericsError
-from .kernel import Hyperparams, gram
-from .likelihood import DEFAULT_QUAD_ORDER
-from .posterior import Sites, assemble, elbo, ep_like_energy
+from .kernel import Hyperparams, gram, gram_grads
+from .likelihood import DEFAULT_QUAD_ORDER, expectation_stats
+from .posterior import Sites, assemble, elbo, ep_like_energy, prior_kl
 
 OBJECTIVES = ("elbo", "ep_like")
 
@@ -32,18 +32,16 @@ class TrainConfig:
     m_lr: float = 0.001
     outer_rounds: int = 50
     outer_tol: float = 1e-4
-    fd_step: float = 1e-4
     quad_order: int = DEFAULT_QUAD_ORDER
     jitter: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.e_iters < 0 or self.m_iters < 0 or self.outer_rounds < 1:
             raise ValueError("iteration counts out of range")
-        if self.m_lr <= 0 or self.fd_step <= 0 or self.outer_tol < 0:
-            raise ValueError("m_lr, fd_step must be > 0 and outer_tol >= 0")
+        if self.m_lr <= 0 or self.outer_tol < 0:
+            raise ValueError("m_lr must be > 0 and outer_tol >= 0")
 
 
 @dataclass(frozen=True)
@@ -66,39 +64,63 @@ def objective_value(dataset, sites, theta, objective, jitter=None, quad_order=DE
     return ep_like_energy(K, sites, post=post)
 
 
-def _m_step(dataset, sites, theta, cfg):
-    """cfg.m_iters ascent steps on log-theta; step halving up to 10 times per
-    iteration; sites stay fixed throughout."""
+def _value_and_grad(dataset, sites, theta, objective, jitter, quad_order):
+    """objective_value and its gradient wrt log-theta at fixed sites.
 
-    def value_at(vec):
-        try:
-            return objective_value(
-                dataset, sites, Hyperparams(vec[0], vec[1]),
-                cfg.objective, cfg.jitter, cfg.quad_order,
-            )
-        except NumericsError:
-            return -np.inf
+    Each gradient entry is sum(G * dK) over one kernel derivative (GPML eq.
+    5.9).  With B = diag(-2 lam2), Woodbury gives W = B^1/2 A^-1 B^1/2 = B - BSB
+    and Mt = (I + B K)^-1 = I - BS from the assembled S.  The energy has
+    G = (alpha alpha' - W) / 2; the ELBO chains dm = S K^-1 dK alpha and
+    dS = S K^-1 dK K^-1 S through the expectation derivatives (g_m, g_v) and
+    the KL.
+    """
+    K = gram(dataset.X, theta, jitter)
+    post = assemble(K, sites)
+    alpha = post.alpha
+    b = -2.0 * sites.lam2
+    W = np.diag(b) - b[:, None] * post.S * b[None, :]
+    if objective == "elbo":
+        e, g_m, g_v = expectation_stats(dataset.y, post.m, np.diag(post.S), quad_order=quad_order)
+        value = float(np.sum(e)) - prior_kl(post)
+        Mt = np.eye(sites.n) - b[:, None] * post.S
+        c = Mt @ (g_m + b * post.m) - 0.5 * alpha
+        G = np.outer(alpha, c) + Mt @ ((g_v + 0.5 * b)[:, None] * Mt.T) - 0.5 * W
+    else:
+        value = ep_like_energy(K, sites, post=post)
+        G = 0.5 * (np.outer(alpha, alpha) - W)
+    d_ell, d_sig = gram_grads(dataset.X, theta, K, jitter)
+    return value, np.array([np.sum(G * d_ell), np.sum(G * d_sig)])
+
+
+def _m_step(dataset, sites, theta, cfg):
+    """cfg.m_iters exact-gradient ascent steps on log-theta; step halving up to
+    10 times per iteration; sites stay fixed throughout.  Returns the new theta
+    and the objective value there."""
+    def probe(vec):
+        return _value_and_grad(
+            dataset, sites, Hyperparams(vec[0], vec[1]),
+            cfg.objective, cfg.jitter, cfg.quad_order,
+        )
 
     th = theta.as_array()
-    current = value_at(th)
-    h = cfg.fd_step
+    current, grad = probe(th)
     for _ in range(cfg.m_iters):
-        grad = np.empty(2)
-        for j in range(2):
-            offset = np.zeros(2)
-            offset[j] = h
-            grad[j] = (value_at(th + offset) - value_at(th - offset)) / (2.0 * h)
         if not np.isfinite(grad).all():
             break
         step = cfg.m_lr
         for _ in range(11):  # full step, then up to 10 halvings
             cand = th + step * grad
-            val = value_at(cand)
+            try:
+                val, cand_grad = probe(cand)
+            except NumericsError:
+                val = -np.inf
             if np.isfinite(val) and val >= current:
-                th, current = cand, val
+                th, current, grad = cand, val, cand_grad
                 break
             step *= 0.5
-    return Hyperparams(float(th[0]), float(th[1]))
+        else:
+            break  # every probe failed; the next iteration would repeat them
+    return Hyperparams(float(th[0]), float(th[1])), current
 
 
 def fit(dataset, cfg):
@@ -119,8 +141,7 @@ def fit(dataset, cfg):
             K, dataset.y, sites,
             step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
         )
-        new_theta = _m_step(dataset, sites, theta, cfg)
-        obj = objective_value(dataset, sites, new_theta, cfg.objective, cfg.jitter, cfg.quad_order)
+        new_theta, obj = _m_step(dataset, sites, theta, cfg)
         if cfg.objective == "elbo":
             bound = obj
         else:

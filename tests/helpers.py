@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import cholesky
 from scipy.special import ndtr, roots_hermite
 
-from probitgp import Dataset, GramMatrix, Hyperparams, gram
+from probitgp import Dataset, GramMatrix, Hyperparams, NumericsError, gram, objective_value
 
 DATA_DIR = Path(os.environ.get("PROBITGP_DATA", Path(__file__).resolve().parent.parent / "data"))
 
@@ -133,3 +133,40 @@ def gaussian_loglik_stats(noise_var, targets):
         return e, g_m, g_v
 
     return stats
+
+
+def fd_m_step(dataset, sites, theta, cfg, h=1e-4):
+    """Finite-difference M-step, the trainer's former implementation.
+
+    cfg.m_iters ascent steps on log-theta with central-difference gradients
+    (step h); step halving up to 10 times per iteration; sites stay fixed.
+    """
+
+    def value_at(vec):
+        try:
+            return objective_value(
+                dataset, sites, Hyperparams(vec[0], vec[1]),
+                cfg.objective, cfg.jitter, cfg.quad_order,
+            )
+        except NumericsError:
+            return -np.inf
+
+    th = theta.as_array()
+    current = value_at(th)
+    for _ in range(cfg.m_iters):
+        grad = np.empty(2)
+        for j in range(2):
+            offset = np.zeros(2)
+            offset[j] = h
+            grad[j] = (value_at(th + offset) - value_at(th - offset)) / (2.0 * h)
+        if not np.isfinite(grad).all():
+            break
+        step = cfg.m_lr
+        for _ in range(11):  # full step, then up to 10 halvings
+            cand = th + step * grad
+            val = value_at(cand)
+            if np.isfinite(val) and val >= current:
+                th, current = cand, val
+                break
+            step *= 0.5
+    return Hyperparams(float(th[0]), float(th[1]))

@@ -17,7 +17,9 @@ from probitgp import (
     fit,
     gram,
     objective_value,
+    trainer,
 )
+from probitgp.posterior import LAMBDA2_CEIL
 
 
 def blob_dataset(n=10, seed=0):
@@ -117,6 +119,95 @@ class TestGradientOracle:
             ))) / h
             # Richardson consistency: halving h changes the estimate ~O(h^2)
             assert abs(fd - fd_half) < 1e-6 * max(1.0, abs(fd))
+
+
+def fd_gradient(ds, sites, theta, objective, jitter, h=1e-5):
+    grad = np.empty(2)
+    for j in range(2):
+        offset = np.zeros(2)
+        offset[j] = h
+        up = Hyperparams(*(theta.as_array() + offset))
+        dn = Hyperparams(*(theta.as_array() - offset))
+        grad[j] = (
+            objective_value(ds, sites, up, objective, jitter)
+            - objective_value(ds, sites, dn, objective, jitter)
+        ) / (2.0 * h)
+    return grad
+
+
+def probit_instances(count=24, seed=77):
+    """Random probit problems with fixed non-conjugate sites, n in [2, 40].
+
+    Sites come from a few E-step updates (short of the fixed point), are all
+    zero, or are random with about half of lam2 clamped at LAMBDA2_CEIL."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 41))
+        X = rng.standard_normal((n, int(rng.integers(1, 4))))
+        y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+        ds = Dataset("r", X, y)
+        theta = Hyperparams(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        kind = i % 3
+        if kind == 0:
+            sites, _ = e_step(gram(X, theta), y, Sites.zeros(n), iters=int(rng.integers(1, 6)))
+        elif kind == 1:
+            sites = Sites.zeros(n)
+        else:
+            lam1, lam2 = helpers.random_sites_arrays(n, rng)
+            lam2[rng.uniform(size=n) < 0.5] = LAMBDA2_CEIL
+            sites = Sites(lam1, lam2)
+        yield ds, sites, theta
+
+
+class TestAnalyticGradient:
+    @pytest.mark.parametrize("objective", ["elbo", "ep_like"])
+    @pytest.mark.parametrize("jitter", [None, 0.0, 0.05])  # 0.05: fixed, not scaled by sig^2
+    def test_matches_central_differences(self, objective, jitter):
+        for ds, sites, theta in probit_instances():
+            value, grad = trainer._value_and_grad(ds, sites, theta, objective, jitter, 50)
+            assert value == objective_value(ds, sites, theta, objective, jitter)
+            fd = fd_gradient(ds, sites, theta, objective, jitter)
+            scale = np.max(np.abs(fd))
+            assert np.all(np.abs(grad - fd) <= 1e-6 * scale + 1e-9), (grad, fd)
+
+
+class TestFdEquivalence:
+    """fit with exact gradients tracks fit with the former finite-difference
+    M-step (helpers.fd_m_step) to within the difference error."""
+
+    @staticmethod
+    def fd_fit(ds, cfg, monkeypatch):
+        def m_step(dataset, sites, theta, cfg):
+            new = helpers.fd_m_step(dataset, sites, theta, cfg)
+            return new, objective_value(
+                dataset, sites, new, cfg.objective, cfg.jitter, cfg.quad_order
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "_m_step", m_step)
+            return fit(ds, cfg)
+
+    @pytest.mark.parametrize("objective", ["elbo", "ep_like"])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_same_theta_and_trace(self, objective, seed, monkeypatch):
+        ds = blob_dataset(n=14, seed=seed)
+        cfg = TrainConfig(objective=objective, e_iters=10, m_iters=6, m_lr=0.01,
+                          outer_rounds=3, outer_tol=0.0)
+        exact = fit(ds, cfg)
+        oracle = self.fd_fit(ds, cfg, monkeypatch)
+        assert np.all(np.abs(exact.theta_trace - cfg.theta0.as_array()) > 1e-3)
+        assert_allclose(exact.theta_trace, oracle.theta_trace, rtol=0, atol=1e-8)
+        assert_allclose(exact.objective_trace, oracle.objective_trace, rtol=1e-8)
+        assert_allclose(exact.elbo_trace, oracle.elbo_trace, rtol=1e-8)
+
+    def test_round_objective_is_objective_value(self):
+        """The M-step's own value is what fit records, to the bit."""
+        ds = blob_dataset(n=12, seed=14)
+        for objective in ("elbo", "ep_like"):
+            cfg = TrainConfig(objective=objective, e_iters=8, m_iters=4, outer_rounds=1)
+            res = fit(ds, cfg)
+            sites, _ = e_step(gram(ds.X, cfg.theta0), ds.y, Sites.zeros(ds.n), iters=8)
+            assert res.objective_trace[0] == objective_value(ds, sites, res.theta, objective)
 
 
 class TestFit:
