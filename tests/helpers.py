@@ -10,9 +10,18 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cholesky
-from scipy.special import ndtr, roots_hermite
+from scipy.special import log_ndtr, ndtr, roots_hermite
 
-from probitgp import Dataset, GramMatrix, Hyperparams, NumericsError, gram, objective_value
+from probitgp import (
+    AisEstimate,
+    Dataset,
+    GramMatrix,
+    Hyperparams,
+    NumericsError,
+    gram,
+    objective_value,
+    temperature,
+)
 
 DATA_DIR = Path(os.environ.get("PROBITGP_DATA", Path(__file__).resolve().parent.parent / "data"))
 
@@ -170,3 +179,75 @@ def fd_m_step(dataset, sites, theta, cfg, h=1e-4):
                 break
             step *= 0.5
     return Hyperparams(float(th[0]), float(th[1]))
+
+
+_TWO_PI = 2.0 * np.pi
+_MAX_SHRINK = 1000
+
+
+def _ess_step_reference(f, loglik, prior_chol, rng, cur_loglik=None):
+    """One elliptical slice transition; invariant for exp(loglik(f)) * N(0, K).
+
+    prior_chol is the lower Cholesky factor of K.  Non-finite proposal
+    log-likelihoods are treated as rejections.  The accepted state is the last
+    point loglik was evaluated at, which callers may exploit to cache values.
+    """
+    f = np.asarray(f, dtype=float)
+    nu = prior_chol @ rng.standard_normal(f.size)
+    if cur_loglik is None:
+        cur_loglik = loglik(f)
+    threshold = cur_loglik + np.log(rng.uniform())
+    angle = rng.uniform(0.0, _TWO_PI)
+    lo, hi = angle - _TWO_PI, angle
+    for _ in range(_MAX_SHRINK):
+        proposal = f * np.cos(angle) + nu * np.sin(angle)
+        value = loglik(proposal)
+        if np.isfinite(value) and value > threshold:
+            return proposal
+        if angle < 0.0:
+            lo = angle
+        else:
+            hi = angle
+        angle = rng.uniform(lo, hi)
+    raise NumericsError("elliptical slice bracket collapsed without acceptance")
+
+
+def ais_lml_reference(K, y, cfg):
+    """Annealed-importance estimate of log p(y), the library's former implementation.
+
+    One closure and one dict cache per step, the schedule recomputed per
+    step, and the chain run in f rather than y * f.  ais_lml must reproduce
+    its per_repeat bit for bit.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if K.n != n:
+        raise ValueError("labels must match the Gram matrix")
+    L = K.chol
+
+    def base_loglik(state):
+        return float(np.sum(log_ndtr(y * state)))
+
+    per_repeat = np.empty(cfg.repeats)
+    for r in range(cfg.repeats):
+        rng = np.random.default_rng(cfg.seed + r)
+        f = L @ rng.standard_normal(n)
+        cur = base_loglik(f)
+        total = 0.0
+        for t in range(1, cfg.steps + 1):
+            tau_prev = temperature(t - 1, cfg.steps, cfg.schedule_power)
+            tau_now = temperature(t, cfg.steps, cfg.schedule_power)
+            cache = {"value": cur}
+
+            def tempered(state, _tau=tau_prev, _cache=cache):
+                value = base_loglik(state)
+                _cache["value"] = value
+                return _tau * value
+
+            f = _ess_step_reference(f, tempered, L, rng, cur_loglik=tau_prev * cur)
+            cur = cache["value"]  # loglik of the accepted state (last evaluated)
+            total += (tau_now - tau_prev) * cur
+        per_repeat[r] = total
+    if not np.isfinite(per_repeat).all():
+        raise NumericsError("non-finite annealing estimate")
+    return AisEstimate(log_ml=float(per_repeat.mean()), per_repeat=per_repeat)

@@ -9,6 +9,7 @@ import helpers
 from probitgp import (
     AisConfig,
     AisEstimate,
+    GridSpec,
     Hyperparams,
     ais_lml,
     ess_step,
@@ -71,7 +72,7 @@ class TestSliceKernel:
         out = np.empty((m, 2))
         for i in range(m):
             f = L @ rng.standard_normal(2)
-            out[i] = ess_step(f, lambda _: 0.0, L, rng, cur_loglik=0.0)
+            out[i], _ = ess_step(f, lambda _: 0.0, L, rng, cur_loglik=0.0)
         se_mean = np.sqrt(np.diag(K) / m)
         assert np.all(np.abs(out.mean(axis=0)) < 4 * se_mean)
         emp_cov = np.cov(out.T)
@@ -95,7 +96,66 @@ class TestSliceKernel:
         burn, keep = 2000, 30000
         samples = np.empty(keep)
         for i in range(burn + keep):
-            f = ess_step(f, loglik, L, rng)
+            f, _ = ess_step(f, loglik, L, rng)
+            if i >= burn:
+                samples[i - burn] = f[0]
+        samples.sort()
+        ecdf = (np.arange(keep) + 0.5) / keep
+        gap = np.max(np.abs(ecdf - np.interp(samples, grid, cdf)))
+        assert gap < 0.02
+
+    def test_zero_temperature_accepts_first_proposal(self):
+        """At tau=0 the target is the prior, so the first proposal is taken."""
+        rng = np.random.default_rng(5)
+        L = np.linalg.cholesky(helpers.random_spd(4, rng))
+        y = np.array([1.0, -1.0, 1.0, 1.0])
+        calls = []
+
+        def loglik(f):
+            calls.append(1)
+            return float(np.sum(log_ndtr(20.0 * y * f)))
+
+        f = L @ rng.standard_normal(4)
+        cur = loglik(f)
+        for _ in range(200):
+            calls.clear()
+            f, cur = ess_step(f, loglik, L, rng, cur_loglik=cur, tau=0.0)
+            assert len(calls) == 1
+
+    def test_returned_loglik_is_untempered_value_at_state(self):
+        rng = np.random.default_rng(6)
+        L = np.linalg.cholesky(helpers.random_spd(5, rng, scale=30.0))
+        y = np.where(rng.random(5) < 0.5, -1.0, 1.0)
+
+        def loglik(f):
+            return float(np.sum(log_ndtr(y * f)))
+
+        f = np.zeros(5)
+        for tau in (1.0, 0.3, 1e-4, 1.0):
+            for _ in range(50):
+                f, value = ess_step(f, loglik, L, rng, tau=tau)
+                assert value == loglik(f)
+
+    def test_tempered_chain_matches_quadrature_cdf(self):
+        """1-d chain at tau=0.5 against the CDF of Phi(y f)^0.5 N(f; 0, k)."""
+        k, y, tau = 1.5, -1.0, 0.5
+        L = np.array([[np.sqrt(k)]])
+        rng = np.random.default_rng(7)
+
+        def loglik(f):
+            return float(log_ndtr(y * f[0]))
+
+        grid = np.linspace(-7.0, 7.0, 14001)
+        dens = np.exp(-0.5 * grid * grid / k) * ndtr(y * grid) ** tau
+        cdf = np.cumsum(dens)
+        cdf /= cdf[-1]
+
+        f = np.array([0.0])
+        cur = loglik(f)
+        burn, keep = 2000, 30000
+        samples = np.empty(keep)
+        for i in range(burn + keep):
+            f, cur = ess_step(f, loglik, L, rng, cur_loglik=cur, tau=tau)
             if i >= burn:
                 samples[i - burn] = f[0]
         samples.sort()
@@ -163,3 +223,44 @@ class TestAisEstimates:
         K = helpers.gram_from_matrix(np.eye(2))
         with pytest.raises(ValueError):
             ais_lml(K, np.array([1.0]), AisConfig(steps=10, repeats=1))
+
+    def test_labels_outside_plus_minus_one_rejected(self):
+        K = helpers.gram_from_matrix(np.eye(2))
+        cfg = AisConfig(steps=10, repeats=1)
+        for y in ([0.0, 1.0], [1.0, 2.0], [-1.0, np.nan]):
+            with pytest.raises(ValueError):
+                ais_lml(K, np.array(y), cfg)
+
+
+class TestReferenceEquivalence:
+    """ais_lml against the former closure-per-step implementation, bit for bit."""
+
+    def test_random_instances_match_reference_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(24):
+            n = int(rng.integers(1, 61))
+            X = rng.standard_normal((n, 3))
+            y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            log_l, log_s = rng.choice([-3.0, 4.0], size=2)
+            K = gram(X, Hyperparams(float(log_l), float(log_s)))
+            cfg = AisConfig(
+                steps=int(rng.integers(1, 401)),
+                repeats=int(rng.integers(1, 5)),
+                seed=int(rng.integers(0, 10_000)),
+                schedule_power=float(rng.choice([1.0, 2.5, 4.0])),
+            )
+            est = ais_lml(K, y, cfg)
+            ref = helpers.ais_lml_reference(K, y, cfg)
+            assert np.array_equal(est.per_repeat, ref.per_repeat)
+            assert est.log_ml == ref.log_ml
+
+    def test_default_range_cells_match_reference_bitwise(self):
+        """The 3x3 default-range grid, cell seeds as grid_sweep assigns them."""
+        data = helpers.make_blobs(40, 5, seed=12)
+        axis = GridSpec(points=3).axis()
+        for cell, (log_l, log_s) in enumerate((a, b) for a in axis for b in axis):
+            K = gram(data.X, Hyperparams(float(log_l), float(log_s)))
+            cfg = AisConfig(steps=200, repeats=3, seed=cell * 3)
+            est = ais_lml(K, data.y, cfg)
+            ref = helpers.ais_lml_reference(K, data.y, cfg)
+            assert np.array_equal(est.per_repeat, ref.per_repeat)
