@@ -42,10 +42,9 @@ def e_step(
         raise ValueError("iteration count must be >= 0")
 
     def stats(post):
-        v = np.diag(post.S)
         if loglik_stats is None:
-            return expectation_stats(y, post.m, v, quad_order=quad_order)
-        return loglik_stats(y, post.m, v)
+            return expectation_stats(y, post.m, post.var, quad_order=quad_order)
+        return loglik_stats(y, post.m, post.var)
 
     sites = sites0
     post = assemble(K, sites)

@@ -2,9 +2,11 @@
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,11 @@ class Dataset:
     @property
     def d(self):
         return self.X.shape[1]
+
+    @cached_property
+    def distances(self):
+        """cdist(X, X), computed once: every Gram matrix of X is built from it."""
+        return cdist(self.X, self.X)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
-from scipy.stats import t as student_t
+from scipy.special import log_ndtr, ndtr, stdtr
 
 from .ais import AisConfig, ais_lml
 from .cvi import e_step
@@ -273,5 +272,5 @@ def paired_t_test(a, b):
     if sd == 0.0:
         return float(np.sign(mean) * np.inf), 0.0
     t_stat = mean / (sd / np.sqrt(d.size))
-    p_val = 2.0 * float(student_t.sf(abs(t_stat), d.size - 1))
+    p_val = 2.0 * float(stdtr(d.size - 1, -abs(t_stat)))  # what scipy.stats.t.sf computes
     return float(t_stat), p_val

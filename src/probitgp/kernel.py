@@ -55,9 +55,9 @@ class GramMatrix:
         return self.K.shape[0]
 
 
-def _profile(r_over_ell):
-    u = _SQRT5 * r_over_ell
-    return (1.0 + u + u * u / 3.0) * np.exp(-u)
+def _matern(dist, theta):
+    u = _SQRT5 * (dist / theta.lengthscale)
+    return theta.magnitude ** 2 * ((1.0 + u + u * u / 3.0) * np.exp(-u))
 
 
 def matern52(x, x_other, theta):
@@ -66,8 +66,7 @@ def matern52(x, x_other, theta):
     x_other = np.atleast_1d(np.asarray(x_other, dtype=float))
     if x.ndim != 1 or x.shape != x_other.shape:
         raise ValueError("inputs must be 1-d and of equal dimension")
-    r = float(np.linalg.norm(x - x_other))
-    return float(theta.magnitude ** 2 * _profile(r / theta.lengthscale))
+    return float(_matern(float(np.linalg.norm(x - x_other)), theta))
 
 
 def cross_gram(X, Z, theta):
@@ -76,18 +75,18 @@ def cross_gram(X, Z, theta):
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
         raise ValueError("expected 2-d inputs with matching column count")
-    r = cdist(X, Z) / theta.lengthscale
-    return theta.magnitude ** 2 * _profile(r)
+    return _matern(cdist(X, Z), theta)
 
 
-def gram_grads(X, theta, K, jitter=None):
+def gram_grads(dist, theta, K, jitter=None):
     """Derivatives of gram(X, theta, jitter) = K wrt (log lengthscale, log magnitude).
 
-    With u = sqrt(5) r / ell, dK/dlog ell = sig^2 (u^2/3)(1 + u) exp(-u).  The
-    jitter rung that K used scales with sig^2 unless it is the explicit jitter,
-    which stays fixed, so dK/dlog sig is 2 K or 2 (K - jitter I) respectively.
+    dist = cdist(X, X).  With u = sqrt(5) r / ell, dK/dlog ell =
+    sig^2 (u^2/3)(1 + u) exp(-u).  The jitter rung that K used scales with
+    sig^2 unless it is the explicit jitter, which stays fixed, so dK/dlog sig
+    is 2 K or 2 (K - jitter I) respectively.
     """
-    u = _SQRT5 * cdist(X, X) / theta.lengthscale
+    u = _SQRT5 * dist / theta.lengthscale
     d_ell = theta.magnitude ** 2 * (u * u / 3.0) * (1.0 + u) * np.exp(-u)
     d_sig = 2.0 * K.K
     if jitter is not None and K.jitter == float(jitter):
@@ -95,9 +94,10 @@ def gram_grads(X, theta, K, jitter=None):
     return d_ell, d_sig
 
 
-def gram(X, theta, jitter=None):
+def gram(X, theta, jitter=None, dist=None):
     """Train covariance with jitter escalation until Cholesky succeeds.
 
+    dist may pass cdist(X, X) precomputed (Dataset.distances), bitwise alike.
     jitter=None starts at the default 1e-6 * magnitude^2; an explicit value is
     tried first as given.  On failure the jitter is raised tenfold per attempt
     up to 1e-2 * magnitude^2, after which FactorizationError is raised.
@@ -119,7 +119,7 @@ def gram(X, theta, jitter=None):
             ladder.append(rung)
         rung *= 10.0
 
-    base = cross_gram(X, X, theta)
+    base = _matern(cdist(X, X) if dist is None else dist, theta)
     eye = np.eye(X.shape[0])
     for j in ladder:
         K = base + j * eye

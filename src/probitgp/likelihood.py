@@ -87,7 +87,7 @@ def expectation_stats(y, mean, var, quad_order=DEFAULT_QUAD_ORDER):
     f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * x[None, :]
     z = y[:, None] * f
     lp = log_ndtr(z)
-    ratio = _phi_over_cdf(z)
+    ratio = np.exp(_norm_logpdf(z) - lp)  # phi/Phi, reusing the one log_ndtr
     d1 = y[:, None] * ratio           # d/df log Phi(y f)
     d2 = -ratio * (z + ratio)         # d^2/df^2, independent of y since y^2 = 1
 

@@ -40,6 +40,11 @@ class ModelArtifact:
             raise ValueError("features must be (n_sites, d)")
         if mean.shape != (feats.shape[1],) or scale.shape != mean.shape:
             raise ValueError("standardization stats must match feature columns")
+        for label, arr in (("features", feats), ("feature_mean", mean), ("feature_scale", scale)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{label} must be finite")
+        if np.any(scale <= 0):
+            raise ValueError("feature_scale must be > 0")
         for arr in (feats, mean, scale):
             arr.setflags(write=False)
         object.__setattr__(self, "features", feats)

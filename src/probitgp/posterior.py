@@ -4,14 +4,18 @@ Sites hold per-point natural parameters (lam1, lam2) with lam2 <= 0.  With
 B = diag(-2 lam2) the posterior is N(m, S), S = (K^-1 + B)^-1 and m = S lam1,
 assembled without ever forming K^-1 via the symmetrized factor
 
-    A = I + B^1/2 K B^1/2,  chol(A) = L.
+    A = I + B^1/2 K B^1/2,  chol(A) = L,  V = L^-1 B^1/2 K.
 
-The same factor yields log|I + K B|, the quadratic energy term, the KL to the
-prior, and the latent predictive moments, and it stays well conditioned even
-when some sites are exactly zero.
+One Cholesky and one triangular solve give diag S = diag K - colsum(V * V),
+alpha = K^-1 m and m = K alpha; S = K - V'V itself is formed on first use.
+The factor also yields log|I + K B|, the energies and the latent predictive
+moments.  The KL needs no inverse: by Woodbury A^-1 = I - B^1/2 S B^1/2, so
+tr(K^-1 S) - n = tr(A^-1) - n = -sum_i b_i S_ii.  All of it stays well
+conditioned even when some sites are exactly zero.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -59,19 +63,30 @@ class Sites:
 
 @dataclass(frozen=True)
 class GaussianPosterior:
-    """Assembled posterior plus the reusable factorization cache.
+    """Posterior mean and marginal variances plus the factorization cache.
 
     sqrt_b, chol_a (lower factor of I + B^1/2 K B^1/2), alpha = K^-1 m and
-    log_det_ikb = log|I + K B| are byproducts of assembly kept for the
-    energies and for prediction.
+    log_det_ikb = log|I + K B| serve the energies and prediction; K and
+    V = chol_a^-1 B^1/2 K serve the covariance S, formed on demand.
     """
 
     m: np.ndarray
-    S: np.ndarray
+    var: np.ndarray
     alpha: np.ndarray
     sqrt_b: np.ndarray
     chol_a: np.ndarray
     log_det_ikb: float
+    K: np.ndarray
+    V: np.ndarray
+
+    @cached_property
+    def S(self):
+        """Full posterior covariance, symmetrized; built once on first use."""
+        S = self.K - self.V.T @ self.V
+        S = 0.5 * (S + S.T)
+        if not np.isfinite(S).all():
+            raise NumericsError("posterior covariance has non-finite values")
+        return S
 
 
 def assemble(K, sites):
@@ -87,17 +102,14 @@ def assemble(K, sites):
     except np.linalg.LinAlgError as exc:  # B >= 0 makes this near-impossible
         raise FactorizationError("posterior factorization failed") from exc
     V = solve_triangular(chol_a, sqrt_b[:, None] * Km, lower=True)
-    S = Km - V.T @ V
-    S = 0.5 * (S + S.T)
-    m = S @ sites.lam1
+    var = np.diag(Km) - np.einsum("ij,ij->j", V, V)
     k_lam = Km @ sites.lam1
     alpha = sites.lam1 - sqrt_b * cho_solve((chol_a, True), sqrt_b * k_lam)
+    m = Km @ alpha
     log_det_ikb = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
-    if not (np.isfinite(m).all() and np.isfinite(S).all()):
+    if not (np.isfinite(m).all() and np.isfinite(var).all()):
         raise NumericsError("posterior assembly produced non-finite values")
-    return GaussianPosterior(
-        m=m, S=S, alpha=alpha, sqrt_b=sqrt_b, chol_a=chol_a, log_det_ikb=log_det_ikb
-    )
+    return GaussianPosterior(m, var, alpha, sqrt_b, chol_a, log_det_ikb, Km, V)
 
 
 def ep_like_energy(K, sites, post=None):
@@ -109,11 +121,9 @@ def ep_like_energy(K, sites, post=None):
 
 def prior_kl(post):
     """KL( N(m, S) || N(0, K) ) from the assembly cache alone."""
-    n = post.m.size
-    tri = solve_triangular(post.chol_a, np.eye(n), lower=True)
-    trace_term = float(np.sum(tri * tri))          # tr(K^-1 S) = tr(A^-1)
-    quad_term = float(post.m @ post.alpha)         # m' K^-1 m
-    return 0.5 * (trace_term + quad_term - n + post.log_det_ikb)
+    trace_term = -float(np.sum(post.sqrt_b ** 2 * post.var))  # tr(K^-1 S) - n
+    quad_term = float(post.m @ post.alpha)                    # m' K^-1 m
+    return 0.5 * (trace_term + quad_term + post.log_det_ikb)
 
 
 def elbo(K, sites, y, quad_order=DEFAULT_QUAD_ORDER, post=None, loglik_stats=None):
@@ -128,11 +138,10 @@ def elbo(K, sites, y, quad_order=DEFAULT_QUAD_ORDER, post=None, loglik_stats=Non
     y = np.asarray(y, dtype=float)
     if y.shape != post.m.shape:
         raise ValueError("labels must align with the posterior")
-    v = np.diag(post.S)
     if loglik_stats is None:
-        e, _, _ = expectation_stats(y, post.m, v, quad_order=quad_order)
+        e, _, _ = expectation_stats(y, post.m, post.var, quad_order=quad_order)
     else:
-        e, _, _ = loglik_stats(y, post.m, v)
+        e, _, _ = loglik_stats(y, post.m, post.var)
     return float(np.sum(e)) - prior_kl(post)
 
 

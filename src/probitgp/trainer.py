@@ -5,8 +5,9 @@ learning objective ("elbo" or "ep_like") in log-hyperparameter space with its
 exact gradient, holding the sites fixed.  Every probe builds the Gram matrix
 and assembles the posterior once at the probed point and returns the value
 and the gradient together, so the objective's dependence on the
-hyperparameters through the posterior is honored.  A final E-step refresh
-leaves the returned sites consistent with the returned hyperparameters.
+hyperparameters through the posterior is honored.  The Gram matrices of a
+fit share one distance matrix.  The E-step after each M-step gives the
+round's ELBO; the last leaves the sites consistent with the final theta.
 """
 
 from dataclasses import dataclass, field
@@ -57,7 +58,7 @@ def objective_value(dataset, sites, theta, objective, jitter=None, quad_order=DE
     """Learning objective at (sites, theta); rebuilds K and the posterior."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    K = gram(dataset.X, theta, jitter)
+    K = gram(dataset.X, theta, jitter, dataset.distances)
     post = assemble(K, sites)
     if objective == "elbo":
         return elbo(K, sites, dataset.y, quad_order=quad_order, post=post)
@@ -74,13 +75,13 @@ def _value_and_grad(dataset, sites, theta, objective, jitter, quad_order):
     dS = S K^-1 dK K^-1 S through the expectation derivatives (g_m, g_v) and
     the KL.
     """
-    K = gram(dataset.X, theta, jitter)
+    K = gram(dataset.X, theta, jitter, dataset.distances)
     post = assemble(K, sites)
     alpha = post.alpha
     b = -2.0 * sites.lam2
     W = np.diag(b) - b[:, None] * post.S * b[None, :]
     if objective == "elbo":
-        e, g_m, g_v = expectation_stats(dataset.y, post.m, np.diag(post.S), quad_order=quad_order)
+        e, g_m, g_v = expectation_stats(dataset.y, post.m, post.var, quad_order=quad_order)
         value = float(np.sum(e)) - prior_kl(post)
         Mt = np.eye(sites.n) - b[:, None] * post.S
         c = Mt @ (g_m + b * post.m) - 0.5 * alpha
@@ -88,7 +89,7 @@ def _value_and_grad(dataset, sites, theta, objective, jitter, quad_order):
     else:
         value = ep_like_energy(K, sites, post=post)
         G = 0.5 * (np.outer(alpha, alpha) - W)
-    d_ell, d_sig = gram_grads(dataset.X, theta, K, jitter)
+    d_ell, d_sig = gram_grads(dataset.distances, theta, K, jitter)
     return value, np.array([np.sum(G * d_ell), np.sum(G * d_sig)])
 
 
@@ -127,27 +128,26 @@ def fit(dataset, cfg):
     """Alternate E- and M-steps until the hyperparameter move stalls.
 
     Stops after cfg.outer_rounds rounds or when the max absolute change of
-    log-theta over a round drops below cfg.outer_tol, then refreshes the sites
-    at the final hyperparameters.  Deterministic: no randomness anywhere.
+    log-theta over a round drops below cfg.outer_tol; the E-step after the
+    last M-step refreshes the sites.  Deterministic: no randomness anywhere.
     """
+    def refresh(theta, sites):
+        K = gram(dataset.X, theta, cfg.jitter, dataset.distances)
+        return e_step(
+            K, dataset.y, sites,
+            step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
+        )
+
     theta = cfg.theta0
-    sites = Sites.zeros(dataset.n)
+    sites, _ = refresh(theta, Sites.zeros(dataset.n))
     objective_trace = []
     elbo_trace = []
     theta_trace = []
     for _ in range(cfg.outer_rounds):
-        K = gram(dataset.X, theta, cfg.jitter)
-        sites, _ = e_step(
-            K, dataset.y, sites,
-            step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
-        )
         new_theta, obj = _m_step(dataset, sites, theta, cfg)
-        if cfg.objective == "elbo":
-            bound = obj
-        else:
-            bound = objective_value(dataset, sites, new_theta, "elbo", cfg.jitter, cfg.quad_order)
+        sites, e_trace = refresh(new_theta, sites)
         objective_trace.append(obj)
-        elbo_trace.append(bound)
+        elbo_trace.append(e_trace[0])  # ELBO at the M-step's sites and new_theta
         theta_trace.append([new_theta.log_lengthscale, new_theta.log_magnitude])
         delta = max(
             abs(new_theta.log_lengthscale - theta.log_lengthscale),
@@ -156,11 +156,6 @@ def fit(dataset, cfg):
         theta = new_theta
         if delta < cfg.outer_tol:
             break
-    K = gram(dataset.X, theta, cfg.jitter)
-    sites, _ = e_step(
-        K, dataset.y, sites,
-        step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
-    )
     return TrainResult(
         theta=theta,
         sites=sites,

@@ -7,9 +7,11 @@ conjugate identities only.
 
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.spatial.distance import cdist
 from scipy.special import log_ndtr, ndtr, roots_hermite
 
 from probitgp import (
@@ -17,10 +19,18 @@ from probitgp import (
     Dataset,
     GramMatrix,
     Hyperparams,
+    FactorizationError,
     NumericsError,
     gram,
     objective_value,
     temperature,
+)
+from probitgp.likelihood import (
+    DEFAULT_QUAD_ORDER,
+    _check_labels,
+    _norm_logpdf,
+    _phi_over_cdf,
+    _quad_nodes,
 )
 
 DATA_DIR = Path(os.environ.get("PROBITGP_DATA", Path(__file__).resolve().parent.parent / "data"))
@@ -251,3 +261,82 @@ def ais_lml_reference(K, y, cfg):
     if not np.isfinite(per_repeat).all():
         raise NumericsError("non-finite annealing estimate")
     return AisEstimate(log_ml=float(per_repeat.mean()), per_repeat=per_repeat)
+
+
+def gram_reference(X, theta, jitter):
+    """Matern-5/2 Gram matrix of X plus jitter * I, in the operation order
+    kernel.gram used when it built every matrix from cdist(X, X) itself."""
+    r = cdist(X, X) / theta.lengthscale
+    u = np.sqrt(5.0) * r
+    return theta.magnitude ** 2 * ((1.0 + u + u * u / 3.0) * np.exp(-u)) + jitter * np.eye(len(X))
+
+
+def assemble_reference(K, sites):
+    """Posterior assembly as it was before S became lazy: forms the full S
+    with the n-RHS solve and V'V, and m = S lam1.  Returns a namespace with
+    the former GaussianPosterior fields."""
+    Km = K.K
+    n = Km.shape[0]
+    if sites.n != n:
+        raise ValueError("site count must match the Gram matrix")
+    sqrt_b = np.sqrt(-2.0 * sites.lam2)
+    A = np.eye(n) + sqrt_b[:, None] * Km * sqrt_b[None, :]
+    try:
+        chol_a = cholesky(A, lower=True)
+    except np.linalg.LinAlgError as exc:  # B >= 0 makes this near-impossible
+        raise FactorizationError("posterior factorization failed") from exc
+    V = solve_triangular(chol_a, sqrt_b[:, None] * Km, lower=True)
+    S = Km - V.T @ V
+    S = 0.5 * (S + S.T)
+    m = S @ sites.lam1
+    k_lam = Km @ sites.lam1
+    alpha = sites.lam1 - sqrt_b * cho_solve((chol_a, True), sqrt_b * k_lam)
+    log_det_ikb = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
+    if not (np.isfinite(m).all() and np.isfinite(S).all()):
+        raise NumericsError("posterior assembly produced non-finite values")
+    return SimpleNamespace(
+        m=m, S=S, alpha=alpha, sqrt_b=sqrt_b, chol_a=chol_a, log_det_ikb=log_det_ikb
+    )
+
+
+def prior_kl_reference(post):
+    """KL( N(m, S) || N(0, K) ) with tr(A^-1) from an explicit triangular
+    inverse of chol_a, as it was computed before the Woodbury trace."""
+    n = post.m.size
+    tri = solve_triangular(post.chol_a, np.eye(n), lower=True)
+    trace_term = float(np.sum(tri * tri))          # tr(K^-1 S) = tr(A^-1)
+    quad_term = float(post.m @ post.alpha)         # m' K^-1 m
+    return 0.5 * (trace_term + quad_term - n + post.log_det_ikb)
+
+
+def expectation_stats_reference(y, mean, var, quad_order=DEFAULT_QUAD_ORDER):
+    """likelihood.expectation_stats as it was with two log_ndtr evaluations
+    per quadrature node (one inside _phi_over_cdf)."""
+    y = _check_labels(np.atleast_1d(y))
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    var = np.atleast_1d(np.asarray(var, dtype=float))
+    if not (y.shape == mean.shape == var.shape):
+        raise ValueError("y, mean, var must align")
+    if np.any(var < 0):
+        raise ValueError("variances must be >= 0")
+    x, w = _quad_nodes(quad_order)
+
+    f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * x[None, :]
+    z = y[:, None] * f
+    lp = log_ndtr(z)
+    ratio = _phi_over_cdf(z)
+    d1 = y[:, None] * ratio           # d/df log Phi(y f)
+    d2 = -ratio * (z + ratio)         # d^2/df^2, independent of y since y^2 = 1
+
+    e = lp @ w
+    g_m = d1 @ w
+    g_v = 0.5 * (d2 @ w)
+
+    point = var == 0.0
+    if np.any(point):
+        z0 = y[point] * mean[point]
+        r0 = _phi_over_cdf(z0)
+        e[point] = log_ndtr(z0)
+        g_m[point] = y[point] * r0
+        g_v[point] = -0.5 * r0 * (z0 + r0)
+    return e, g_m, g_v

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior on small synthetic CSVs."""
 
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import helpers
 from probitgp import NumericsError, load_model
 from probitgp.cli import run
+import probitgp
 import probitgp.cli as cli_module
 
 FAST_FIT = ["--e-iters", "8", "--m-iters", "1", "--rounds", "2"]
@@ -98,6 +103,27 @@ class TestPredict:
         before = out.read_bytes()
         assert rerun_from_header(out) == 0
         assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("block,value", [
+        ("features", "nan"),
+        ("feature_mean", "inf"),
+        ("feature_scale", "-inf"),
+        ("feature_scale", "0"),
+    ])
+    def test_corrupt_model_block_is_usage_error(self, tmp_path, capsys, block, value):
+        """A model with a non-finite or non-positive block is rejected at load,
+        naming the block, before any scoring."""
+        data, model, _ = self.fitted(tmp_path, seed=6)
+        lines = model.read_text().splitlines()
+        row = lines.index(f"{block}:") + 1
+        lines[row] = " ".join([value] + lines[row].split()[1:])
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model), "--data", str(data),
+                    "--label", "last", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert block in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_feature_count_mismatch_is_usage_error(self, tmp_path, capsys):
         _, model, _ = self.fitted(tmp_path, seed=5)
@@ -244,3 +270,13 @@ class TestExitCodes:
                     "--jitter", "-1"]) == 1
         assert run(["fit", "--data", str(data), "--out", str(tmp_path / "m.model"),
                     "--jitter", "soft"]) == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs about a second of import time; the CLI needs none of it."""
+    src = str(Path(probitgp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, probitgp.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

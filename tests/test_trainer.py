@@ -209,6 +209,22 @@ class TestFdEquivalence:
             sites, _ = e_step(gram(ds.X, cfg.theta0), ds.y, Sites.zeros(ds.n), iters=8)
             assert res.objective_trace[0] == objective_value(ds, sites, res.theta, objective)
 
+    def test_round_traces_are_objective_values_at_each_theta(self):
+        """Both traces hold, to the bit, the objectives at each round's sites
+        and recorded theta; the ELBO comes from the next E-step's first value."""
+        ds = blob_dataset(n=12, seed=15)
+        for objective in ("elbo", "ep_like"):
+            cfg = TrainConfig(objective=objective, e_iters=8, m_iters=4, m_lr=0.01,
+                              outer_rounds=3, outer_tol=0.0)
+            res = fit(ds, cfg)
+            assert len(res.theta_trace) == 3
+            sites, theta = Sites.zeros(ds.n), cfg.theta0
+            for r, row in enumerate(res.theta_trace):
+                sites, _ = e_step(gram(ds.X, theta), ds.y, sites, iters=8)
+                theta = Hyperparams(*row)
+                assert res.objective_trace[r] == objective_value(ds, sites, theta, objective)
+                assert res.elbo_trace[r] == objective_value(ds, sites, theta, "elbo")
+
 
 class TestFit:
     def test_pure_inference_round_keeps_theta(self):
