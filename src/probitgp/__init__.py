@@ -5,7 +5,8 @@ site parameterization: natural-gradient variational inference, classic
 expectation propagation, and an annealed-importance-sampling evidence
 estimate for calibration.  Training alternates natural-gradient E-steps with
 exact-gradient M-steps on either the evidence lower bound or the
-unnormalized-site free-energy objective.
+unnormalized-site free-energy objective.  Grid cells, CV folds and predict
+all score held-out rows with predictive_z, in blocks of fixed size.
 """
 
 from .ais import AisConfig, AisEstimate, ais_lml, ess_step, temperature
@@ -32,15 +33,13 @@ from .harness import (
     grid_sweep,
     paired_t_test,
 )
-from .kernel import GramMatrix, Hyperparams, cross_gram, gram, matern52
+from .kernel import GramMatrix, Hyperparams, cross_gram, gram
 from .likelihood import (
     ExpectationStats,
     MarginalMoments,
     ep_tilted_moments,
     expectation_stats,
     expected_loglik,
-    log_lik,
-    predictive_prob,
 )
 from .model_io import ModelArtifact, load_model, save_model
 from .posterior import (
@@ -50,6 +49,7 @@ from .posterior import (
     elbo,
     ep_like_energy,
     latent_predict,
+    predictive_z,
     prior_kl,
 )
 from .trainer import TrainConfig, TrainResult, fit, objective_value
@@ -65,12 +65,12 @@ __all__ = [
     "FactorizationError", "NumericsError",
     "CvReport", "GridSpec", "SurfaceRecord", "SweepConfig",
     "cross_validate", "grid_sweep", "paired_t_test",
-    "GramMatrix", "Hyperparams", "cross_gram", "gram", "matern52",
+    "GramMatrix", "Hyperparams", "cross_gram", "gram",
     "ExpectationStats", "MarginalMoments", "ep_tilted_moments",
-    "expectation_stats", "expected_loglik", "log_lik", "predictive_prob",
+    "expectation_stats", "expected_loglik",
     "ModelArtifact", "load_model", "save_model",
     "GaussianPosterior", "Sites", "assemble", "elbo", "ep_like_energy",
-    "latent_predict", "prior_kl",
+    "latent_predict", "predictive_z", "prior_kl",
     "TrainConfig", "TrainResult", "fit", "objective_value",
     "__version__",
 ]

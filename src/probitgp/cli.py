@@ -18,9 +18,9 @@ from .ais import AisConfig, ais_lml
 from .data import feature_stats, load_csv, make_folds, fold_datasets, read_feature_rows, standardize
 from .errors import NumericsError
 from .harness import METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep
-from .kernel import Hyperparams, cross_gram, gram
+from .kernel import Hyperparams, gram
 from .model_io import ModelArtifact, load_model, save_model
-from .posterior import latent_predict
+from .posterior import assemble, predictive_z
 from .trainer import TrainConfig, fit as train_fit
 
 EXIT_OK = 0
@@ -104,8 +104,6 @@ _SPECS = {
         ("--out", dict(required=True, help="per-fold CSV (summary written beside it)")),
         ("--seed", dict(type=int, default=0)),
         ("--methods", dict(default="vi,ours")),
-        ("--objective", dict(choices=("elbo", "ep_like"), default="elbo",
-                             help="unused template value; vi/ours fix their own objectives")),
         ("--log-lengthscale", dict(type=float, default=0.0)),
         ("--log-magnitude", dict(type=float, default=0.0)),
         ("--e-iters", dict(type=int, default=20)),
@@ -170,9 +168,10 @@ def _parse_methods(text, allowed):
     return methods
 
 
-def _train_config(args):
+def _train_config(args, objective="elbo"):
+    # cv keeps the default: cross_validate sets each method's own objective
     return TrainConfig(
-        objective=args.objective,
+        objective=objective,
         theta0=Hyperparams(args.log_lengthscale, args.log_magnitude),
         e_iters=args.e_iters,
         e_step_size=args.e_step_size,
@@ -187,7 +186,7 @@ def _train_config(args):
 def _cmd_fit(args):
     dataset = load_csv(args.data, args.label)
     train, _ = standardize(dataset)
-    result = train_fit(train, _train_config(args))
+    result = train_fit(train, _train_config(args, args.objective))
     mean, scale = feature_stats(dataset)
     artifact = ModelArtifact(
         name=dataset.name, objective=args.objective, seed=args.seed,
@@ -229,11 +228,8 @@ def _cmd_predict(args):
             f"feature count {X.shape[1]} does not match the model ({artifact.features.shape[1]})"
         )
     Xs = (X - artifact.feature_mean) / artifact.feature_scale
-    K = gram(artifact.features, artifact.theta, artifact.jitter)
-    k_star = cross_gram(artifact.features, Xs, artifact.theta)
-    k_ss = np.full(Xs.shape[0], artifact.theta.magnitude ** 2)
-    mm = latent_predict(K, k_star, k_ss, artifact.sites)
-    p_pos = ndtr(mm.mean / np.sqrt(1.0 + mm.var))
+    post = assemble(gram(artifact.features, artifact.theta, artifact.jitter), artifact.sites)
+    p_pos = ndtr(predictive_z(post, artifact.theta, artifact.features, Xs))
     rows = [
         (i, p_pos[i], 1 if p_pos[i] >= 0.5 else -1)
         for i in range(Xs.shape[0])

@@ -131,6 +131,25 @@ def _resolve_label_column(rows, label_column):
     return rows[1:], header.index(label_column)
 
 
+def _parse_features(path, data_rows, skip):
+    """Finite float matrix of data_rows without column skip (None keeps all)."""
+    if not data_rows:
+        raise ValueError(f"{path}: no data rows")
+    feats = []
+    for rownum, row in enumerate(data_rows):
+        cells = [cell for j, cell in enumerate(row) if j != skip]
+        vals = [_parse_float(cell) for cell in cells]
+        if None in vals:
+            bad = cells[vals.index(None)]
+            raise ValueError(f"{path}: non-numeric feature {bad!r} in row {rownum}")
+        feats.append(vals)
+    X = np.array(feats, dtype=float)
+    nonfinite = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if nonfinite.size:
+        raise ValueError(f"{path}: non-finite feature in row {nonfinite[0]}")
+    return X
+
+
 def load_csv(path, label_column="last", name=None):
     """Load a two-class CSV into a Dataset.
 
@@ -139,22 +158,8 @@ def load_csv(path, label_column="last", name=None):
     """
     rows = _read_rows(path)
     data_rows, idx = _resolve_label_column(rows, label_column)
-    if not data_rows:
-        raise ValueError(f"{path}: no data rows")
-    labels = [row[idx] for row in data_rows]
-    feats = []
-    for rownum, row in enumerate(data_rows):
-        vals = []
-        for j, cell in enumerate(row):
-            if j == idx:
-                continue
-            v = _parse_float(cell)
-            if v is None:
-                raise ValueError(f"{path}: non-numeric feature {cell!r} in row {rownum}")
-            vals.append(v)
-        feats.append(vals)
-    X = np.array(feats, dtype=float)
-    y = encode_labels(labels)
+    X = _parse_features(path, data_rows, idx)
+    y = encode_labels([row[idx] for row in data_rows])
     return Dataset(name=name or Path(path).stem, X=X, y=y)
 
 
@@ -162,7 +167,7 @@ def read_feature_rows(path, label_column=None):
     """Read a CSV of numeric rows, optionally dropping a label column.
 
     For unlabeled prediction inputs; labels (if present) are ignored, not
-    validated.  Returns an (n, d) float array.
+    validated.  Returns an (n, d) array of finite floats, n >= 1.
     """
     rows = _read_rows(path)
     if label_column is None:
@@ -171,18 +176,7 @@ def read_feature_rows(path, label_column=None):
         data_rows, idx = (rows[1:] if has_header else rows), None
     else:
         data_rows, idx = _resolve_label_column(rows, label_column)
-    feats = []
-    for rownum, row in enumerate(data_rows):
-        vals = []
-        for j, cell in enumerate(row):
-            if j == idx:
-                continue
-            v = _parse_float(cell)
-            if v is None:
-                raise ValueError(f"{path}: non-numeric feature {cell!r} in row {rownum}")
-            vals.append(v)
-        feats.append(vals)
-    return np.array(feats, dtype=float)
+    return _parse_features(path, data_rows, idx)
 
 
 def feature_stats(train):

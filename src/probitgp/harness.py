@@ -19,9 +19,9 @@ from .cvi import e_step
 from .data import Dataset, fold_datasets, make_folds, standardize
 from .ep import ep_energy, ep_inference
 from .errors import NumericsError
-from .kernel import Hyperparams, cross_gram, gram
+from .kernel import Hyperparams, gram
 from .likelihood import DEFAULT_QUAD_ORDER
-from .posterior import Sites, assemble, elbo, ep_like_energy, latent_predict
+from .posterior import Sites, assemble, elbo, ep_like_energy, predictive_z
 from .trainer import fit
 
 logger = logging.getLogger(__name__)
@@ -102,11 +102,8 @@ class CvReport:
         return float(np.mean(vals)), float(np.std(vals, ddof=1))
 
 
-def _mean_lpd(K, theta, X_train, X_test, y_test, sites, post):
-    k_star = cross_gram(X_train, X_test, theta)
-    k_ss = np.full(X_test.shape[0], theta.magnitude ** 2)
-    mm = latent_predict(K, k_star, k_ss, sites, post=post)
-    return float(np.mean(log_ndtr(y_test * mm.mean / np.sqrt(1.0 + mm.var))))
+def _mean_lpd(post, theta, X_train, X_test, y_test):
+    return float(np.mean(log_ndtr(y_test * predictive_z(post, theta, X_train, X_test))))
 
 
 def _sweep_cell(args):
@@ -129,7 +126,7 @@ def _sweep_cell(args):
                 step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
             )
             post = assemble(K, sites)
-            lpd = _mean_lpd(K, theta, X_train, X_test, y_test, sites, post)
+            lpd = _mean_lpd(post, theta, X_train, X_test, y_test)
             if "vi" in methods:
                 records["vi"] = (
                     elbo(K, sites, y_train, quad_order=cfg.quad_order, post=post) / n,
@@ -145,7 +142,7 @@ def _sweep_cell(args):
             ep_sites, ep_post, _ = ep_inference(
                 K, y_train, sweeps=cfg.ep_sweeps, damping=cfg.ep_damping
             )
-            lpd = _mean_lpd(K, theta, X_train, X_test, y_test, ep_sites.sites, ep_post)
+            lpd = _mean_lpd(ep_post, theta, X_train, X_test, y_test)
             records["ep"] = (ep_energy(K, ep_sites, post=ep_post) / n, lpd)
         except (NumericsError, np.linalg.LinAlgError) as exc:
             logger.warning("cell (%g, %g): EP failed: %s", ll, ls, exc)
@@ -207,12 +204,8 @@ def _cv_task(args):
     train, (test,) = standardize(train_raw, [test_raw])
     objective = "elbo" if method == "vi" else "ep_like"
     result = fit(train, replace(cfg, objective=objective))
-    K = gram(train.X, result.theta, cfg.jitter)
-    post = assemble(K, result.sites)
-    k_star = cross_gram(train.X, test.X, result.theta)
-    k_ss = np.full(test.n, result.theta.magnitude ** 2)
-    mm = latent_predict(K, k_star, k_ss, result.sites, post=post)
-    z = mm.mean / np.sqrt(1.0 + mm.var)
+    post = assemble(gram(train.X, result.theta, cfg.jitter), result.sites)
+    z = predictive_z(post, result.theta, train.X, test.X)
     predicted = np.where(ndtr(z) >= 0.5, 1.0, -1.0)
     accuracy = float(np.mean(predicted == test.y))
     lpd = float(np.mean(log_ndtr(test.y * z)))

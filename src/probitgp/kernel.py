@@ -60,15 +60,6 @@ def _matern(dist, theta):
     return theta.magnitude ** 2 * ((1.0 + u + u * u / 3.0) * np.exp(-u))
 
 
-def matern52(x, x_other, theta):
-    """Covariance between two points; inputs must share dimensionality."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x_other = np.atleast_1d(np.asarray(x_other, dtype=float))
-    if x.ndim != 1 or x.shape != x_other.shape:
-        raise ValueError("inputs must be 1-d and of equal dimension")
-    return float(_matern(float(np.linalg.norm(x - x_other)), theta))
-
-
 def cross_gram(X, Z, theta):
     """Covariance block between row sets: out[i, j] = k(X[i], Z[j]). No jitter."""
     X = np.asarray(X, dtype=float)

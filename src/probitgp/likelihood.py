@@ -1,15 +1,14 @@
 """Probit Bernoulli likelihood for labels in {-1, +1}.
 
-Exact log-likelihood and its Gaussian expectations (Gauss-Hermite), the
-closed-form tilted moments used by EP, and the predictive class probability.
-All cumulative-normal work goes through log_ndtr so nothing underflows for
-|f| well past 30.
+Gaussian expectations of the log-likelihood log Phi(y f) (Gauss-Hermite)
+and the closed-form tilted moments used by EP.  All cumulative-normal work
+goes through log_ndtr so nothing underflows for |f| well past 30.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr
 
 DEFAULT_QUAD_ORDER = 50
 
@@ -47,16 +46,6 @@ def _norm_logpdf(z):
 def _phi_over_cdf(z):
     # phi(z)/Phi(z), stable for z far into the left tail
     return np.exp(_norm_logpdf(z) - log_ndtr(z))
-
-
-def log_lik(y, f):
-    """log p(y|f) = log Phi(y f) for a single point."""
-    y = float(y)
-    if y not in (-1.0, 1.0):
-        raise ValueError("labels must lie in {-1, +1}")
-    if not np.isfinite(f):
-        raise ValueError("latent value must be finite")
-    return float(log_ndtr(y * f))
 
 
 def _quad_nodes(order):
@@ -129,14 +118,3 @@ def ep_tilted_moments(y, cavity):
     var = v - v * v * ratio * (z + ratio) / (1.0 + v)
     var = float(np.clip(var, 1e-15 * v, v))
     return log_z, MarginalMoments(mean=float(mean), var=var)
-
-
-def predictive_prob(y, moments):
-    """p(y) = Phi(y mean / sqrt(1 + var)) for a latent Gaussian marginal."""
-    y = float(y)
-    if y not in (-1.0, 1.0):
-        raise ValueError("labels must lie in {-1, +1}")
-    m, v = float(moments.mean), float(moments.var)
-    if v < 0:
-        raise ValueError("variance must be >= 0")
-    return float(ndtr(y * m / np.sqrt(1.0 + v)))

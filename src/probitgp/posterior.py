@@ -12,6 +12,9 @@ The factor also yields log|I + K B|, the energies and the latent predictive
 moments.  The KL needs no inverse: by Woodbury A^-1 = I - B^1/2 S B^1/2, so
 tr(K^-1 S) - n = tr(A^-1) - n = -sum_i b_i S_ii.  All of it stays well
 conditioned even when some sites are exactly zero.
+
+predictive_z, the one prediction path (GPML Alg. 3.2), scores test rows in
+blocks of PREDICT_BLOCK, so its memory does not grow with the row count.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import FactorizationError, NumericsError
+from .kernel import cross_gram
 from .likelihood import DEFAULT_QUAD_ORDER, MarginalMoments, expectation_stats
 
 # updaters clamp lam2 at or below this (keeps B positive, sites proper)
@@ -28,6 +32,9 @@ LAMBDA2_CEIL = -1e-10
 
 # predictive variances may round slightly negative; beyond this it is an error
 VAR_TOL = -1e-10
+
+# test rows per predictive_z block
+PREDICT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -126,22 +133,14 @@ def prior_kl(post):
     return 0.5 * (trace_term + quad_term + post.log_det_ikb)
 
 
-def elbo(K, sites, y, quad_order=DEFAULT_QUAD_ORDER, post=None, loglik_stats=None):
-    """Evidence lower bound: -KL(q || prior) + sum_i E_q[log p(y_i | f_i)].
-
-    loglik_stats may replace the probit expectations with another per-point
-    (e, g_m, g_v) provider of the same signature; the default is exact for
-    this package's Bernoulli model.
-    """
+def elbo(K, sites, y, quad_order=DEFAULT_QUAD_ORDER, post=None):
+    """Evidence lower bound: -KL(q || prior) + sum_i E_q[log p(y_i | f_i)]."""
     if post is None:
         post = assemble(K, sites)
     y = np.asarray(y, dtype=float)
     if y.shape != post.m.shape:
         raise ValueError("labels must align with the posterior")
-    if loglik_stats is None:
-        e, _, _ = expectation_stats(y, post.m, post.var, quad_order=quad_order)
-    else:
-        e, _, _ = loglik_stats(y, post.m, post.var)
+    e, _, _ = expectation_stats(y, post.m, post.var, quad_order=quad_order)
     return float(np.sum(e)) - prior_kl(post)
 
 
@@ -167,3 +166,19 @@ def latent_predict(K, k_star, k_star_star_diag, sites, post=None):
         raise NumericsError("predictive variance fell below tolerance")
     var = np.clip(var, 0.0, None)
     return MarginalMoments(mean=mean, var=var)
+
+
+def predictive_z(post, theta, X_train, X_test):
+    """z = E[f*] / sqrt(1 + Var[f*]) per test row, so p(y* | x*) = Phi(y* z).
+
+    post is the posterior at the training rows X_train under theta.  Rows go
+    through cross_gram and latent_predict PREDICT_BLOCK at a time.
+    """
+    z = np.empty(X_test.shape[0])
+    for start in range(0, z.size, PREDICT_BLOCK):
+        block = X_test[start:start + PREDICT_BLOCK]
+        k_ss = np.full(block.shape[0], theta.magnitude ** 2)
+        # post carries the factorization, so K and sites are not read
+        mm = latent_predict(None, cross_gram(X_train, block, theta), k_ss, None, post=post)
+        z[start:start + block.shape[0]] = mm.mean / np.sqrt(1.0 + mm.var)
+    return z

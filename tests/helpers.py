@@ -21,10 +21,13 @@ from probitgp import (
     Hyperparams,
     FactorizationError,
     NumericsError,
+    cross_gram,
     gram,
+    latent_predict,
     objective_value,
     temperature,
 )
+from probitgp.kernel import _matern
 from probitgp.likelihood import (
     DEFAULT_QUAD_ORDER,
     _check_labels,
@@ -340,3 +343,43 @@ def expectation_stats_reference(y, mean, var, quad_order=DEFAULT_QUAD_ORDER):
         g_m[point] = y[point] * r0
         g_v[point] = -0.5 * r0 * (z0 + r0)
     return e, g_m, g_v
+
+
+def matern52(x, x_other, theta):
+    """Covariance between two points; inputs must share dimensionality."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x_other = np.atleast_1d(np.asarray(x_other, dtype=float))
+    if x.ndim != 1 or x.shape != x_other.shape:
+        raise ValueError("inputs must be 1-d and of equal dimension")
+    return float(_matern(float(np.linalg.norm(x - x_other)), theta))
+
+
+def log_lik(y, f):
+    """log p(y|f) = log Phi(y f) for a single point."""
+    y = float(y)
+    if y not in (-1.0, 1.0):
+        raise ValueError("labels must lie in {-1, +1}")
+    if not np.isfinite(f):
+        raise ValueError("latent value must be finite")
+    return float(log_ndtr(y * f))
+
+
+def predictive_prob(y, moments):
+    """p(y) = Phi(y mean / sqrt(1 + var)) for a latent Gaussian marginal."""
+    y = float(y)
+    if y not in (-1.0, 1.0):
+        raise ValueError("labels must lie in {-1, +1}")
+    m, v = float(moments.mean), float(moments.var)
+    if v < 0:
+        raise ValueError("variance must be >= 0")
+    return float(ndtr(y * m / np.sqrt(1.0 + v)))
+
+
+def predict_reference(post, theta, X_train, X_test):
+    """Probit predictive z for all test rows at once, as grid cells, CV folds
+    and predict computed it before prediction was blocked: one cross_gram,
+    one latent_predict, mean / sqrt(1 + var)."""
+    k_star = cross_gram(X_train, X_test, theta)
+    k_ss = np.full(X_test.shape[0], theta.magnitude ** 2)
+    mm = latent_predict(None, k_star, k_ss, None, post=post)
+    return mm.mean / np.sqrt(1.0 + mm.var)

@@ -134,6 +134,24 @@ class TestPredict:
         assert code == 1
         assert "feature count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,reason", [
+        ("x1,x2,label\n", "no data rows"),
+        ("1.0,2.0,1\nnan,5.0,0\n", "non-finite"),
+    ])
+    def test_unusable_rows_are_usage_errors(self, tmp_path, capsys, body, reason):
+        """A header-only CSV and a non-finite cell exit 1, naming the file,
+        and write no output."""
+        _, model, _ = self.fitted(tmp_path, seed=7)
+        bad = tmp_path / "rows.csv"
+        bad.write_text(body)
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model), "--data", str(bad),
+                    "--label", "last", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and reason in err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestGrid:
     def test_schema_and_determinism_across_jobs(self, tmp_path):
@@ -206,6 +224,15 @@ class TestCv:
         code = run(["cv", "--data", str(data), "--out", str(tmp_path / "c.csv"),
                     "--methods", "vi,ep"])
         assert code == 1
+
+    def test_objective_flag_is_gone(self, tmp_path):
+        """cross_validate fixes each method's objective, so cv has no --objective."""
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, n=20, seed=11)
+        code = run(["cv", "--data", str(data), "--out", str(tmp_path / "c.csv"),
+                    "--objective", "elbo"])
+        assert code == 1
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestAis:

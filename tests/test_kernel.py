@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from probitgp import FactorizationError, Hyperparams, cross_gram, gram, matern52
+from helpers import matern52
+from probitgp import FactorizationError, Hyperparams, cross_gram, gram
 from probitgp.kernel import JITTER_CAP, JITTER_DEFAULT
 
 RNG = np.random.default_rng(42)

@@ -6,12 +6,11 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from helpers import log_lik, predictive_prob
 from probitgp import (
     MarginalMoments,
     ep_tilted_moments,
     expected_loglik,
-    log_lik,
-    predictive_prob,
 )
 from probitgp.likelihood import expectation_stats
 
