@@ -214,7 +214,8 @@ def _cmd_fit(args):
         f"fit {dataset.name}: rounds={rounds} "
         f"log_lengthscale={_fmt(result.theta.log_lengthscale)} "
         f"log_magnitude={_fmt(result.theta.log_magnitude)} "
-        f"objective={_fmt(float(result.objective_trace[-1]))}"
+        f"objective={_fmt(float(result.objective_trace[-1]))} "
+        f"stopped={'tolerance' if result.converged else 'round_cap'}"
     )
     return EXIT_OK
 

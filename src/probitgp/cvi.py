@@ -28,18 +28,29 @@ def e_step(
     iters=20,
     quad_order=DEFAULT_QUAD_ORDER,
     loglik_stats=None,
+    post=None,
 ):
     """Run `iters` synchronous natural-gradient updates from sites0.
 
-    Returns (sites, trace) where trace[k] is the ELBO after k updates
-    (length iters + 1).  A non-finite ELBO aborts the loop and the last
-    finite state is returned with its shortened trace.
+    Returns (sites, trace, post): trace[k] is the ELBO after k updates
+    (length iters + 1) and post is the posterior of the returned sites under
+    K, which the loop has assembled anyway.  A non-finite ELBO aborts the
+    loop; the last finite state is returned with its shortened trace and its
+    posterior.
+
+    post, when given, must be assemble(K, sites0) for these very K and
+    sites0 objects (ValueError otherwise); the first assembly is then
+    skipped.
     """
     y = np.asarray(y, dtype=float)
     if not 0.0 < step_size <= 1.0:
         raise ValueError("step size must lie in (0, 1]")
     if iters < 0:
         raise ValueError("iteration count must be >= 0")
+    if post is None:
+        post = assemble(K, sites0)
+    elif not post.assembled_from(K, sites0):
+        raise ValueError("post was not assembled from this K and sites0")
 
     def stats(post):
         if loglik_stats is None:
@@ -47,7 +58,6 @@ def e_step(
         return loglik_stats(y, post.m, post.var)
 
     sites = sites0
-    post = assemble(K, sites)
     e, g_m, g_v = stats(post)
     trace = [float(np.sum(e)) - prior_kl(post)]
     for it in range(iters):
@@ -63,4 +73,4 @@ def e_step(
             break
         sites, post = new_sites, new_post
         trace.append(value)
-    return sites, trace
+    return sites, trace, post

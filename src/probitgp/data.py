@@ -96,16 +96,16 @@ def _read_rows(path):
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError(f"{path}: ragged rows")
-    if width < 2:
-        raise ValueError(f"{path}: need at least one feature and one label column")
     return rows
 
 
-def _resolve_label_column(rows, label_column):
+def _resolve_label_column(path, rows, label_column):
     """Returns (data_rows, label_index). Header row is auto-detected: a named
     label column requires one; for positional labels the first row is a header
     iff any non-label cell fails to parse as a number."""
     width = len(rows[0])
+    if width < 2:
+        raise ValueError(f"{path}: need at least one feature and one label column")
     positional = None
     if isinstance(label_column, int):
         positional = label_column
@@ -157,7 +157,7 @@ def load_csv(path, label_column="last", name=None):
     must parse as finite floats; labels are encoded via encode_labels.
     """
     rows = _read_rows(path)
-    data_rows, idx = _resolve_label_column(rows, label_column)
+    data_rows, idx = _resolve_label_column(path, rows, label_column)
     X = _parse_features(path, data_rows, idx)
     y = encode_labels([row[idx] for row in data_rows])
     return Dataset(name=name or Path(path).stem, X=X, y=y)
@@ -175,7 +175,7 @@ def read_feature_rows(path, label_column=None):
         has_header = any(_parse_float(c) is None for c in first)
         data_rows, idx = (rows[1:] if has_header else rows), None
     else:
-        data_rows, idx = _resolve_label_column(rows, label_column)
+        data_rows, idx = _resolve_label_column(path, rows, label_column)
     return _parse_features(path, data_rows, idx)
 
 

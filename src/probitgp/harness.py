@@ -1,8 +1,8 @@
 """Experiment harness: hyperparameter surface sweeps, k-fold CV, paired tests.
 
-Grid cells and (fold, method) fits are independent pure functions of their
-inputs, so they run under an optional process pool; results are reduced in a
-canonical order and are bitwise identical for any worker count.
+Grid cells and CV folds are independent pure functions of their inputs, so
+they run under an optional process pool; results are reduced in a canonical
+order and are bitwise identical for any worker count.
 """
 
 import logging
@@ -21,8 +21,8 @@ from .ep import ep_energy, ep_inference
 from .errors import NumericsError
 from .kernel import Hyperparams, gram
 from .likelihood import DEFAULT_QUAD_ORDER
-from .posterior import Sites, assemble, elbo, ep_like_energy, predictive_z
-from .trainer import fit
+from .posterior import Sites, elbo, ep_like_energy, predictive_z
+from .trainer import fit, fit_start
 
 logger = logging.getLogger(__name__)
 
@@ -121,11 +121,10 @@ def _sweep_cell(args):
 
     if "vi" in methods or "ours" in methods:
         try:
-            sites, _ = e_step(
+            sites, _, post = e_step(
                 K, y_train, Sites.zeros(n),
                 step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
             )
-            post = assemble(K, sites)
             lpd = _mean_lpd(post, theta, X_train, X_test, y_test)
             if "vi" in methods:
                 records["vi"] = (
@@ -199,25 +198,33 @@ def grid_sweep(train, test, spec, cfg, jobs=1):
 
 
 def _cv_task(args):
-    dataset, folds, fold, method, cfg = args
+    """One fold: every method's fit from the fold's one shared start."""
+    dataset, folds, fold, methods, cfg = args
     train_raw, test_raw = fold_datasets(dataset, folds, fold)
     train, (test,) = standardize(train_raw, [test_raw])
-    objective = "elbo" if method == "vi" else "ep_like"
-    result = fit(train, replace(cfg, objective=objective))
-    post = assemble(gram(train.X, result.theta, cfg.jitter), result.sites)
-    z = predictive_z(post, result.theta, train.X, test.X)
-    predicted = np.where(ndtr(z) >= 0.5, 1.0, -1.0)
-    accuracy = float(np.mean(predicted == test.y))
-    lpd = float(np.mean(log_ndtr(test.y * z)))
-    logger.info("fold %d method %s: accuracy %.4f lpd %.4f", fold, method, accuracy, lpd)
-    return fold, method, accuracy, lpd
+    start = fit_start(train, cfg)  # the objective does not enter the E-step
+    scores = []
+    for method in methods:
+        objective = "elbo" if method == "vi" else "ep_like"
+        result = fit(train, replace(cfg, objective=objective), start=start)
+        z = predictive_z(result.posterior, result.theta, train.X, test.X)
+        del result  # its posterior need not outlive scoring into the next fit
+        predicted = np.where(ndtr(z) >= 0.5, 1.0, -1.0)
+        accuracy = float(np.mean(predicted == test.y))
+        lpd = float(np.mean(log_ndtr(test.y * z)))
+        logger.info("fold %d method %s: accuracy %.4f lpd %.4f", fold, method, accuracy, lpd)
+        scores.append((fold, method, accuracy, lpd))
+    return scores
 
 
 def cross_validate(dataset, k, methods, cfg, seed, jobs=1):
     """k-fold CV of the trainable methods; standardization per train fold.
 
-    methods must come from {"vi", "ours"} (the two learning objectives); each
-    (fold, method) fit is independent and may run in parallel.
+    methods must come from {"vi", "ours"} (the two learning objectives).
+    Each fold is one task: one opening E-step (trainer.fit_start), shared by
+    the fold's fits of every method, since the methods differ only in the
+    M-step's objective.  Folds are independent and may run in parallel, so
+    at most k workers are busy.
     """
     methods = tuple(methods)
     if not methods or len(set(methods)) != len(methods):
@@ -226,15 +233,11 @@ def cross_validate(dataset, k, methods, cfg, seed, jobs=1):
     if bad:
         raise ValueError(f"cross-validation supports {TRAINABLE_METHODS}, got {bad}")
     folds = make_folds(dataset.n, k, seed)
-    args = [
-        (dataset, folds, fold, method, cfg)
-        for method in methods
-        for fold in range(k)
-    ]
+    args = [(dataset, folds, fold, methods, cfg) for fold in range(k)]
     results = _pmap(_cv_task, args, jobs)
     accuracy = {m: np.empty(k) for m in methods}
     lpd = {m: np.empty(k) for m in methods}
-    for fold, method, acc, lp in results:
+    for fold, method, acc, lp in (score for scores in results for score in scores):
         accuracy[method][fold] = acc
         lpd[method][fold] = lp
     tests = []

@@ -78,7 +78,13 @@ def gram_grads(dist, theta, K, jitter=None):
     is 2 K or 2 (K - jitter I) respectively.
     """
     u = _SQRT5 * dist / theta.lengthscale
-    d_ell = theta.magnitude ** 2 * (u * u / 3.0) * (1.0 + u) * np.exp(-u)
+    # sig^2 (u*u/3) (1 + u) exp(-u), in that operation order, in place
+    d_ell = u * u
+    d_ell /= 3.0
+    d_ell *= theta.magnitude ** 2
+    d_ell *= 1.0 + u
+    np.negative(u, out=u)
+    d_ell *= np.exp(u, out=u)
     d_sig = 2.0 * K.K
     if jitter is not None and K.jitter == float(jitter):
         d_sig[np.diag_indices_from(d_sig)] -= 2.0 * K.jitter

@@ -74,7 +74,9 @@ class GaussianPosterior:
 
     sqrt_b, chol_a (lower factor of I + B^1/2 K B^1/2), alpha = K^-1 m and
     log_det_ikb = log|I + K B| serve the energies and prediction; K and
-    V = chol_a^-1 B^1/2 K serve the covariance S, formed on demand.
+    V = chol_a^-1 B^1/2 K serve the covariance S, formed on demand.  sites
+    is the Sites object it was assembled from; with K (the very array of the
+    GramMatrix) it lets a caller that is handed a posterior check its origin.
     """
 
     m: np.ndarray
@@ -85,15 +87,24 @@ class GaussianPosterior:
     log_det_ikb: float
     K: np.ndarray
     V: np.ndarray
+    sites: Sites
 
-    @cached_property
-    def S(self):
-        """Full posterior covariance, symmetrized; built once on first use."""
+    def covariance(self):
+        """Full posterior covariance, symmetrized; formed anew on every call."""
         S = self.K - self.V.T @ self.V
         S = 0.5 * (S + S.T)
         if not np.isfinite(S).all():
             raise NumericsError("posterior covariance has non-finite values")
         return S
+
+    @cached_property
+    def S(self):
+        """covariance(), built once on first use and kept."""
+        return self.covariance()
+
+    def assembled_from(self, K, sites):
+        """True iff assemble(K, sites) built this posterior (checked by identity)."""
+        return self.K is K.K and self.sites is sites
 
 
 def assemble(K, sites):
@@ -103,20 +114,24 @@ def assemble(K, sites):
     if sites.n != n:
         raise ValueError("site count must match the Gram matrix")
     sqrt_b = np.sqrt(-2.0 * sites.lam2)
-    A = np.eye(n) + sqrt_b[:, None] * Km * sqrt_b[None, :]
+    bk = sqrt_b[:, None] * Km
+    A = bk * sqrt_b[None, :]
+    A += 0.0  # a zero site gives -0.0 entries; I + (...) made them +0.0
+    A[np.diag_indices(n)] += 1.0
     try:
-        chol_a = cholesky(A, lower=True)
+        chol_a = cholesky(A, lower=True)  # also rejects non-finite sites
     except np.linalg.LinAlgError as exc:  # B >= 0 makes this near-impossible
         raise FactorizationError("posterior factorization failed") from exc
-    V = solve_triangular(chol_a, sqrt_b[:, None] * Km, lower=True)
+    # chol_a and B^1/2 come from the A that cholesky has just checked
+    V = solve_triangular(chol_a, bk, lower=True, check_finite=False)
     var = np.diag(Km) - np.einsum("ij,ij->j", V, V)
     k_lam = Km @ sites.lam1
-    alpha = sites.lam1 - sqrt_b * cho_solve((chol_a, True), sqrt_b * k_lam)
+    alpha = sites.lam1 - sqrt_b * cho_solve((chol_a, True), sqrt_b * k_lam, check_finite=False)
     m = Km @ alpha
     log_det_ikb = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
     if not (np.isfinite(m).all() and np.isfinite(var).all()):
         raise NumericsError("posterior assembly produced non-finite values")
-    return GaussianPosterior(m, var, alpha, sqrt_b, chol_a, log_det_ikb, Km, V)
+    return GaussianPosterior(m, var, alpha, sqrt_b, chol_a, log_det_ikb, Km, V, sites)
 
 
 def ep_like_energy(K, sites, post=None):

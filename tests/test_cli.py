@@ -69,6 +69,29 @@ class TestFit:
         model = tmp_path / "m.model"
         assert run(["fit", "--data", str(data), "--out", str(model), *FAST_FIT]) == 0
 
+    @pytest.mark.parametrize("tol,stopped", [
+        ("0", "stopped=round_cap"),
+        ("10", "stopped=tolerance"),
+    ])
+    def test_summary_says_why_fit_stopped(self, tmp_path, capsys, tol, stopped):
+        """--tol 0 runs every round to the cap; a tolerance no step can
+        exceed stops after round 1.  The trace CSV is the same either way
+        but for its length."""
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, seed=8)
+        model = tmp_path / "m.model"
+        code = run(["fit", "--data", str(data), "--out", str(model),
+                    "--e-iters", "8", "--m-iters", "1", "--rounds", "3", "--tol", tol])
+        assert code == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith("fit train: rounds=")
+        assert line.endswith(stopped)
+        rounds = 3 if tol == "0" else 1
+        assert f"rounds={rounds} " in line
+        trace = (tmp_path / "m.model.trace.csv").read_text().splitlines()
+        assert trace[1] == "round,objective,elbo,log_lengthscale,log_magnitude"
+        assert len(trace) == 2 + rounds
+
 
 class TestPredict:
     def fitted(self, tmp_path, seed=3):
@@ -151,6 +174,31 @@ class TestPredict:
         err = capsys.readouterr().err
         assert str(bad) in err and reason in err
         assert not (tmp_path / "o.csv").exists()
+
+
+    def test_one_feature_model_scores_one_column_file(self, tmp_path, capsys):
+        """A model fit on x,label scores an unlabeled one-column file."""
+        data = tmp_path / "train.csv"
+        data.write_text("x,label\n0.1,0\n0.2,0\n0.5,1\n0.8,1\n0.9,1\n")
+        model = tmp_path / "m.model"
+        assert run(["fit", "--data", str(data), "--out", str(model), *FAST_FIT]) == 0
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.3\n0.6\n")
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model), "--data", str(rows),
+                    "--label", "none", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert lines[1] == "row,p_positive,label"
+        assert [line.split(",")[0] for line in lines[2:]] == ["0", "1"]
+
+    def test_one_column_file_still_needs_a_label_to_train(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("0.1\n0.9\n")
+        code = run(["fit", "--data", str(data), "--out", str(tmp_path / "m.model")])
+        assert code == 1
+        assert "need at least one feature and one label column" in capsys.readouterr().err
 
 
 class TestGrid:

@@ -26,14 +26,14 @@ class TestMechanics:
     def test_zero_iters_returns_start_and_single_trace_entry(self):
         K, y = toy_problem()
         start = Sites.zeros(len(y))
-        sites, trace = e_step(K, y, start, iters=0)
+        sites, trace, _ = e_step(K, y, start, iters=0)
         assert sites is start
         assert len(trace) == 1
         assert_allclose(trace[0], elbo(K, start, y), rtol=0)
 
     def test_trace_length_and_final_value(self):
         K, y = toy_problem()
-        sites, trace = e_step(K, y, Sites.zeros(len(y)), iters=15)
+        sites, trace, _ = e_step(K, y, Sites.zeros(len(y)), iters=15)
         assert len(trace) == 16
         # the reported trace end is exactly the ELBO of the returned sites
         assert trace[-1] == elbo(K, sites, y)
@@ -52,22 +52,22 @@ class TestConvergence:
     def test_elbo_nondecreasing_from_zero_start(self):
         for seed in range(4):
             K, y = toy_problem(seed=seed)
-            _, trace = e_step(K, y, Sites.zeros(len(y)), iters=60)
+            _, trace, _ = e_step(K, y, Sites.zeros(len(y)), iters=60)
             diffs = np.diff(trace)
             assert diffs.min() > -1e-9
 
     def test_fixed_point_is_stationary(self):
         """At convergence another update leaves sites essentially unchanged."""
         K, y = toy_problem()
-        sites, _ = e_step(K, y, Sites.zeros(len(y)), iters=400)
-        moved, _ = e_step(K, y, sites, iters=1)
+        sites, _, _ = e_step(K, y, Sites.zeros(len(y)), iters=400)
+        moved, _, _ = e_step(K, y, sites, iters=1)
         assert np.max(np.abs(moved.lam1 - sites.lam1)) < 1e-9
         assert np.max(np.abs(moved.lam2 - sites.lam2)) < 1e-9
 
     def test_fixed_point_satisfies_stationarity_equations(self):
         """lam1 = g_m - 2 g_v m and lam2 = g_v at the converged posterior."""
         K, y = toy_problem(seed=3)
-        sites, _ = e_step(K, y, Sites.zeros(len(y)), iters=500)
+        sites, _, _ = e_step(K, y, Sites.zeros(len(y)), iters=500)
         post = assemble(K, sites)
         _, g_m, g_v = expectation_stats(y, post.m, np.diag(post.S))
         assert_allclose(sites.lam1, g_m - 2.0 * g_v * post.m, atol=1e-8)
@@ -76,7 +76,7 @@ class TestConvergence:
     def test_beats_hand_perturbed_sites(self):
         """Converged ELBO dominates nearby site settings (local optimality)."""
         K, y = toy_problem(seed=1)
-        sites, trace = e_step(K, y, Sites.zeros(len(y)), iters=400)
+        sites, trace, _ = e_step(K, y, Sites.zeros(len(y)), iters=400)
         best = trace[-1]
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -95,14 +95,14 @@ class TestConjugateSurrogate:
         t = rng.standard_normal(n)
         K = gram(X, Hyperparams(0.2, 0.1))
         stats = helpers.gaussian_loglik_stats(noise, t)
-        sites, trace = e_step(
+        sites, trace, _ = e_step(
             K, np.ones(n), Sites.zeros(n), step_size=1.0, iters=1, loglik_stats=stats
         )
         # with constant curvature the update is beta-independent at beta=1
         assert_allclose(sites.lam1, t / noise, rtol=1e-12)
         assert_allclose(sites.lam2, np.full(n, -0.5 / noise), rtol=1e-12)
         # and a second iteration does not move
-        again, _ = e_step(K, np.ones(n), sites, step_size=1.0, iters=1, loglik_stats=stats)
+        again, _, _ = e_step(K, np.ones(n), sites, step_size=1.0, iters=1, loglik_stats=stats)
         assert_allclose(again.lam1, sites.lam1, rtol=1e-12)
         assert_allclose(again.lam2, sites.lam2, rtol=1e-12)
 
@@ -113,7 +113,7 @@ class TestConjugateSurrogate:
         t = rng.standard_normal(n)
         K = gram(X, Hyperparams(0.0, 0.0))
         stats = helpers.gaussian_loglik_stats(noise, t)
-        sites, _ = e_step(
+        sites, _, _ = e_step(
             K, np.ones(n), Sites.zeros(n), step_size=0.3, iters=200, loglik_stats=stats
         )
         assert_allclose(sites.lam1, t / noise, atol=1e-10)
@@ -127,27 +127,27 @@ class TestStructure:
         X = helpers.make_blobs(10, 2, 5).X
         perm = np.random.default_rng(9).permutation(10)
         Kp = gram(X[perm], Hyperparams(0.3, 0.0))
-        s1, _ = e_step(K, y, Sites.zeros(10), iters=50)
-        s2, _ = e_step(Kp, y[perm], Sites.zeros(10), iters=50)
+        s1, _, _ = e_step(K, y, Sites.zeros(10), iters=50)
+        s2, _, _ = e_step(Kp, y[perm], Sites.zeros(10), iters=50)
         assert_allclose(s2.lam1, s1.lam1[perm], atol=1e-10)
         assert_allclose(s2.lam2, s1.lam2[perm], atol=1e-10)
 
     def test_label_flip_flips_lam1(self):
         """Negating every label negates the site means and keeps curvatures."""
         K, y = toy_problem(n=8, seed=6)
-        s1, _ = e_step(K, y, Sites.zeros(8), iters=40)
-        s2, _ = e_step(K, -y, Sites.zeros(8), iters=40)
+        s1, _, _ = e_step(K, y, Sites.zeros(8), iters=40)
+        s2, _, _ = e_step(K, -y, Sites.zeros(8), iters=40)
         assert_allclose(s2.lam1, -s1.lam1, atol=1e-12)
         assert_allclose(s2.lam2, s1.lam2, atol=1e-12)
 
     def test_lam2_stays_strictly_negative(self):
         K, y = toy_problem(n=14, seed=7)
-        sites, _ = e_step(K, y, Sites.zeros(14), iters=30)
+        sites, _, _ = e_step(K, y, Sites.zeros(14), iters=30)
         assert np.all(sites.lam2 <= -1e-10)
 
     def test_deterministic(self):
         K, y = toy_problem(n=9, seed=8)
-        a, ta = e_step(K, y, Sites.zeros(9), iters=25)
-        b, tb = e_step(K, y, Sites.zeros(9), iters=25)
+        a, ta, _ = e_step(K, y, Sites.zeros(9), iters=25)
+        b, tb, _ = e_step(K, y, Sites.zeros(9), iters=25)
         assert np.array_equal(a.lam1, b.lam1) and np.array_equal(a.lam2, b.lam2)
         assert ta == tb

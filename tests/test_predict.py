@@ -34,7 +34,7 @@ def instance(n_rows, kind, seed):
     elif kind == "ceiling":
         sites = Sites(rng.uniform(-2.0, 2.0, n), np.full(n, LAMBDA2_CEIL))
     else:
-        sites, _ = e_step(K, y, Sites.zeros(n), step_size=0.5, iters=15)
+        sites, _, _ = e_step(K, y, Sites.zeros(n), step_size=0.5, iters=15)
     return assemble(K, sites), theta, X_train, X_test
 
 
