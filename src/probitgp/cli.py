@@ -150,12 +150,16 @@ def _resolved_command(args):
     return " ".join(parts)
 
 
-def _write_csv(path, header_comment, columns, rows):
+def _write_csv(path, header_comment, columns, rows, line_format=None):
+    """rows as comma-separated _fmt values, or each as line_format % row."""
     with open(path, "w") as handle:
         handle.write(f"# {header_comment}\n")
         handle.write(",".join(columns) + "\n")
         for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+            if line_format is None:
+                handle.write(",".join(_fmt(v) for v in row) + "\n")
+            else:
+                handle.write(line_format % row)
 
 
 def _parse_methods(text, allowed):
@@ -228,14 +232,17 @@ def _cmd_predict(args):
         raise _UsageError(
             f"feature count {X.shape[1]} does not match the model ({artifact.features.shape[1]})"
         )
-    Xs = (X - artifact.feature_mean) / artifact.feature_scale
+    with np.errstate(over="ignore"):  # overflow is reported below, by row
+        Xs = (X - artifact.feature_mean) / artifact.feature_scale
+    nonfinite = np.flatnonzero(~np.isfinite(Xs).all(axis=1))
+    if nonfinite.size:
+        raise ValueError(f"{args.data}: non-finite standardized feature in row {nonfinite[0]}")
     post = assemble(gram(artifact.features, artifact.theta, artifact.jitter), artifact.sites)
     p_pos = ndtr(predictive_z(post, artifact.theta, artifact.features, Xs))
-    rows = [
-        (i, p_pos[i], 1 if p_pos[i] >= 0.5 else -1)
-        for i in range(Xs.shape[0])
-    ]
-    _write_csv(args.out, _resolved_command(args), ("row", "p_positive", "label"), rows)
+    rows = ((i, p, 1 if p >= 0.5 else -1) for i, p in enumerate(p_pos.tolist()))
+    # the bytes _fmt writes for an int, a float and an int
+    _write_csv(args.out, _resolved_command(args), ("row", "p_positive", "label"), rows,
+               line_format="%d,%.17g,%d\n")
     print(f"predicted {Xs.shape[0]} rows -> {args.out}")
     return EXIT_OK
 

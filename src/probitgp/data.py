@@ -1,6 +1,13 @@
-"""Binary-labeled tabular data: CSV ingestion, standardization, fold splits."""
+"""Binary-labeled tabular data: CSV ingestion, standardization, fold splits.
+
+load_csv and read_feature_rows share one reader that walks the file once:
+feature cells are parsed as each row is read and stored in one flat float
+buffer, and only the label column's strings are kept, so memory holds no
+Python object per cell however many rows the file has.
+"""
 
 import csv
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -43,8 +50,11 @@ class Dataset:
 
     @cached_property
     def distances(self):
-        """cdist(X, X), computed once: every Gram matrix of X is built from it."""
-        return cdist(self.X, self.X)
+        """cdist(X, X), computed once and read-only: every Gram matrix of X is
+        built from it."""
+        dist = cdist(self.X, self.X)
+        dist.setflags(write=False)
+        return dist
 
 
 @dataclass(frozen=True)
@@ -88,22 +98,14 @@ def encode_labels(values):
     return np.array([mapping[s] for s in raw])
 
 
-def _read_rows(path):
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"{path}: ragged rows")
-    return rows
-
-
-def _resolve_label_column(path, rows, label_column):
-    """Returns (data_rows, label_index). Header row is auto-detected: a named
-    label column requires one; for positional labels the first row is a header
+def _label_index(path, first, label_column, labelled):
+    """(label index, whether first is a header) for a file whose first
+    non-blank row is first.  A named label column requires a header; for
+    positional labels, or none (labelled false), the first row is a header
     iff any non-label cell fails to parse as a number."""
-    width = len(rows[0])
+    width = len(first)
+    if not labelled:
+        return None, any(_parse_float(c) is None for c in first)
     if width < 2:
         raise ValueError(f"{path}: need at least one feature and one label column")
     positional = None
@@ -122,32 +124,74 @@ def _resolve_label_column(path, rows, label_column):
         idx = positional if positional >= 0 else width + positional
         if not 0 <= idx < width:
             raise ValueError(f"label column {label_column} out of range for width {width}")
-        first_features = [c for j, c in enumerate(rows[0]) if j != idx]
-        has_header = any(_parse_float(c) is None for c in first_features)
-        return (rows[1:] if has_header else rows), idx
-    header = [c.strip() for c in rows[0]]
+        first_features = [c for j, c in enumerate(first) if j != idx]
+        return idx, any(_parse_float(c) is None for c in first_features)
+    header = [c.strip() for c in first]
     if label_column not in header:
         raise ValueError(f"label column {label_column!r} not found in header")
-    return rows[1:], header.index(label_column)
+    return header.index(label_column), True
 
 
-def _parse_features(path, data_rows, skip):
-    """Finite float matrix of data_rows without column skip (None keeps all)."""
-    if not data_rows:
+def _csv_rows(path):
+    """csv.reader's rows of path; a file csv cannot split is a ValueError."""
+    with open(path, newline="") as handle:
+        try:
+            yield from csv.reader(handle)
+        except csv.Error as exc:  # say, a field over csv's size limit
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_table(path, label_column, labelled):
+    """(X, labels): the CSV's finite float features as an (n, d) array and
+    its label column's raw strings (empty unless labelled).
+
+    One pass over csv.reader: each row's cells are parsed and dropped as it
+    is read, so no per-cell Python object outlives its row; features go to
+    one flat float buffer.  Blank rows are skipped.  Errors keep the
+    precedence of reading the whole file first: a ragged row beats a label
+    error, which beats no data rows, then the first non-numeric cell, then
+    the first non-finite row.
+    """
+    feats = array("d")
+    labels = []
+    width = idx = None
+    error = None  # the first error found, raised once no row is ragged
+    rownum = 0
+    for row in _csv_rows(path):
+        if not any(map(str.strip, row)):
+            continue
+        if width is None:
+            width = len(row)
+            try:
+                idx, has_header = _label_index(path, row, label_column, labelled)
+            except ValueError as exc:
+                error = exc
+                continue
+            if has_header:
+                continue
+        elif len(row) != width:
+            raise ValueError(f"{path}: ragged rows")
+        if error is not None:
+            continue
+        if idx is not None:
+            labels.append(row.pop(idx))
+        try:
+            feats.extend(map(float, row))
+        except ValueError:
+            bad = next(c for c in row if _parse_float(c) is None)
+            error = ValueError(f"{path}: non-numeric feature {bad!r} in row {rownum}")
+        rownum += 1
+    if width is None:
+        raise ValueError(f"{path}: empty file")
+    if error is not None:  # a label error leaves rownum 0; a cell error does not
+        raise error
+    if rownum == 0:
         raise ValueError(f"{path}: no data rows")
-    feats = []
-    for rownum, row in enumerate(data_rows):
-        cells = [cell for j, cell in enumerate(row) if j != skip]
-        vals = [_parse_float(cell) for cell in cells]
-        if None in vals:
-            bad = cells[vals.index(None)]
-            raise ValueError(f"{path}: non-numeric feature {bad!r} in row {rownum}")
-        feats.append(vals)
-    X = np.array(feats, dtype=float)
+    X = np.frombuffer(feats).reshape(rownum, width - (idx is not None))
     nonfinite = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if nonfinite.size:
         raise ValueError(f"{path}: non-finite feature in row {nonfinite[0]}")
-    return X
+    return X, labels
 
 
 def load_csv(path, label_column="last", name=None):
@@ -156,11 +200,8 @@ def load_csv(path, label_column="last", name=None):
     label_column is a column name, an integer position, or "last".  Features
     must parse as finite floats; labels are encoded via encode_labels.
     """
-    rows = _read_rows(path)
-    data_rows, idx = _resolve_label_column(path, rows, label_column)
-    X = _parse_features(path, data_rows, idx)
-    y = encode_labels([row[idx] for row in data_rows])
-    return Dataset(name=name or Path(path).stem, X=X, y=y)
+    X, labels = _read_table(path, label_column, labelled=True)
+    return Dataset(name=name or Path(path).stem, X=X, y=encode_labels(labels))
 
 
 def read_feature_rows(path, label_column=None):
@@ -169,14 +210,7 @@ def read_feature_rows(path, label_column=None):
     For unlabeled prediction inputs; labels (if present) are ignored, not
     validated.  Returns an (n, d) array of finite floats, n >= 1.
     """
-    rows = _read_rows(path)
-    if label_column is None:
-        first = rows[0]
-        has_header = any(_parse_float(c) is None for c in first)
-        data_rows, idx = (rows[1:] if has_header else rows), None
-    else:
-        data_rows, idx = _resolve_label_column(path, rows, label_column)
-    return _parse_features(path, data_rows, idx)
+    return _read_table(path, label_column, labelled=label_column is not None)[0]
 
 
 def feature_stats(train):

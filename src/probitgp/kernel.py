@@ -55,9 +55,26 @@ class GramMatrix:
         return self.K.shape[0]
 
 
-def _matern(dist, theta):
-    u = _SQRT5 * (dist / theta.lengthscale)
-    return theta.magnitude ** 2 * ((1.0 + u + u * u / 3.0) * np.exp(-u))
+def _matern(dist, theta, overwrite=False):
+    """sig^2 ((1 + u + u*u/3) exp(-u)) with u = sqrt(5) dist / ell.
+
+    The same operations in the same order as that expression, so the same
+    bits, but in place: u takes dist's own memory when overwrite is set (the
+    caller owns dist, as cross_gram owns its cdist output), else one new
+    array, and two more buffers hold the rest.  A scalar dist also works.
+    """
+    dist = np.asarray(dist, dtype=float)
+    u = np.divide(dist, theta.lengthscale, out=dist if overwrite else np.empty_like(dist))
+    u *= _SQRT5
+    quad = u * u
+    quad /= 3.0
+    out = u + 1.0
+    out += quad
+    del quad
+    np.exp(np.negative(u, out=u), out=u)
+    out *= u
+    out *= theta.magnitude ** 2
+    return out
 
 
 def cross_gram(X, Z, theta):
@@ -66,7 +83,7 @@ def cross_gram(X, Z, theta):
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
         raise ValueError("expected 2-d inputs with matching column count")
-    return _matern(cdist(X, Z), theta)
+    return _matern(cdist(X, Z), theta, overwrite=True)
 
 
 def gram_grads(dist, theta, K, jitter=None):
@@ -116,7 +133,7 @@ def gram(X, theta, jitter=None, dist=None):
             ladder.append(rung)
         rung *= 10.0
 
-    base = _matern(cdist(X, X) if dist is None else dist, theta)
+    base = _matern(cdist(X, X), theta, overwrite=True) if dist is None else _matern(dist, theta)
     eye = np.eye(X.shape[0])
     for j in ladder:
         K = base + j * eye

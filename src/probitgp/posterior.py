@@ -15,6 +15,12 @@ conditioned even when some sites are exactly zero.
 
 predictive_z, the one prediction path (GPML Alg. 3.2), scores test rows in
 blocks of PREDICT_BLOCK, so its memory does not grow with the row count.
+The variance needs V = L^-1 B^1/2 k* per block.  Rather than one
+triangular solve per block, each posterior keeps R = L^-1 B^1/2, built on
+first prediction by one LAPACK triangular inverse and a column scaling; a
+block then costs one triangular matrix product V' = k*' R' (BLAS trmm) on
+the transpose of the C-ordered block, which is Fortran-contiguous, plus
+the row sums of V' * V'.
 """
 
 from dataclasses import dataclass
@@ -22,6 +28,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtri
 
 from .errors import FactorizationError, NumericsError
 from .kernel import cross_gram
@@ -74,7 +82,8 @@ class GaussianPosterior:
 
     sqrt_b, chol_a (lower factor of I + B^1/2 K B^1/2), alpha = K^-1 m and
     log_det_ikb = log|I + K B| serve the energies and prediction; K and
-    V = chol_a^-1 B^1/2 K serve the covariance S, formed on demand.  sites
+    V = chol_a^-1 B^1/2 K serve the covariance S, formed on demand, and
+    R = chol_a^-1 B^1/2 serves predictive variances, built on first use.  sites
     is the Sites object it was assembled from; with K (the very array of the
     GramMatrix) it lets a caller that is handed a posterior check its origin.
     """
@@ -101,6 +110,15 @@ class GaussianPosterior:
     def S(self):
         """covariance(), built once on first use and kept."""
         return self.covariance()
+
+    @cached_property
+    def R(self):
+        """Lower triangular chol_a^-1 B^1/2, built once on first prediction."""
+        R, info = dtrtri(self.chol_a, lower=1)
+        if info != 0:
+            raise NumericsError("posterior factor could not be inverted")
+        R *= self.sqrt_b[None, :]
+        return R
 
     def assembled_from(self, K, sites):
         """True iff assemble(K, sites) built this posterior (checked by identity)."""
@@ -164,7 +182,8 @@ def latent_predict(K, k_star, k_star_star_diag, sites, post=None):
 
     k_star[i, j] = k(train_i, test_j); k_star_star_diag[j] = k(test_j, test_j).
     Returns MarginalMoments with aligned mean/var arrays; variances are clamped
-    at zero and must not fall below -1e-10 beforehand.
+    at zero and must not fall below -1e-10 beforehand.  k_star is not
+    written to: V' = k_star' R' goes to a fresh array.
     """
     if post is None:
         post = assemble(K, sites)
@@ -175,8 +194,9 @@ def latent_predict(K, k_star, k_star_star_diag, sites, post=None):
     if k_ss.shape != (k_star.shape[1],):
         raise ValueError("k_star_star_diag must align with k_star columns")
     mean = k_star.T @ post.alpha
-    V = solve_triangular(post.chol_a, post.sqrt_b[:, None] * k_star, lower=True)
-    var = k_ss - np.sum(V * V, axis=0)
+    # overwrite_b would write even into a read-only k_star, so trmm copies it
+    Vt = dtrmm(1.0, post.R, k_star.T, side=1, lower=1, trans_a=1)
+    var = k_ss - np.einsum("ij,ij->i", Vt, Vt)
     if np.any(var < VAR_TOL):
         raise NumericsError("predictive variance fell below tolerance")
     var = np.clip(var, 0.0, None)

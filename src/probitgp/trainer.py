@@ -86,9 +86,13 @@ def objective_value(dataset, sites, theta, objective, jitter=None, quad_order=DE
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     K = gram(dataset.X, theta, jitter, dataset.distances)
-    post = assemble(K, sites)
+    return _value(dataset.y, sites, K, assemble(K, sites), objective, quad_order)
+
+
+def _value(y, sites, K, post, objective, quad_order):
+    """The objective at (sites, theta) from gram and assemble there."""
     if objective == "elbo":
-        return elbo(K, sites, dataset.y, quad_order=quad_order, post=post)
+        return elbo(K, sites, y, quad_order=quad_order, post=post)
     return ep_like_energy(K, sites, post=post)
 
 
@@ -158,8 +162,11 @@ def _m_step(dataset, sites, theta, cfg, K, post):
     K and post are gram and assemble at (theta, sites) and serve the first
     probe.  Returns (theta, value, K, post) at the last accepted point: the
     new theta, the objective there and the Gram matrix and posterior the
-    probe built there.
+    probe built there.  With cfg.m_iters == 0 only the value is computed.
     """
+    if cfg.m_iters == 0:
+        return theta, _value(dataset.y, sites, K, post, cfg.objective, cfg.quad_order), K, post
+
     def probe(vec):
         th = Hyperparams(vec[0], vec[1])
         K = gram(dataset.X, th, cfg.jitter, dataset.distances)

@@ -5,6 +5,7 @@ dense tensor-product Gauss-Hermite integration, Monte Carlo, and closed-form
 conjugate identities only.
 """
 
+import csv
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,16 +18,19 @@ from scipy.special import log_ndtr, ndtr, roots_hermite
 from probitgp import (
     AisEstimate,
     Dataset,
+    MarginalMoments,
     GramMatrix,
     Hyperparams,
     FactorizationError,
     NumericsError,
+    assemble,
     cross_gram,
     gram,
     latent_predict,
     objective_value,
     temperature,
 )
+from probitgp.data import _parse_float
 from probitgp.kernel import _matern
 from probitgp.likelihood import (
     DEFAULT_QUAD_ORDER,
@@ -35,6 +39,7 @@ from probitgp.likelihood import (
     _phi_over_cdf,
     _quad_nodes,
 )
+from probitgp.posterior import VAR_TOL
 
 DATA_DIR = Path(os.environ.get("PROBITGP_DATA", Path(__file__).resolve().parent.parent / "data"))
 
@@ -383,3 +388,119 @@ def predict_reference(post, theta, X_train, X_test):
     k_ss = np.full(X_test.shape[0], theta.magnitude ** 2)
     mm = latent_predict(None, k_star, k_ss, None, post=post)
     return mm.mean / np.sqrt(1.0 + mm.var)
+
+
+def latent_predict_reference(K, k_star, k_star_star_diag, sites, post=None):
+    """Latent predictive moments at test points.
+
+    k_star[i, j] = k(train_i, test_j); k_star_star_diag[j] = k(test_j, test_j).
+    Returns MarginalMoments with aligned mean/var arrays; variances are clamped
+    at zero and must not fall below -1e-10 beforehand.
+    """
+    if post is None:
+        post = assemble(K, sites)
+    k_star = np.asarray(k_star, dtype=float)
+    k_ss = np.asarray(k_star_star_diag, dtype=float)
+    if k_star.ndim != 2 or k_star.shape[0] != post.m.size:
+        raise ValueError("k_star must be (n_train, n_test)")
+    if k_ss.shape != (k_star.shape[1],):
+        raise ValueError("k_star_star_diag must align with k_star columns")
+    mean = k_star.T @ post.alpha
+    V = solve_triangular(post.chol_a, post.sqrt_b[:, None] * k_star, lower=True)
+    var = k_ss - np.sum(V * V, axis=0)
+    if np.any(var < VAR_TOL):
+        raise NumericsError("predictive variance fell below tolerance")
+    var = np.clip(var, 0.0, None)
+    return MarginalMoments(mean=mean, var=var)
+
+
+def matern_expression(dist, theta):
+    """Matern-5/2 of a distance as the plain expression kernel._matern
+    evaluated before it worked in place."""
+    u = np.sqrt(5.0) * (dist / theta.lengthscale)
+    return theta.magnitude ** 2 * ((1.0 + u + u * u / 3.0) * np.exp(-u))
+
+
+# The CSV reader as it was before it became one pass: every row kept as a
+# list of cell strings, then resolved and parsed.  load_csv_reference and
+# read_feature_rows_reference are the former load_csv and read_feature_rows.
+
+def _read_rows(path):
+    with open(path, newline="") as handle:
+        rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"{path}: ragged rows")
+    return rows
+
+
+def _resolve_label_column(path, rows, label_column):
+    """Returns (data_rows, label_index). Header row is auto-detected: a named
+    label column requires one; for positional labels the first row is a header
+    iff any non-label cell fails to parse as a number."""
+    width = len(rows[0])
+    if width < 2:
+        raise ValueError(f"{path}: need at least one feature and one label column")
+    positional = None
+    if isinstance(label_column, int):
+        positional = label_column
+    elif isinstance(label_column, str):
+        stripped = label_column.strip()
+        if stripped == "last":
+            positional = width - 1
+        else:
+            try:
+                positional = int(stripped)
+            except ValueError:
+                positional = None
+    if positional is not None:
+        idx = positional if positional >= 0 else width + positional
+        if not 0 <= idx < width:
+            raise ValueError(f"label column {label_column} out of range for width {width}")
+        first_features = [c for j, c in enumerate(rows[0]) if j != idx]
+        has_header = any(_parse_float(c) is None for c in first_features)
+        return (rows[1:] if has_header else rows), idx
+    header = [c.strip() for c in rows[0]]
+    if label_column not in header:
+        raise ValueError(f"label column {label_column!r} not found in header")
+    return rows[1:], header.index(label_column)
+
+
+def _parse_features(path, data_rows, skip):
+    """Finite float matrix of data_rows without column skip (None keeps all)."""
+    if not data_rows:
+        raise ValueError(f"{path}: no data rows")
+    feats = []
+    for rownum, row in enumerate(data_rows):
+        cells = [cell for j, cell in enumerate(row) if j != skip]
+        vals = [_parse_float(cell) for cell in cells]
+        if None in vals:
+            bad = cells[vals.index(None)]
+            raise ValueError(f"{path}: non-numeric feature {bad!r} in row {rownum}")
+        feats.append(vals)
+    X = np.array(feats, dtype=float)
+    nonfinite = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if nonfinite.size:
+        raise ValueError(f"{path}: non-finite feature in row {nonfinite[0]}")
+    return X
+
+
+def load_csv_reference(path, label_column="last"):
+    """(X, raw label strings) as the former load_csv read them."""
+    rows = _read_rows(path)
+    data_rows, idx = _resolve_label_column(path, rows, label_column)
+    X = _parse_features(path, data_rows, idx)
+    return X, [row[idx] for row in data_rows]
+
+
+def read_feature_rows_reference(path, label_column=None):
+    rows = _read_rows(path)
+    if label_column is None:
+        first = rows[0]
+        has_header = any(_parse_float(c) is None for c in first)
+        data_rows, idx = (rows[1:] if has_header else rows), None
+    else:
+        data_rows, idx = _resolve_label_column(path, rows, label_column)
+    return _parse_features(path, data_rows, idx)

@@ -4,10 +4,12 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import helpers
 from probitgp import NumericsError, load_model
@@ -127,6 +129,25 @@ class TestPredict:
         assert rerun_from_header(out) == 0
         assert out.read_bytes() == before
 
+    def test_rows_are_written_as_the_generic_csv_form(self, tmp_path):
+        """Each predictions line is what _write_csv's generic form writes for
+        (row, p, label): _fmt of an int, a float and an int, comma-joined."""
+        data, model, _ = self.fitted(tmp_path, seed=9)
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--model", str(model), "--data", str(data),
+                    "--label", "last", "--out", str(out)]) == 0
+        artifact = load_model(model)
+        X = probitgp.read_feature_rows(data, "last")
+        Xs = (X - artifact.feature_mean) / artifact.feature_scale
+        post = probitgp.assemble(probitgp.gram(artifact.features, artifact.theta, artifact.jitter),
+                                 artifact.sites)
+        p = ndtr(probitgp.predictive_z(post, artifact.theta, artifact.features, Xs))
+        expected = ["row,p_positive,label"] + [
+            ",".join(cli_module._fmt(v) for v in (i, p[i], 1 if p[i] >= 0.5 else -1))
+            for i in range(p.size)
+        ]
+        assert out.read_text().splitlines()[1:] == expected
+
     @pytest.mark.parametrize("block,value", [
         ("features", "nan"),
         ("feature_mean", "inf"),
@@ -175,6 +196,25 @@ class TestPredict:
         assert str(bad) in err and reason in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_row_that_overflows_standardization_is_named(self, tmp_path, capsys):
+        """Finite cells whose standardized value overflows are rejected before
+        scoring: exit 1, the row named, no output and no RuntimeWarning."""
+        _, model, _ = self.fitted(tmp_path, seed=8)
+        lines = model.read_text().splitlines()
+        row = lines.index("feature_scale:") + 1
+        lines[row] = " ".join(["1e-300"] + lines[row].split()[1:])
+        model.write_text("\n".join(lines) + "\n")
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.5,0.5\n1e10,0.5\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["predict", "--model", str(model), "--data", str(rows),
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(rows) in err and "row 1" in err and "standardized" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_one_feature_model_scores_one_column_file(self, tmp_path, capsys):
         """A model fit on x,label scores an unlabeled one-column file."""
@@ -325,6 +365,15 @@ class TestExitCodes:
         write_blobs_csv(data, n=10, seed=14)
         assert run(["fit", "--data", str(data), "--label", "missing",
                     "--out", str(tmp_path / "m.model")]) == 1
+
+    def test_csv_that_cannot_be_split_is_usage_error(self, tmp_path, capsys):
+        """A field over the csv module's size limit exits 1 naming the file,
+        not with a traceback."""
+        data = tmp_path / "huge.csv"
+        data.write_text("1," + "7" * 200_000 + ",0\n2,3,1\n")
+        code = run(["fit", "--data", str(data), "--out", str(tmp_path / "m.model")])
+        assert code == 1
+        assert str(data) in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run(["fit", "--help"]) == 0

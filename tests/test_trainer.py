@@ -266,6 +266,23 @@ class TestFdEquivalence:
 
 
 class TestFit:
+    def test_pure_inference_round_computes_no_gradient(self, monkeypatch):
+        """With m_iters 0 the M-step records objective_value, bit for bit,
+        without forming any gradient."""
+        import probitgp.trainer as trainer_module
+
+        def no_gradient(*args, **kwargs):
+            raise AssertionError("gradient formed at m_iters 0")
+
+        monkeypatch.setattr(trainer_module, "gram_grads", no_gradient)
+        monkeypatch.setattr(trainer_module, "_value_and_weights", no_gradient)
+        ds = blob_dataset(n=14, seed=16)
+        for objective in ("elbo", "ep_like"):
+            cfg = TrainConfig(objective=objective, e_iters=6, m_iters=0, outer_rounds=1)
+            res = fit(ds, cfg)
+            sites, _, _ = e_step(gram(ds.X, cfg.theta0), ds.y, Sites.zeros(ds.n), iters=6)
+            assert res.objective_trace[0] == objective_value(ds, sites, cfg.theta0, objective)
+
     def test_pure_inference_round_keeps_theta(self):
         ds = blob_dataset(seed=2)
         cfg = TrainConfig(objective="elbo", e_iters=12, m_iters=0, outer_rounds=1)
