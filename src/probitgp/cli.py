@@ -150,16 +150,12 @@ def _resolved_command(args):
     return " ".join(parts)
 
 
-def _write_csv(path, header_comment, columns, rows, line_format=None):
-    """rows as comma-separated _fmt values, or each as line_format % row."""
+def _write_csv(path, header_comment, columns, rows):
     with open(path, "w") as handle:
         handle.write(f"# {header_comment}\n")
         handle.write(",".join(columns) + "\n")
         for row in rows:
-            if line_format is None:
-                handle.write(",".join(_fmt(v) for v in row) + "\n")
-            else:
-                handle.write(line_format % row)
+            handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _parse_methods(text, allowed):
@@ -239,10 +235,12 @@ def _cmd_predict(args):
         raise ValueError(f"{args.data}: non-finite standardized feature in row {nonfinite[0]}")
     post = assemble(gram(artifact.features, artifact.theta, artifact.jitter), artifact.sites)
     p_pos = ndtr(predictive_z(post, artifact.theta, artifact.features, Xs))
-    rows = ((i, p, 1 if p >= 0.5 else -1) for i, p in enumerate(p_pos.tolist()))
-    # the bytes _fmt writes for an int, a float and an int
-    _write_csv(args.out, _resolved_command(args), ("row", "p_positive", "label"), rows,
-               line_format="%d,%.17g,%d\n")
+    with open(args.out, "w") as handle:
+        handle.write(f"# {_resolved_command(args)}\n")
+        handle.write("row,p_positive,label\n")
+        # one format string: the bytes _write_csv's _fmt gives an int, a float, an int
+        handle.writelines("%d,%.17g,%d\n" % (i, p, 1 if p >= 0.5 else -1)
+                          for i, p in enumerate(p_pos.tolist()))
     print(f"predicted {Xs.shape[0]} rows -> {args.out}")
     return EXIT_OK
 

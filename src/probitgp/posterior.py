@@ -20,7 +20,9 @@ triangular solve per block, each posterior keeps R = L^-1 B^1/2, built on
 first prediction by one LAPACK triangular inverse and a column scaling; a
 block then costs one triangular matrix product V' = k*' R' (BLAS trmm) on
 the transpose of the C-ordered block, which is Fortran-contiguous, plus
-the row sums of V' * V'.
+the row sums of V' * V'.  trmm does not check for NaN or inf, so
+predictive_z checks each block's kernel values and latent_predict fails on
+a NaN variance.
 """
 
 from dataclasses import dataclass
@@ -182,7 +184,8 @@ def latent_predict(K, k_star, k_star_star_diag, sites, post=None):
 
     k_star[i, j] = k(train_i, test_j); k_star_star_diag[j] = k(test_j, test_j).
     Returns MarginalMoments with aligned mean/var arrays; variances are clamped
-    at zero and must not fall below -1e-10 beforehand.  k_star is not
+    at zero, and one that is NaN or below -1e-10 beforehand raises (trmm does
+    not check its input, so a non-finite k_star shows up here).  k_star is not
     written to: V' = k_star' R' goes to a fresh array.
     """
     if post is None:
@@ -197,8 +200,8 @@ def latent_predict(K, k_star, k_star_star_diag, sites, post=None):
     # overwrite_b would write even into a read-only k_star, so trmm copies it
     Vt = dtrmm(1.0, post.R, k_star.T, side=1, lower=1, trans_a=1)
     var = k_ss - np.einsum("ij,ij->i", Vt, Vt)
-    if np.any(var < VAR_TOL):
-        raise NumericsError("predictive variance fell below tolerance")
+    if not np.all(var >= VAR_TOL):  # NaN fails this too
+        raise NumericsError("predictive variance is not finite or fell below tolerance")
     var = np.clip(var, 0.0, None)
     return MarginalMoments(mean=mean, var=var)
 
@@ -207,13 +210,20 @@ def predictive_z(post, theta, X_train, X_test):
     """z = E[f*] / sqrt(1 + Var[f*]) per test row, so p(y* | x*) = Phi(y* z).
 
     post is the posterior at the training rows X_train under theta.  Rows go
-    through cross_gram and latent_predict PREDICT_BLOCK at a time.
+    through cross_gram and latent_predict PREDICT_BLOCK at a time.  A row
+    whose kernel values are not finite (a squared distance that overflows)
+    is a ValueError that names it.
     """
     z = np.empty(X_test.shape[0])
     for start in range(0, z.size, PREDICT_BLOCK):
         block = X_test[start:start + PREDICT_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, by row
+            k_star = cross_gram(X_train, block, theta)
+        bad = np.flatnonzero(~np.isfinite(k_star).all(axis=0))
+        if bad.size:
+            raise ValueError(f"test row {start + bad[0]}: kernel values are not finite")
         k_ss = np.full(block.shape[0], theta.magnitude ** 2)
         # post carries the factorization, so K and sites are not read
-        mm = latent_predict(None, cross_gram(X_train, block, theta), k_ss, None, post=post)
+        mm = latent_predict(None, k_star, k_ss, None, post=post)
         z[start:start + block.shape[0]] = mm.mean / np.sqrt(1.0 + mm.var)
     return z

@@ -216,6 +216,22 @@ class TestPredict:
         assert str(rows) in err and "row 1" in err and "standardized" in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_row_whose_kernel_overflows_is_named(self, tmp_path, capsys):
+        """A finite standardized cell of 1e200 passes the standardization
+        check but its squared distance overflows; the kernel check names the
+        row: exit 1, no output and no RuntimeWarning."""
+        _, model, _ = self.fitted(tmp_path, seed=9)
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.5,0.5\n1e200,0.5\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["predict", "--model", str(model), "--data", str(rows),
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "row 1" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_one_feature_model_scores_one_column_file(self, tmp_path, capsys):
         """A model fit on x,label scores an unlabeled one-column file."""
         data = tmp_path / "train.csv"

@@ -14,6 +14,8 @@ scalars, and must never write into Dataset.distances, which gram reads and
 the Dataset caches.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -21,6 +23,7 @@ from scipy.spatial.distance import cdist
 import helpers
 from probitgp import (
     Hyperparams,
+    NumericsError,
     Sites,
     TrainConfig,
     assemble,
@@ -29,9 +32,10 @@ from probitgp import (
     fit,
     gram,
     latent_predict,
+    predictive_z,
 )
 from probitgp.kernel import _matern
-from probitgp.posterior import LAMBDA2_CEIL
+from probitgp.posterior import LAMBDA2_CEIL, PREDICT_BLOCK
 
 SITE_KINDS = ("zero", "ceiling", "strong", "e_step")
 Z_RTOL = 1e-9
@@ -92,6 +96,34 @@ def test_read_only_block_is_scored_and_left_alone():
     mm = latent_predict(None, k_star, k_ss, None, post=post)
     assert np.array_equal(k_star, kept)
     assert mm.var.shape == k_ss.shape
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", SITE_KINDS)
+def test_non_finite_block_is_rejected(kind):
+    """trmm does not check its input, so a NaN or inf kernel value must
+    still trip the variance check (NaN fails var >= VAR_TOL)."""
+    post, k_star, k_ss = scoring_instance(kind, 6)
+    for value in (np.nan, np.inf):
+        bad = k_star.copy()
+        bad[:, -1] = value
+        with pytest.raises(NumericsError, match="not finite"):
+            latent_predict(None, bad, k_ss, None, post=post)
+
+
+def test_predictive_z_names_a_row_whose_kernel_overflows():
+    """A finite row far enough out squares to inf in cdist; the Matern form
+    then gives inf * 0 = NaN.  The row is named, with no RuntimeWarning."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((20, 2))
+    theta = Hyperparams(0.0, 0.0)
+    post = assemble(gram(X, theta), Sites(rng.uniform(-1.0, 1.0, 20), np.full(20, -0.5)))
+    X_test = rng.standard_normal((PREDICT_BLOCK + 5, 2))
+    X_test[PREDICT_BLOCK + 3, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"test row {PREDICT_BLOCK + 3}:"):
+            predictive_z(post, theta, X, X_test)
 
 
 class TestMaternInPlace:
