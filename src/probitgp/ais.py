@@ -4,18 +4,21 @@ The bridge at step t is p(f) p(y|f)^tau(t) with tau(t) = (t/steps)^power, so
 the log marginal likelihood telescopes into sum_t (tau(t) - tau(t-1)) times
 the log likelihood of a state advanced by one elliptical slice transition
 targeting the previous bridge.  ess_step takes that temperature and returns
-the untempered log likelihood of the state it accepts.  Chains run in
-g = y * f with prior factor diag(y) L: for labels +-1 that is the same chain
-bit for bit, one multiply per proposal cheaper.  Repeats run independent
-chains on seeds seed, seed+1, ... and are combined by the mean of their log
-estimates.  Everything is a pure function of the config, so estimates are
-reproducible bit for bit.
+the untempered log likelihood of the state it accepts.  ais_lml factors
+K = L L^T itself: it is the only reader of a factor of the prior covariance,
+so the Gram matrix does not keep one.  Chains run in g = y * f with prior
+factor diag(y) L: for labels +-1 that is the same chain bit for bit, one
+multiply per proposal cheaper.  Repeats run independent chains on seeds
+seed, seed+1, ... and are combined by the mean of their log estimates.
+Everything is a pure function of the config, so estimates are reproducible
+bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cholesky
 from scipy.special import log_ndtr
 
 from .errors import NumericsError
@@ -94,7 +97,7 @@ def ais_lml(K, y, cfg):
         raise ValueError("labels must match the Gram matrix")
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("labels must be -1 or +1")
-    L = y[:, None] * K.chol  # prior factor of g = y * f
+    L = y[:, None] * cholesky(K.K, lower=True)  # prior factor of g = y * f
 
     def loglik(g):
         return float(np.add.reduce(log_ndtr(g)))  # np.sum's reduction, minus its wrapper

@@ -7,7 +7,10 @@ expectations and moves every site synchronously:
     lam2 <- (1 - beta) lam2 + beta g_v
 
 which is fixed-point iteration on the stationary condition of the ELBO in
-expectation parameters, damped by the step size beta.
+expectation parameters, damped by the step size beta.  The E-step starts
+from a posterior, post.sites under post.K, and returns the posterior of the
+sites it ends with, so a caller that already holds the starting posterior
+(the trainer's M-step, for one) never assembles it twice.
 """
 
 import logging
@@ -21,56 +24,45 @@ logger = logging.getLogger(__name__)
 
 
 def e_step(
-    K,
+    post,
     y,
-    sites0,
     step_size=0.1,
     iters=20,
     quad_order=DEFAULT_QUAD_ORDER,
     loglik_stats=None,
-    post=None,
 ):
-    """Run `iters` synchronous natural-gradient updates from sites0.
+    """Run `iters` synchronous natural-gradient updates from post.sites under post.K.
 
     Returns (sites, trace, post): trace[k] is the ELBO after k updates
     (length iters + 1) and post is the posterior of the returned sites under
-    K, which the loop has assembled anyway.  A non-finite ELBO aborts the
-    loop; the last finite state is returned with its shortened trace and its
-    posterior.
-
-    post, when given, must be assemble(K, sites0) for these very K and
-    sites0 objects (ValueError otherwise); the first assembly is then
-    skipped.
+    the same Gram matrix, which the loop has assembled anyway.  A non-finite
+    ELBO aborts the loop; the last finite state is returned with its
+    shortened trace and its posterior.
     """
     y = np.asarray(y, dtype=float)
     if not 0.0 < step_size <= 1.0:
         raise ValueError("step size must lie in (0, 1]")
     if iters < 0:
         raise ValueError("iteration count must be >= 0")
-    if post is None:
-        post = assemble(K, sites0)
-    elif not post.assembled_from(K, sites0):
-        raise ValueError("post was not assembled from this K and sites0")
 
     def stats(post):
         if loglik_stats is None:
             return expectation_stats(y, post.m, post.var, quad_order=quad_order)
         return loglik_stats(y, post.m, post.var)
 
-    sites = sites0
     e, g_m, g_v = stats(post)
     trace = [float(np.sum(e)) - prior_kl(post)]
     for it in range(iters):
+        sites = post.sites
         lam1 = (1.0 - step_size) * sites.lam1 + step_size * (g_m - 2.0 * g_v * post.m)
         lam2 = (1.0 - step_size) * sites.lam2 + step_size * g_v
         lam2 = np.minimum(lam2, LAMBDA2_CEIL)
-        new_sites = Sites(lam1, lam2)
-        new_post = assemble(K, new_sites)
+        new_post = assemble(post.K, Sites(lam1, lam2))
         e, g_m, g_v = stats(new_post)
         value = float(np.sum(e)) - prior_kl(new_post)
         if not np.isfinite(value):
             logger.warning("E-step diverged at iteration %d; keeping last finite state", it + 1)
             break
-        sites, post = new_sites, new_post
+        post = new_post
         trace.append(value)
-    return sites, trace, post
+    return post.sites, trace, post

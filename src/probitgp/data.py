@@ -62,7 +62,6 @@ class FoldSplit:
     """Deterministic fold assignment: assignment[i] is the fold of row i."""
 
     k: int
-    seed: int
     assignment: np.ndarray
 
 
@@ -246,7 +245,7 @@ def make_folds(n, k, seed):
     assignment = np.empty(n, dtype=int)
     assignment[perm] = np.arange(n) % k
     assignment.setflags(write=False)
-    return FoldSplit(k=k, seed=seed, assignment=assignment)
+    return FoldSplit(k=k, assignment=assignment)
 
 
 def fold_datasets(ds, folds, fold):

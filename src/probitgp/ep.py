@@ -76,7 +76,7 @@ def ep_inference(K, y, sweeps=DEFAULT_SWEEPS, damping=DEFAULT_DAMPING, tol=CONVE
     lam2 = np.zeros(n)
     log_scale = np.zeros(n)
     post = assemble(K, Sites(lam1, lam2))
-    S = post.S.copy()
+    S = post.covariance()
     m = post.m.copy()
 
     converged = False
@@ -110,7 +110,7 @@ def ep_inference(K, y, sweeps=DEFAULT_SWEEPS, damping=DEFAULT_DAMPING, tol=CONVE
             m = S @ lam1
             max_delta = max(max_delta, abs(d_tau), abs(d_nu))
         post = assemble(K, Sites(lam1, lam2))
-        S = post.S.copy()
+        S = post.covariance()
         m = post.m.copy()
         skipped_total += skipped
         if max_delta < tol:
@@ -122,6 +122,10 @@ def ep_inference(K, y, sweeps=DEFAULT_SWEEPS, damping=DEFAULT_DAMPING, tol=CONVE
     return ep_sites, post, converged
 
 
-def ep_energy(K, ep_sites, post=None):
-    """Unnormalized-site energy plus the site log scales (EP evidence)."""
-    return ep_like_energy(K, ep_sites.sites, post=post) + float(np.sum(ep_sites.log_scale))
+def ep_energy(post, ep_sites):
+    """Unnormalized-site energy plus the site log scales (EP evidence).
+
+    post is the posterior of ep_sites' natural parameters, as ep_inference
+    returns it with them.
+    """
+    return ep_like_energy(post) + float(np.sum(ep_sites.log_scale))

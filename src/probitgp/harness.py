@@ -21,7 +21,7 @@ from .ep import ep_energy, ep_inference
 from .errors import NumericsError
 from .kernel import Hyperparams, gram
 from .likelihood import DEFAULT_QUAD_ORDER
-from .posterior import Sites, elbo, ep_like_energy, predictive_z
+from .posterior import Sites, assemble, elbo, ep_like_energy, predictive_z
 from .trainer import fit, fit_start
 
 logger = logging.getLogger(__name__)
@@ -60,8 +60,6 @@ class SweepConfig:
 
     e_iters: int = SURFACE_E_ITERS
     e_step_size: float = 0.1
-    ep_sweeps: int = 100
-    ep_damping: float = 0.9
     ais_steps: int = 8000
     ais_repeats: int = 3
     quad_order: int = DEFAULT_QUAD_ORDER
@@ -121,28 +119,23 @@ def _sweep_cell(args):
 
     if "vi" in methods or "ours" in methods:
         try:
-            sites, _, post = e_step(
-                K, y_train, Sites.zeros(n),
+            _, _, post = e_step(
+                assemble(K, Sites.zeros(n)), y_train,
                 step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
             )
             lpd = _mean_lpd(post, theta, X_train, X_test, y_test)
             if "vi" in methods:
-                records["vi"] = (
-                    elbo(K, sites, y_train, quad_order=cfg.quad_order, post=post) / n,
-                    lpd,
-                )
+                records["vi"] = (elbo(post, y_train, quad_order=cfg.quad_order) / n, lpd)
             if "ours" in methods:
-                records["ours"] = (ep_like_energy(K, sites, post=post) / n, lpd)
+                records["ours"] = (ep_like_energy(post) / n, lpd)
         except (NumericsError, np.linalg.LinAlgError) as exc:
             logger.warning("cell (%g, %g): shared inference failed: %s", ll, ls, exc)
 
     if "ep" in methods:
         try:
-            ep_sites, ep_post, _ = ep_inference(
-                K, y_train, sweeps=cfg.ep_sweeps, damping=cfg.ep_damping
-            )
+            ep_sites, ep_post, _ = ep_inference(K, y_train)
             lpd = _mean_lpd(ep_post, theta, X_train, X_test, y_test)
-            records["ep"] = (ep_energy(K, ep_sites, post=ep_post) / n, lpd)
+            records["ep"] = (ep_energy(ep_post, ep_sites) / n, lpd)
         except (NumericsError, np.linalg.LinAlgError) as exc:
             logger.warning("cell (%g, %g): EP failed: %s", ll, ls, exc)
 

@@ -1,7 +1,9 @@
 """Isotropic Matern-5/2 covariance with log-space hyperparameters.
 
-The train-side Gram matrix carries its own diagonal jitter and lower Cholesky
-factor so downstream code never refactorizes or inverts the prior covariance.
+The train-side Gram matrix carries the diagonal jitter that made it positive
+definite.  gram tests each jitter rung with a Cholesky factorization but does
+not keep the factor: the posterior assembly factors I + B^1/2 K B^1/2
+instead, and only AIS, which needs a factor of K itself, computes one.
 """
 
 from dataclasses import dataclass
@@ -44,11 +46,10 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Jittered train covariance: K = base kernel + jitter * I, with chol(K)."""
+    """Jittered train covariance: K = base kernel + jitter * I."""
 
     K: np.ndarray
     jitter: float
-    chol: np.ndarray
 
     @property
     def n(self):
@@ -138,12 +139,11 @@ def gram(X, theta, jitter=None, dist=None):
     for j in ladder:
         K = base + j * eye
         try:
-            L = cholesky(K, lower=True)
+            cholesky(K, lower=True)  # the positive-definiteness test
         except np.linalg.LinAlgError:
             continue
         K.setflags(write=False)
-        L.setflags(write=False)
-        return GramMatrix(K=K, jitter=j, chol=L)
+        return GramMatrix(K=K, jitter=j)
     raise FactorizationError(
         "covariance not positive definite after jitter escalation to "
         f"{ladder[-1]:.3e} (n={X.shape[0]})"

@@ -17,6 +17,7 @@ from .posterior import Sites
 FORMAT_NAME = "probitgp-model"
 FORMAT_VERSION = 1
 
+_KEYS = ("name", "objective", "seed", "jitter", "log_lengthscale", "log_magnitude", "n", "d")
 _BLOCKS = ("feature_mean", "feature_scale", "lambda1", "lambda2", "features")
 
 
@@ -97,6 +98,9 @@ def load_model(path):
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
     if int(keys.get("version", "-1")) != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {keys.get('version')}")
+    missing = [k for k in _KEYS if k not in keys]
+    if missing:
+        raise ValueError(f"{path}: missing keys {missing}")
     n, d = int(keys["n"]), int(keys["d"])
     sizes = {
         "feature_mean": d, "feature_scale": d,

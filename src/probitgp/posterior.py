@@ -7,11 +7,15 @@ assembled without ever forming K^-1 via the symmetrized factor
     A = I + B^1/2 K B^1/2,  chol(A) = L,  V = L^-1 B^1/2 K.
 
 One Cholesky and one triangular solve give diag S = diag K - colsum(V * V),
-alpha = K^-1 m and m = K alpha; S = K - V'V itself is formed on first use.
-The factor also yields log|I + K B|, the energies and the latent predictive
-moments.  The KL needs no inverse: by Woodbury A^-1 = I - B^1/2 S B^1/2, so
-tr(K^-1 S) - n = tr(A^-1) - n = -sum_i b_i S_ii.  All of it stays well
-conditioned even when some sites are exactly zero.
+alpha = K^-1 m and m = K alpha; S = K - V'V itself is formed only on demand
+and never kept.  The factor also yields log|I + K B|, the energies and the
+latent predictive moments.  The KL needs no inverse: by Woodbury
+A^-1 = I - B^1/2 S B^1/2, so tr(K^-1 S) - n = tr(A^-1) - n = -sum_i b_i S_ii.
+All of it stays well conditioned even when some sites are exactly zero.
+
+A GaussianPosterior carries the Gram matrix and the sites it was assembled
+from, so it is the one value the energies, the E-step, the M-step and
+prediction take: none of them is handed K or sites beside it.
 
 predictive_z, the one prediction path (GPML Alg. 3.2), scores test rows in
 blocks of PREDICT_BLOCK, so its memory does not grow with the row count.
@@ -34,7 +38,7 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from .errors import FactorizationError, NumericsError
-from .kernel import cross_gram
+from .kernel import GramMatrix, cross_gram
 from .likelihood import DEFAULT_QUAD_ORDER, MarginalMoments, expectation_stats
 
 # updaters clamp lam2 at or below this (keeps B positive, sites proper)
@@ -80,14 +84,14 @@ class Sites:
 
 @dataclass(frozen=True)
 class GaussianPosterior:
-    """Posterior mean and marginal variances plus the factorization cache.
+    """assemble(K, sites): the posterior mean and marginal variances, the
+    factorization behind them, and the GramMatrix K and Sites it came from.
 
     sqrt_b, chol_a (lower factor of I + B^1/2 K B^1/2), alpha = K^-1 m and
-    log_det_ikb = log|I + K B| serve the energies and prediction; K and
-    V = chol_a^-1 B^1/2 K serve the covariance S, formed on demand, and
-    R = chol_a^-1 B^1/2 serves predictive variances, built on first use.  sites
-    is the Sites object it was assembled from; with K (the very array of the
-    GramMatrix) it lets a caller that is handed a posterior check its origin.
+    log_det_ikb = log|I + K B| serve the energies and prediction;
+    V = chol_a^-1 B^1/2 K serves covariance(), which forms S anew on every
+    call, and R = chol_a^-1 B^1/2 serves predictive variances, built on
+    first use and kept.
     """
 
     m: np.ndarray
@@ -96,22 +100,17 @@ class GaussianPosterior:
     sqrt_b: np.ndarray
     chol_a: np.ndarray
     log_det_ikb: float
-    K: np.ndarray
+    K: GramMatrix
     V: np.ndarray
     sites: Sites
 
     def covariance(self):
         """Full posterior covariance, symmetrized; formed anew on every call."""
-        S = self.K - self.V.T @ self.V
+        S = self.K.K - self.V.T @ self.V
         S = 0.5 * (S + S.T)
         if not np.isfinite(S).all():
             raise NumericsError("posterior covariance has non-finite values")
         return S
-
-    @cached_property
-    def S(self):
-        """covariance(), built once on first use and kept."""
-        return self.covariance()
 
     @cached_property
     def R(self):
@@ -121,10 +120,6 @@ class GaussianPosterior:
             raise NumericsError("posterior factor could not be inverted")
         R *= self.sqrt_b[None, :]
         return R
-
-    def assembled_from(self, K, sites):
-        """True iff assemble(K, sites) built this posterior (checked by identity)."""
-        return self.K is K.K and self.sites is sites
 
 
 def assemble(K, sites):
@@ -151,14 +146,12 @@ def assemble(K, sites):
     log_det_ikb = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
     if not (np.isfinite(m).all() and np.isfinite(var).all()):
         raise NumericsError("posterior assembly produced non-finite values")
-    return GaussianPosterior(m, var, alpha, sqrt_b, chol_a, log_det_ikb, Km, V, sites)
+    return GaussianPosterior(m, var, alpha, sqrt_b, chol_a, log_det_ikb, K, V, sites)
 
 
-def ep_like_energy(K, sites, post=None):
+def ep_like_energy(post):
     """-1/2 log|I + K B| + 1/2 lam1' (K^-1 + B)^-1 lam1 (no site constants)."""
-    if post is None:
-        post = assemble(K, sites)
-    return -0.5 * post.log_det_ikb + 0.5 * float(sites.lam1 @ post.m)
+    return -0.5 * post.log_det_ikb + 0.5 * float(post.sites.lam1 @ post.m)
 
 
 def prior_kl(post):
@@ -168,10 +161,8 @@ def prior_kl(post):
     return 0.5 * (trace_term + quad_term + post.log_det_ikb)
 
 
-def elbo(K, sites, y, quad_order=DEFAULT_QUAD_ORDER, post=None):
+def elbo(post, y, quad_order=DEFAULT_QUAD_ORDER):
     """Evidence lower bound: -KL(q || prior) + sum_i E_q[log p(y_i | f_i)]."""
-    if post is None:
-        post = assemble(K, sites)
     y = np.asarray(y, dtype=float)
     if y.shape != post.m.shape:
         raise ValueError("labels must align with the posterior")
@@ -179,7 +170,7 @@ def elbo(K, sites, y, quad_order=DEFAULT_QUAD_ORDER, post=None):
     return float(np.sum(e)) - prior_kl(post)
 
 
-def latent_predict(K, k_star, k_star_star_diag, sites, post=None):
+def latent_predict(post, k_star, k_star_star_diag):
     """Latent predictive moments at test points.
 
     k_star[i, j] = k(train_i, test_j); k_star_star_diag[j] = k(test_j, test_j).
@@ -188,8 +179,6 @@ def latent_predict(K, k_star, k_star_star_diag, sites, post=None):
     not check its input, so a non-finite k_star shows up here).  k_star is not
     written to: V' = k_star' R' goes to a fresh array.
     """
-    if post is None:
-        post = assemble(K, sites)
     k_star = np.asarray(k_star, dtype=float)
     k_ss = np.asarray(k_star_star_diag, dtype=float)
     if k_star.ndim != 2 or k_star.shape[0] != post.m.size:
@@ -223,7 +212,6 @@ def predictive_z(post, theta, X_train, X_test):
         if bad.size:
             raise ValueError(f"test row {start + bad[0]}: kernel values are not finite")
         k_ss = np.full(block.shape[0], theta.magnitude ** 2)
-        # post carries the factorization, so K and sites are not read
-        mm = latent_predict(None, k_star, k_ss, None, post=post)
+        mm = latent_predict(post, k_star, k_ss)
         z[start:start + block.shape[0]] = mm.mean / np.sqrt(1.0 + mm.var)
     return z

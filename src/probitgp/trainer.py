@@ -9,11 +9,12 @@ hyperparameters through the posterior is honored.  The Gram matrices of a
 fit share one distance matrix.  The E-step after each M-step gives the
 round's ELBO; the last leaves the sites consistent with the final theta.
 
-Each posterior is assembled once and handed on: the E-step's last one
-serves the M-step's first probe, and the last accepted probe's Gram matrix
-and posterior serve the next E-step's first iteration.  fit_start runs the
-opening E-step on its own, so fits that differ only in the objective (the
-two methods of one CV fold) can share it.
+Each posterior is assembled once and handed on, and it carries its Gram
+matrix and sites, so it is the one value passed between the steps: the
+E-step's last posterior serves the M-step's first probe, and the last
+accepted probe's posterior serves the next E-step's first iteration.
+fit_start runs the opening E-step on its own, so fits that differ only in
+the objective (the two methods of one CV fold) can share it.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 from .cvi import e_step
 from .errors import NumericsError
 from .data import Dataset
-from .kernel import GramMatrix, Hyperparams, gram, gram_grads
+from .kernel import Hyperparams, gram, gram_grads
 from .likelihood import DEFAULT_QUAD_ORDER, expectation_stats
 from .posterior import GaussianPosterior, Sites, assemble, elbo, ep_like_energy, prior_kl
 
@@ -65,14 +66,12 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class FitStart:
-    """The opening E-step of fit: sites from zero at theta0, with the Gram
-    matrix and posterior they were assembled with.  dataset and the
-    configuration key say what it was built for."""
+    """The opening E-step of fit: the posterior of the sites it reached from
+    zero at theta0, which carries them and their Gram matrix.  dataset and
+    the configuration key say what it was built for."""
 
     dataset: Dataset
     key: tuple
-    K: GramMatrix
-    sites: Sites
     post: GaussianPosterior
 
 
@@ -86,34 +85,31 @@ def objective_value(dataset, sites, theta, objective, jitter=None, quad_order=DE
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     K = gram(dataset.X, theta, jitter, dataset.distances)
-    return _value(dataset.y, sites, K, assemble(K, sites), objective, quad_order)
+    return _value(dataset.y, assemble(K, sites), objective, quad_order)
 
 
-def _value(y, sites, K, post, objective, quad_order):
-    """The objective at (sites, theta) from gram and assemble there."""
+def _value(y, post, objective, quad_order):
+    """The objective of post's sites under post's Gram matrix."""
     if objective == "elbo":
-        return elbo(K, sites, y, quad_order=quad_order, post=post)
-    return ep_like_energy(K, sites, post=post)
+        return elbo(post, y, quad_order=quad_order)
+    return ep_like_energy(post)
 
 
-def _value_and_grad(dataset, sites, theta, objective, jitter, quad_order, K=None, post=None):
+def _value_and_grad(dataset, theta, post, objective, jitter, quad_order):
     """objective_value and its gradient wrt log-theta at fixed sites.
 
-    K and post, when given, are gram and assemble at (theta, sites); else
-    they are built here.  Each gradient entry is sum(G * dK) over one kernel
-    derivative (GPML eq. 5.9).
+    post is the posterior of the sites under
+    gram(dataset.X, theta, jitter, dataset.distances).  Each gradient entry
+    is sum(G * dK) over one kernel derivative (GPML eq. 5.9).
     """
-    if K is None:
-        K = gram(dataset.X, theta, jitter, dataset.distances)
-        post = assemble(K, sites)
-    value, G = _value_and_weights(dataset.y, sites, K, post, objective, quad_order)
-    d_ell, d_sig = gram_grads(dataset.distances, theta, K, jitter)
+    value, G = _value_and_weights(dataset.y, post, objective, quad_order)
+    d_ell, d_sig = gram_grads(dataset.distances, theta, post.K, jitter)
     d_ell *= G
     d_sig *= G
     return value, np.array([np.sum(d_ell), np.sum(d_sig)])
 
 
-def _value_and_weights(y, sites, K, post, objective, quad_order):
+def _value_and_weights(y, post, objective, quad_order):
     """The objective and its gradient weights G wrt K at fixed sites.
 
     With B = diag(-2 lam2), Woodbury gives W = B^1/2 A^-1 B^1/2 = B - BSB and
@@ -128,7 +124,7 @@ def _value_and_weights(y, sites, K, post, objective, quad_order):
     """
     S = post.covariance()
     alpha = post.alpha
-    b = -2.0 * sites.lam2
+    b = -2.0 * post.sites.lam2
     bsb = b[:, None] * S
     bsb *= b[None, :]
     W = np.diag(b)
@@ -137,7 +133,7 @@ def _value_and_weights(y, sites, K, post, objective, quad_order):
     if objective == "elbo":
         e, g_m, g_v = expectation_stats(y, post.m, post.var, quad_order=quad_order)
         value = float(np.sum(e)) - prior_kl(post)
-        Mt = np.eye(sites.n)
+        Mt = np.eye(b.size)
         Mt -= b[:, None] * S
         del S
         c = Mt @ (g_m + b * post.m) - 0.5 * alpha
@@ -148,36 +144,33 @@ def _value_and_weights(y, sites, K, post, objective, quad_order):
         G -= 0.5 * W
     else:
         del S
-        value = ep_like_energy(K, sites, post=post)
+        value = ep_like_energy(post)
         G = np.outer(alpha, alpha)
         G -= W
         G *= 0.5
     return value, G
 
 
-def _m_step(dataset, sites, theta, cfg, K, post):
+def _m_step(dataset, theta, cfg, post):
     """cfg.m_iters exact-gradient ascent steps on log-theta; step halving up to
-    10 times per iteration; sites stay fixed throughout.
+    10 times per iteration; post.sites stay fixed throughout.
 
-    K and post are gram and assemble at (theta, sites) and serve the first
-    probe.  Returns (theta, value, K, post) at the last accepted point: the
-    new theta, the objective there and the Gram matrix and posterior the
-    probe built there.  With cfg.m_iters == 0 only the value is computed.
+    post is the posterior at theta and serves the first probe.  Returns
+    (theta, value, post) at the last accepted point: the new theta, the
+    objective there and the posterior the probe built there.  With
+    cfg.m_iters == 0 only the value is computed.
     """
     if cfg.m_iters == 0:
-        return theta, _value(dataset.y, sites, K, post, cfg.objective, cfg.quad_order), K, post
+        return theta, _value(dataset.y, post, cfg.objective, cfg.quad_order), post
+    sites = post.sites
 
     def probe(vec):
         th = Hyperparams(vec[0], vec[1])
-        K = gram(dataset.X, th, cfg.jitter, dataset.distances)
-        post = assemble(K, sites)
-        return (*_value_and_grad(dataset, sites, th, cfg.objective, cfg.jitter,
-                                 cfg.quad_order, K, post), K, post)
+        post = assemble(gram(dataset.X, th, cfg.jitter, dataset.distances), sites)
+        return *_value_and_grad(dataset, th, post, cfg.objective, cfg.jitter, cfg.quad_order), post
 
     th = theta.as_array()
-    current, grad = _value_and_grad(
-        dataset, sites, theta, cfg.objective, cfg.jitter, cfg.quad_order, K, post,
-    )
+    current, grad = _value_and_grad(dataset, theta, post, cfg.objective, cfg.jitter, cfg.quad_order)
     for _ in range(cfg.m_iters):
         if not np.isfinite(grad).all():
             break
@@ -190,13 +183,13 @@ def _m_step(dataset, sites, theta, cfg, K, post):
                 probed = None
             if probed is not None and np.isfinite(probed[0]) and probed[0] >= current:
                 th = cand
-                current, grad, K, post = probed
+                current, grad, post = probed
                 break
             probed = None  # free a rejected probe before the next one
             step *= 0.5
         else:
             break  # every probe failed; the next iteration would repeat them
-    return Hyperparams(float(th[0]), float(th[1])), current, K, post
+    return Hyperparams(float(th[0]), float(th[1])), current, post
 
 
 def fit_start(dataset, cfg):
@@ -208,11 +201,11 @@ def fit_start(dataset, cfg):
     settings, so one start serves every fit that agrees on those.
     """
     K = gram(dataset.X, cfg.theta0, cfg.jitter, dataset.distances)
-    sites, _, post = e_step(
-        K, dataset.y, Sites.zeros(dataset.n),
+    _, _, post = e_step(
+        assemble(K, Sites.zeros(dataset.n)), dataset.y,
         step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
     )
-    return FitStart(dataset, _start_key(cfg), K, sites, post)
+    return FitStart(dataset, _start_key(cfg), post)
 
 
 def fit(dataset, cfg, start=None):
@@ -231,18 +224,17 @@ def fit(dataset, cfg, start=None):
         start = fit_start(dataset, cfg)
     elif start.dataset is not dataset or start.key != _start_key(cfg):
         raise ValueError("start was built for another dataset or configuration")
-    theta, K, sites, post = cfg.theta0, start.K, start.sites, start.post
+    theta, post = cfg.theta0, start.post
     del start
     objective_trace = []
     elbo_trace = []
     theta_trace = []
     converged = False
     for _ in range(cfg.outer_rounds):
-        new_theta, obj, K, post = _m_step(dataset, sites, theta, cfg, K, post)
-        sites, e_trace, post = e_step(
-            K, dataset.y, sites,
+        new_theta, obj, post = _m_step(dataset, theta, cfg, post)
+        _, e_trace, post = e_step(
+            post, dataset.y,
             step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
-            post=post,
         )
         objective_trace.append(obj)
         elbo_trace.append(e_trace[0])  # ELBO at the M-step's sites and new_theta
@@ -257,7 +249,7 @@ def fit(dataset, cfg, start=None):
             break
     return TrainResult(
         theta=theta,
-        sites=sites,
+        sites=post.sites,
         objective_trace=np.array(objective_trace),
         elbo_trace=np.array(elbo_trace),
         theta_trace=np.array(theta_trace),

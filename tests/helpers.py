@@ -61,7 +61,8 @@ def have_dataset(name):
 def gram_from_matrix(K):
     """Wrap an explicit SPD matrix as a GramMatrix (no jitter added)."""
     K = np.asarray(K, dtype=float)
-    return GramMatrix(K=K, jitter=0.0, chol=cholesky(K, lower=True))
+    cholesky(K, lower=True)  # raises LinAlgError unless K is positive definite
+    return GramMatrix(K=K, jitter=0.0)
 
 
 def random_spd(n, rng, scale=1.0):
@@ -137,7 +138,7 @@ def make_probit_gp(n, d, seed, theta=None):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, (n, d))
     K = gram(X, theta)
-    f = K.chol @ rng.standard_normal(n)
+    f = cholesky(K.K, lower=True) @ rng.standard_normal(n)
     y = np.where(rng.uniform(size=n) < ndtr(f), 1.0, -1.0)
     if np.all(y == y[0]):  # one-class draw; flip the extreme point
         y[np.argmin(f)] = -y[0]
@@ -241,7 +242,7 @@ def ais_lml_reference(K, y, cfg):
     n = y.size
     if K.n != n:
         raise ValueError("labels must match the Gram matrix")
-    L = K.chol
+    L = cholesky(K.K, lower=True)
 
     def base_loglik(state):
         return float(np.sum(log_ndtr(y * state)))
@@ -386,7 +387,7 @@ def predict_reference(post, theta, X_train, X_test):
     one latent_predict, mean / sqrt(1 + var)."""
     k_star = cross_gram(X_train, X_test, theta)
     k_ss = np.full(X_test.shape[0], theta.magnitude ** 2)
-    mm = latent_predict(None, k_star, k_ss, None, post=post)
+    mm = latent_predict(post, k_star, k_ss)
     return mm.mean / np.sqrt(1.0 + mm.var)
 
 

@@ -169,6 +169,24 @@ class TestPredict:
         assert block in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("key", [
+        "name", "objective", "seed", "jitter", "log_lengthscale", "log_magnitude", "n", "d",
+    ])
+    def test_model_without_a_required_key_is_usage_error(self, tmp_path, capsys, key):
+        """A model file missing a key= line exits 1, naming the file and the
+        key, and writes no output."""
+        data, model, _ = self.fitted(tmp_path, seed=6)
+        lines = [line for line in model.read_text().splitlines()
+                 if not line.startswith(f"{key}=")]
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model), "--data", str(data),
+                    "--label", "last", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(model) in err and f"missing keys ['{key}']" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_feature_count_mismatch_is_usage_error(self, tmp_path, capsys):
         _, model, _ = self.fitted(tmp_path, seed=5)
         bad = tmp_path / "bad.csv"

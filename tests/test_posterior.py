@@ -52,13 +52,13 @@ class TestAssemble:
         K = helpers.gram_from_matrix(helpers.random_spd(6, rng))
         post = assemble(K, Sites.zeros(6))
         assert_allclose(post.m, np.zeros(6), atol=0)
-        assert_allclose(post.S, K.K, atol=1e-14)
+        assert_allclose(post.covariance(), K.K, atol=1e-14)
         assert post.log_det_ikb == 0.0
 
     def test_scalar_worked_example(self):
         K = helpers.gram_from_matrix(np.array([[1.0]]))
         post = assemble(K, Sites(np.array([1.0]), np.array([-0.5])))
-        assert_allclose(post.S, [[0.5]], rtol=1e-15)
+        assert_allclose(post.covariance(), [[0.5]], rtol=1e-15)
         assert_allclose(post.m, [0.5], rtol=1e-15)
 
     def test_matches_direct_inverse_formula(self):
@@ -69,7 +69,7 @@ class TestAssemble:
             post = assemble(K, sites)
             B = np.diag(-2.0 * sites.lam2)
             S_direct = np.linalg.inv(np.linalg.inv(K.K) + B)
-            assert_allclose(post.S, S_direct, rtol=1e-9, atol=1e-12)
+            assert_allclose(post.covariance(), S_direct, rtol=1e-9, atol=1e-12)
             assert_allclose(post.m, S_direct @ sites.lam1, rtol=1e-9, atol=1e-12)
 
     def test_cache_terms(self):
@@ -87,8 +87,8 @@ class TestAssemble:
         for _ in range(20):
             K, sites = random_instance(10, rng)
             post = assemble(K, sites)
-            assert np.array_equal(post.S, post.S.T)
-            assert np.linalg.eigvalsh(post.S).min() > 0
+            assert np.array_equal(post.covariance(), post.covariance().T)
+            assert np.linalg.eigvalsh(post.covariance()).min() > 0
 
     def test_conjugate_regression_oracle(self):
         """Gaussian-likelihood sites reproduce the closed-form regression posterior."""
@@ -101,7 +101,9 @@ class TestAssemble:
         post = assemble(K, sites)
         A = K.K + noise * np.eye(n)
         assert_allclose(post.m, K.K @ np.linalg.solve(A, targets), rtol=1e-9, atol=1e-12)
-        assert_allclose(post.S, K.K - K.K @ np.linalg.solve(A, K.K), rtol=1e-8, atol=1e-11)
+        assert_allclose(
+            post.covariance(), K.K - K.K @ np.linalg.solve(A, K.K), rtol=1e-8, atol=1e-11
+        )
 
     def test_size_mismatch_rejected(self):
         K = helpers.gram_from_matrix(np.eye(3))
@@ -112,11 +114,11 @@ class TestAssemble:
 class TestEnergies:
     def test_zero_sites_energy_is_zero(self):
         K = helpers.gram_from_matrix(helpers.random_spd(5, np.random.default_rng(4)))
-        assert ep_like_energy(K, Sites.zeros(5)) == 0.0
+        assert ep_like_energy(assemble(K, Sites.zeros(5))) == 0.0
 
     def test_scalar_frozen_value(self):
         K = helpers.gram_from_matrix(np.array([[1.0]]))
-        val = ep_like_energy(K, Sites(np.array([0.0]), np.array([-0.5])))
+        val = ep_like_energy(assemble(K, Sites(np.array([0.0]), np.array([-0.5]))))
         assert_allclose(val, -HALF_LOG_TWO, rtol=1e-14)
 
     def test_energy_matches_dense_quadrature_n1_n2(self):
@@ -126,7 +128,7 @@ class TestEnergies:
             n = int(rng.integers(1, 3))
             K, sites = random_instance(n, rng)
             oracle = helpers.site_energy_quadrature(K.K, sites.lam1, sites.lam2)
-            assert_allclose(ep_like_energy(K, sites), oracle, atol=1e-6)
+            assert_allclose(ep_like_energy(assemble(K, sites)), oracle, atol=1e-6)
 
     def test_prior_kl_properties(self):
         rng = np.random.default_rng(6)
@@ -141,7 +143,7 @@ class TestEnergies:
         expected = sum(
             expected_loglik(y[i], MarginalMoments(0.0, K.K[i, i])).e for i in range(4)
         )
-        assert_allclose(elbo(K, Sites.zeros(4), y), expected, rtol=1e-12)
+        assert_allclose(elbo(assemble(K, Sites.zeros(4)), y), expected, rtol=1e-12)
 
     def test_elbo_lower_bounds_quadrature_evidence(self):
         """For any valid sites the ELBO sits below the true log evidence."""
@@ -151,13 +153,13 @@ class TestEnergies:
             K, sites = random_instance(n, rng)
             y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
             evidence = helpers.probit_evidence_quadrature(K.K, y)
-            assert elbo(K, sites, y) <= evidence + 1e-8
+            assert elbo(assemble(K, sites), y) <= evidence + 1e-8
 
     def test_energy_reuses_precomputed_posterior(self):
         rng = np.random.default_rng(9)
         K, sites = random_instance(6, rng)
         post = assemble(K, sites)
-        assert ep_like_energy(K, sites) == ep_like_energy(K, sites, post=post)
+        assert ep_like_energy(assemble(K, sites)) == ep_like_energy(post)
 
 
 class TestLatentPredict:
@@ -168,7 +170,9 @@ class TestLatentPredict:
         Z = rng.standard_normal((3, 2))
         theta = Hyperparams(0.1, 0.3)
         K = gram(X, theta)
-        mm = latent_predict(K, cross_gram(X, Z, theta), np.full(3, theta.magnitude ** 2), Sites.zeros(6))
+        mm = latent_predict(
+            assemble(K, Sites.zeros(6)), cross_gram(X, Z, theta), np.full(3, theta.magnitude ** 2)
+        )
         assert_allclose(mm.mean, np.zeros(3), atol=1e-14)
         assert_allclose(mm.var, np.full(3, theta.magnitude ** 2), rtol=1e-12)
 
@@ -177,9 +181,9 @@ class TestLatentPredict:
         rng = np.random.default_rng(11)
         K, sites = random_instance(8, rng)
         post = assemble(K, sites)
-        mm = latent_predict(K, K.K, np.diag(K.K), sites, post=post)
+        mm = latent_predict(post, K.K, np.diag(K.K))
         assert_allclose(mm.mean, post.m, rtol=1e-10, atol=1e-12)
-        assert_allclose(mm.var, np.diag(post.S), rtol=1e-9, atol=1e-12)
+        assert_allclose(mm.var, np.diag(post.covariance()), rtol=1e-9, atol=1e-12)
 
     def test_strong_site_pins_training_point(self):
         rng = np.random.default_rng(12)
@@ -189,7 +193,9 @@ class TestLatentPredict:
         lam2 = np.full(5, -1e-3)
         lam2[2] = -5e5  # near-delta site
         sites = Sites(np.zeros(5), lam2)
-        mm = latent_predict(K, cross_gram(X, X[2:3], theta), np.array([theta.magnitude ** 2]), sites)
+        mm = latent_predict(
+            assemble(K, sites), cross_gram(X, X[2:3], theta), np.array([theta.magnitude ** 2])
+        )
         assert mm.var[0] == pytest.approx(0.0, abs=1e-5)
 
     def test_variances_are_clamped_nonnegative(self):
@@ -198,7 +204,7 @@ class TestLatentPredict:
         X = rng.standard_normal((30, 2))
         theta = Hyperparams()
         Kg = gram(X, theta)
-        mm = latent_predict(Kg, Kg.K, np.diag(Kg.K), Sites(sites.lam1, sites.lam2))
+        mm = latent_predict(assemble(Kg, Sites(sites.lam1, sites.lam2)), Kg.K, np.diag(Kg.K))
         assert np.all(mm.var >= 0)
 
     def test_against_gaussian_conditioning_oracle(self):
@@ -218,7 +224,7 @@ class TestLatentPredict:
         t = B_inv @ lam1
         k_star = cross_gram(X, Z, theta)
         k_ss = np.full(n_test, theta.magnitude ** 2)
-        mm = latent_predict(K, k_star, k_ss, sites)
+        mm = latent_predict(assemble(K, sites), k_star, k_ss)
         A = K.K + B_inv
         mean_oracle = k_star.T @ np.linalg.solve(A, t)
         var_oracle = k_ss - np.einsum("ij,ji->i", k_star.T, np.linalg.solve(A, k_star))
@@ -228,6 +234,6 @@ class TestLatentPredict:
     def test_shape_validation(self):
         K = helpers.gram_from_matrix(np.eye(3))
         with pytest.raises(ValueError):
-            latent_predict(K, np.zeros((2, 4)), np.zeros(4), Sites.zeros(3))
+            latent_predict(assemble(K, Sites.zeros(3)), np.zeros((2, 4)), np.zeros(4))
         with pytest.raises(ValueError):
-            latent_predict(K, np.zeros((3, 4)), np.zeros(5), Sites.zeros(3))
+            latent_predict(assemble(K, Sites.zeros(3)), np.zeros((3, 4)), np.zeros(5))

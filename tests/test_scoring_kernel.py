@@ -57,7 +57,7 @@ def scoring_instance(kind, seed):
         sites = Sites(rng.uniform(-20.0, 20.0, n), -0.5 * rng.uniform(0.0, 600.0, n))
     else:
         y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-        sites, _, _ = e_step(K, y, Sites.zeros(n), step_size=0.5, iters=15)
+        sites, _, _ = e_step(assemble(K, Sites.zeros(n)), y, step_size=0.5, iters=15)
     k_star = cross_gram(X, Z, theta)
     return assemble(K, sites), k_star, np.full(Z.shape[0], theta.magnitude ** 2)
 
@@ -67,7 +67,7 @@ def test_latent_predict_matches_the_triangular_solve(kind):
     for seed in range(12):
         post, k_star, k_ss = scoring_instance(kind, seed)
         kept = k_star.copy()
-        mm = latent_predict(None, k_star, k_ss, None, post=post)
+        mm = latent_predict(post, k_star, k_ss)
         ref = helpers.latent_predict_reference(None, k_star, k_ss, None, post=post)
         assert np.array_equal(k_star, kept)  # the caller's block is not overwritten
         assert np.array_equal(mm.mean, ref.mean)
@@ -78,7 +78,7 @@ def test_latent_predict_matches_the_triangular_solve(kind):
 
 def test_zero_sites_give_the_prior_variance_exactly():
     post, k_star, k_ss = scoring_instance("zero", 3)
-    mm = latent_predict(None, k_star, k_ss, None, post=post)
+    mm = latent_predict(post, k_star, k_ss)
     assert np.array_equal(mm.var, k_ss)
     assert not post.R.any()
 
@@ -93,7 +93,7 @@ def test_read_only_block_is_scored_and_left_alone():
     post, k_star, k_ss = scoring_instance("strong", 5)
     k_star.setflags(write=False)
     kept = k_star.copy()
-    mm = latent_predict(None, k_star, k_ss, None, post=post)
+    mm = latent_predict(post, k_star, k_ss)
     assert np.array_equal(k_star, kept)
     assert mm.var.shape == k_ss.shape
 
@@ -108,7 +108,7 @@ def test_non_finite_block_is_rejected(kind):
         bad = k_star.copy()
         bad[:, -1] = value
         with pytest.raises(NumericsError, match="not finite"):
-            latent_predict(None, bad, k_ss, None, post=post)
+            latent_predict(post, bad, k_ss)
 
 
 def test_predictive_z_names_a_row_whose_kernel_overflows():

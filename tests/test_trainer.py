@@ -45,10 +45,10 @@ class TestObjectiveValue:
     def test_dispatch_matches_direct_calls(self):
         ds = blob_dataset()
         theta = Hyperparams(0.2, -0.1)
-        sites, _, _ = e_step(gram(ds.X, theta), ds.y, Sites.zeros(ds.n), iters=15)
+        sites, _, _ = e_step(assemble(gram(ds.X, theta), Sites.zeros(ds.n)), ds.y, iters=15)
         K = gram(ds.X, theta)
-        assert objective_value(ds, sites, theta, "elbo") == elbo(K, sites, ds.y)
-        assert objective_value(ds, sites, theta, "ep_like") == ep_like_energy(K, sites)
+        assert objective_value(ds, sites, theta, "elbo") == elbo(assemble(K, sites), ds.y)
+        assert objective_value(ds, sites, theta, "ep_like") == ep_like_energy(assemble(K, sites))
 
     def test_unknown_objective_rejected(self):
         ds = blob_dataset()
@@ -149,7 +149,9 @@ def probit_instances(count=24, seed=77):
         theta = Hyperparams(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         kind = i % 3
         if kind == 0:
-            sites, _, _ = e_step(gram(X, theta), y, Sites.zeros(n), iters=int(rng.integers(1, 6)))
+            sites, _, _ = e_step(
+                assemble(gram(X, theta), Sites.zeros(n)), y, iters=int(rng.integers(1, 6))
+            )
         elif kind == 1:
             sites = Sites.zeros(n)
         else:
@@ -164,7 +166,8 @@ class TestAnalyticGradient:
     @pytest.mark.parametrize("jitter", [None, 0.0, 0.05])  # 0.05: fixed, not scaled by sig^2
     def test_matches_central_differences(self, objective, jitter):
         for ds, sites, theta in probit_instances():
-            value, grad = trainer._value_and_grad(ds, sites, theta, objective, jitter, 50)
+            post = assemble(gram(ds.X, theta, jitter, ds.distances), sites)
+            value, grad = trainer._value_and_grad(ds, theta, post, objective, jitter, 50)
             assert value == objective_value(ds, sites, theta, objective, jitter)
             fd = fd_gradient(ds, sites, theta, objective, jitter)
             scale = np.max(np.abs(fd))
@@ -187,8 +190,9 @@ class TestObjectivesMeetAtConvergence:
 
     @staticmethod
     def gradients(ds, sites, theta):
+        post = assemble(gram(ds.X, theta, None, ds.distances), sites)
         return [
-            trainer._value_and_grad(ds, sites, theta, objective, None, 50)[1]
+            trainer._value_and_grad(ds, theta, post, objective, None, 50)[1]
             for objective in ("elbo", "ep_like")
         ]
 
@@ -199,11 +203,11 @@ class TestObjectivesMeetAtConvergence:
         y = np.where(X[:, 0] + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
         ds = Dataset("c", X, y)
         K = gram(X, theta)
-        early, _, _ = e_step(K, y, Sites.zeros(n), step_size=0.5, iters=5)
+        early, _, _ = e_step(assemble(K, Sites.zeros(n)), y, step_size=0.5, iters=5)
         g_elbo, g_ep = self.gradients(ds, early, theta)
         # short of the fixed point the branches differ: the check has teeth
         assert np.max(np.abs(g_elbo - g_ep)) > 1e-4 * np.max(np.abs(g_elbo))
-        sites, trace, _ = e_step(K, y, early, step_size=0.5, iters=2000)
+        sites, trace, _ = e_step(assemble(K, early), y, step_size=0.5, iters=2000)
         assert abs(trace[-1] - trace[-2]) < 1e-10 * abs(trace[-1])
         g_elbo, g_ep = self.gradients(ds, sites, theta)
         assert np.max(np.abs(g_elbo - g_ep)) <= self.RTOL * np.max(np.abs(g_elbo))
@@ -215,12 +219,13 @@ class TestFdEquivalence:
 
     @staticmethod
     def fd_fit(ds, cfg, monkeypatch):
-        def m_step(dataset, sites, theta, cfg, K, post):
+        def m_step(dataset, theta, cfg, post):
+            sites = post.sites
             new = helpers.fd_m_step(dataset, sites, theta, cfg)
             K = gram(dataset.X, new, cfg.jitter, dataset.distances)
             return new, objective_value(
                 dataset, sites, new, cfg.objective, cfg.jitter, cfg.quad_order
-            ), K, assemble(K, sites)
+            ), assemble(K, sites)
 
         with monkeypatch.context() as patch:
             patch.setattr(trainer, "_m_step", m_step)
@@ -245,7 +250,7 @@ class TestFdEquivalence:
         for objective in ("elbo", "ep_like"):
             cfg = TrainConfig(objective=objective, e_iters=8, m_iters=4, outer_rounds=1)
             res = fit(ds, cfg)
-            sites, _, _ = e_step(gram(ds.X, cfg.theta0), ds.y, Sites.zeros(ds.n), iters=8)
+            sites, _, _ = e_step(assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, iters=8)
             assert res.objective_trace[0] == objective_value(ds, sites, res.theta, objective)
 
     def test_round_traces_are_objective_values_at_each_theta(self):
@@ -259,7 +264,7 @@ class TestFdEquivalence:
             assert len(res.theta_trace) == 3
             sites, theta = Sites.zeros(ds.n), cfg.theta0
             for r, row in enumerate(res.theta_trace):
-                sites, _, _ = e_step(gram(ds.X, theta), ds.y, sites, iters=8)
+                sites, _, _ = e_step(assemble(gram(ds.X, theta), sites), ds.y, iters=8)
                 theta = Hyperparams(*row)
                 assert res.objective_trace[r] == objective_value(ds, sites, theta, objective)
                 assert res.elbo_trace[r] == objective_value(ds, sites, theta, "elbo")
@@ -280,7 +285,7 @@ class TestFit:
         for objective in ("elbo", "ep_like"):
             cfg = TrainConfig(objective=objective, e_iters=6, m_iters=0, outer_rounds=1)
             res = fit(ds, cfg)
-            sites, _, _ = e_step(gram(ds.X, cfg.theta0), ds.y, Sites.zeros(ds.n), iters=6)
+            sites, _, _ = e_step(assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, iters=6)
             assert res.objective_trace[0] == objective_value(ds, sites, cfg.theta0, objective)
 
     def test_pure_inference_round_keeps_theta(self):
@@ -290,8 +295,8 @@ class TestFit:
         assert res.theta == cfg.theta0
         # composition: one round plus the final refresh, both from zero sites
         K = gram(ds.X, cfg.theta0)
-        s1, _, _ = e_step(K, ds.y, Sites.zeros(ds.n), iters=12)
-        s2, _, _ = e_step(K, ds.y, s1, iters=12)
+        s1, _, _ = e_step(assemble(K, Sites.zeros(ds.n)), ds.y, iters=12)
+        s2, _, _ = e_step(assemble(K, s1), ds.y, iters=12)
         assert np.array_equal(res.sites.lam1, s2.lam1)
         assert np.array_equal(res.sites.lam2, s2.lam2)
 
