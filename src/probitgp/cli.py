@@ -233,8 +233,12 @@ def _cmd_predict(args):
     nonfinite = np.flatnonzero(~np.isfinite(Xs).all(axis=1))
     if nonfinite.size:
         raise ValueError(f"{args.data}: non-finite standardized feature in row {nonfinite[0]}")
-    post = assemble(gram(artifact.features, artifact.theta, artifact.jitter), artifact.sites)
-    p_pos = ndtr(predictive_z(post, artifact.theta, artifact.features, Xs))
+    # the posterior is passed inline: predictive_z keeps only alpha and R of
+    # it, so K, V and chol_a are freed before scoring starts
+    p_pos = ndtr(predictive_z(
+        assemble(gram(artifact.features, artifact.theta, artifact.jitter), artifact.sites),
+        artifact.theta, artifact.features, Xs,
+    ))
     with open(args.out, "w") as handle:
         handle.write(f"# {_resolved_command(args)}\n")
         handle.write("row,p_positive,label\n")

@@ -2,8 +2,9 @@
 
 load_csv and read_feature_rows share one reader that walks the file once:
 feature cells are parsed as each row is read and stored in one flat float
-buffer, and only the label column's strings are kept, so memory holds no
-Python object per cell however many rows the file has.
+buffer, and only load_csv keeps the label column's strings.  However many
+rows the file has, memory holds no Python object per cell, and for
+read_feature_rows none per row.
 """
 
 import csv
@@ -140,9 +141,9 @@ def _csv_rows(path):
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_table(path, label_column, labelled):
+def _read_table(path, label_column, labelled, keep_labels=True):
     """(X, labels): the CSV's finite float features as an (n, d) array and
-    its label column's raw strings (empty unless labelled).
+    its label column's raw strings (empty unless labelled and keep_labels).
 
     One pass over csv.reader: each row's cells are parsed and dropped as it
     is read, so no per-cell Python object outlives its row; features go to
@@ -173,7 +174,9 @@ def _read_table(path, label_column, labelled):
         if error is not None:
             continue
         if idx is not None:
-            labels.append(row.pop(idx))
+            label = row.pop(idx)
+            if keep_labels:
+                labels.append(label)
         try:
             feats.extend(map(float, row))
         except ValueError:
@@ -209,7 +212,8 @@ def read_feature_rows(path, label_column=None):
     For unlabeled prediction inputs; labels (if present) are ignored, not
     validated.  Returns an (n, d) array of finite floats, n >= 1.
     """
-    return _read_table(path, label_column, labelled=label_column is not None)[0]
+    labelled = label_column is not None
+    return _read_table(path, label_column, labelled, keep_labels=False)[0]
 
 
 def feature_stats(train):

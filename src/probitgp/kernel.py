@@ -3,7 +3,13 @@
 The train-side Gram matrix carries the diagonal jitter that made it positive
 definite.  gram tests each jitter rung with a Cholesky factorization but does
 not keep the factor: the posterior assembly factors I + B^1/2 K B^1/2
-instead, and only AIS, which needs a factor of K itself, computes one.
+instead, and only AIS, which needs a factor of K itself, computes one.  The
+rungs are tried in the base kernel's own memory, only its diagonal rewritten
+per rung, so gram forms no identity and no second n x n matrix beyond the
+factorization's scratch copy.
+
+The Matern evaluation takes optional caller-owned buffers, so prediction can
+reuse one workspace for every block of test rows (posterior.predictive_z).
 """
 
 from dataclasses import dataclass
@@ -56,20 +62,22 @@ class GramMatrix:
         return self.K.shape[0]
 
 
-def _matern(dist, theta, overwrite=False):
+def _matern(dist, theta, overwrite=False, quad=None, out=None):
     """sig^2 ((1 + u + u*u/3) exp(-u)) with u = sqrt(5) dist / ell.
 
     The same operations in the same order as that expression, so the same
     bits, but in place: u takes dist's own memory when overwrite is set (the
     caller owns dist, as cross_gram owns its cdist output), else one new
-    array, and two more buffers hold the rest.  A scalar dist also works.
+    array, and two more buffers hold the rest: quad and out, new unless the
+    caller passes arrays of dist's shape.  The result is out.  A scalar dist
+    also works.
     """
     dist = np.asarray(dist, dtype=float)
     u = np.divide(dist, theta.lengthscale, out=dist if overwrite else np.empty_like(dist))
     u *= _SQRT5
-    quad = u * u
+    quad = np.multiply(u, u, out=quad)
     quad /= 3.0
-    out = u + 1.0
+    out = np.add(u, 1.0, out=out)
     out += quad
     del quad
     np.exp(np.negative(u, out=u), out=u)
@@ -78,13 +86,19 @@ def _matern(dist, theta, overwrite=False):
     return out
 
 
-def cross_gram(X, Z, theta):
-    """Covariance block between row sets: out[i, j] = k(X[i], Z[j]). No jitter."""
+def cross_gram(X, Z, theta, work=None):
+    """Covariance block between row sets: out[i, j] = k(X[i], Z[j]). No jitter.
+
+    work may pass three C-contiguous (len(X), len(Z)) float arrays, the
+    distance, scratch and output buffers; the block is then computed in
+    them, bitwise as in new arrays, and the output buffer is returned.
+    """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
         raise ValueError("expected 2-d inputs with matching column count")
-    return _matern(cdist(X, Z), theta, overwrite=True)
+    dist, quad, out = work or (None, None, None)
+    return _matern(cdist(X, Z, out=dist), theta, overwrite=True, quad=quad, out=out)
 
 
 def gram_grads(dist, theta, K, jitter=None):
@@ -134,10 +148,11 @@ def gram(X, theta, jitter=None, dist=None):
             ladder.append(rung)
         rung *= 10.0
 
-    base = _matern(cdist(X, X), theta, overwrite=True) if dist is None else _matern(dist, theta)
-    eye = np.eye(X.shape[0])
+    K = _matern(cdist(X, X), theta, overwrite=True) if dist is None else _matern(dist, theta)
+    diag = np.diag_indices_from(K)
+    base_diag = K[diag]  # a copy: each rung is base + j on the diagonal, as base + j I
     for j in ladder:
-        K = base + j * eye
+        K[diag] = base_diag + j
         try:
             cholesky(K, lower=True)  # the positive-definiteness test
         except np.linalg.LinAlgError:

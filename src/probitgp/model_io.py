@@ -13,6 +13,7 @@ import numpy as np
 
 from .kernel import Hyperparams
 from .posterior import Sites
+from .trainer import OBJECTIVES
 
 FORMAT_NAME = "probitgp-model"
 FORMAT_VERSION = 1
@@ -84,6 +85,19 @@ def save_model(path, artifact):
         _write_block(handle, "features", artifact.features)
 
 
+def _value(path, key, text, parse, expected, valid=lambda v: True):
+    """parse(text) for the model key; a value that does not parse or is not
+    valid is a ValueError naming the file and the key."""
+    try:
+        value = parse(text)
+    except ValueError:
+        pass
+    else:
+        if valid(value):
+            return value
+    raise ValueError(f"{path}: key {key!r} has invalid value {text!r} (expected {expected})")
+
+
 def load_model(path):
     keys = {}
     blocks = {}
@@ -96,12 +110,22 @@ def load_model(path):
         pos += 1
     if keys.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
-    if int(keys.get("version", "-1")) != FORMAT_VERSION:
+    if _value(path, "version", keys.get("version", "-1"), int, "an integer") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {keys.get('version')}")
     missing = [k for k in _KEYS if k not in keys]
     if missing:
         raise ValueError(f"{path}: missing keys {missing}")
-    n, d = int(keys["n"]), int(keys["d"])
+    objective = _value(path, "objective", keys["objective"], str, f"one of {OBJECTIVES}",
+                       lambda v: v in OBJECTIVES)
+    seed = _value(path, "seed", keys["seed"], int, "an integer")
+    n, d = (_value(path, k, keys[k], int, "an integer >= 0", lambda v: v >= 0) for k in ("n", "d"))
+    jitter = None if keys["jitter"] == "none" else _value(
+        path, "jitter", keys["jitter"], float, "none or a finite number", np.isfinite
+    )
+    theta = Hyperparams(*(
+        _value(path, k, keys[k], float, "a finite number", np.isfinite)
+        for k in ("log_lengthscale", "log_magnitude")
+    ))
     sizes = {
         "feature_mean": d, "feature_scale": d,
         "lambda1": n, "lambda2": n, "features": n * d,
@@ -121,7 +145,10 @@ def load_model(path):
         while len(values) < want:
             if pos >= len(lines):
                 raise ValueError(f"{path}: block {label!r} truncated")
-            values.extend(float(tok) for tok in lines[pos].split())
+            try:
+                values.extend(float(tok) for tok in lines[pos].split())
+            except ValueError:
+                raise ValueError(f"{path}: block {label!r} has a non-numeric value") from None
             pos += 1
         if len(values) != want:
             raise ValueError(f"{path}: block {label!r} has extra values")
@@ -129,13 +156,12 @@ def load_model(path):
     missing = [b for b in _BLOCKS if b not in blocks]
     if missing:
         raise ValueError(f"{path}: missing blocks {missing}")
-    jitter = None if keys["jitter"] == "none" else float(keys["jitter"])
     return ModelArtifact(
         name=keys["name"],
-        objective=keys["objective"],
-        seed=int(keys["seed"]),
+        objective=objective,
+        seed=seed,
         jitter=jitter,
-        theta=Hyperparams(float(keys["log_lengthscale"]), float(keys["log_magnitude"])),
+        theta=theta,
         sites=Sites(blocks["lambda1"], blocks["lambda2"]),
         feature_mean=blocks["feature_mean"],
         feature_scale=blocks["feature_scale"],

@@ -17,20 +17,28 @@ A GaussianPosterior carries the Gram matrix and the sites it was assembled
 from, so it is the one value the energies, the E-step, the M-step and
 prediction take: none of them is handed K or sites beside it.
 
+Assembly keeps at most three n x n arrays alive, its outputs included:
+B^1/2 K and A are built in Fortran order, LAPACK potrf factors A in its own
+memory (chol_a) and the triangular solve overwrites B^1/2 K with V.
+
 predictive_z, the one prediction path (GPML Alg. 3.2), scores test rows in
-blocks of PREDICT_BLOCK, so its memory does not grow with the row count.
-The variance needs V = L^-1 B^1/2 k* per block.  Rather than one
-triangular solve per block, each posterior keeps R = L^-1 B^1/2, built on
-first prediction by one LAPACK triangular inverse and a column scaling; a
-block then costs one triangular matrix product V' = k*' R' (BLAS trmm) on
-the transpose of the C-ordered block, which is Fortran-contiguous, plus
-the row sums of V' * V'.  trmm does not check for NaN or inf, so
-predictive_z checks each block's kernel values and latent_predict fails on
-a NaN variance.
+blocks of PREDICT_BLOCK in one workspace allocated per call, so its memory
+grows with neither the row count nor the block count.  The variance needs
+V = L^-1 B^1/2 k* per block.  Rather than one triangular solve per block,
+each posterior keeps R = L^-1 B^1/2, built on first prediction by one
+LAPACK triangular inverse and a column scaling; a block then costs one
+triangular matrix product V' = k*' R' (BLAS trmm), which predictive_z runs
+in place on the transpose of its C-ordered kernel buffer (Fortran-
+contiguous), plus the row sums of V' * V'.  Once it holds alpha and R,
+predictive_z drops its reference to the posterior, so a caller that passes
+one inline frees K, V and chol_a before the first block.  trmm does not
+check for NaN or inf, so predictive_z checks each block's kernel values
+and the variance check fails on a NaN.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -47,8 +55,9 @@ LAMBDA2_CEIL = -1e-10
 # predictive variances may round slightly negative; beyond this it is an error
 VAR_TOL = -1e-10
 
-# test rows per predictive_z block
-PREDICT_BLOCK = 1024
+# test rows per predictive_z block: at n = 614 training rows its three kernel
+# buffers take 3.8 MB
+PREDICT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -129,16 +138,18 @@ def assemble(K, sites):
     if sites.n != n:
         raise ValueError("site count must match the Gram matrix")
     sqrt_b = np.sqrt(-2.0 * sites.lam2)
-    bk = sqrt_b[:, None] * Km
-    A = bk * sqrt_b[None, :]
+    # Fortran order lets LAPACK work in place: chol_a takes A's memory and
+    # V takes bk's, so no n x n array besides these two is made
+    bk = np.multiply(sqrt_b[:, None], Km, order="F")
+    A = np.multiply(bk, sqrt_b[None, :], order="F")
     A += 0.0  # a zero site gives -0.0 entries; I + (...) made them +0.0
     A[np.diag_indices(n)] += 1.0
     try:
-        chol_a = cholesky(A, lower=True)  # also rejects non-finite sites
+        chol_a = cholesky(A, lower=True, overwrite_a=True)  # also rejects non-finite sites
     except np.linalg.LinAlgError as exc:  # B >= 0 makes this near-impossible
         raise FactorizationError("posterior factorization failed") from exc
     # chol_a and B^1/2 come from the A that cholesky has just checked
-    V = solve_triangular(chol_a, bk, lower=True, check_finite=False)
+    V = solve_triangular(chol_a, bk, lower=True, overwrite_b=True, check_finite=False)
     var = np.diag(Km) - np.einsum("ij,ij->j", V, V)
     k_lam = Km @ sites.lam1
     alpha = sites.lam1 - sqrt_b * cho_solve((chol_a, True), sqrt_b * k_lam, check_finite=False)
@@ -170,24 +181,26 @@ def elbo(post, y, quad_order=DEFAULT_QUAD_ORDER):
     return float(np.sum(e)) - prior_kl(post)
 
 
-def latent_predict(post, k_star, k_star_star_diag):
+def latent_predict(post, k_star, k_star_star_diag, overwrite_k_star=False):
     """Latent predictive moments at test points.
 
     k_star[i, j] = k(train_i, test_j); k_star_star_diag[j] = k(test_j, test_j).
+    post is a GaussianPosterior, or any object with its alpha and R.
     Returns MarginalMoments with aligned mean/var arrays; variances are clamped
     at zero, and one that is NaN or below -1e-10 beforehand raises (trmm does
-    not check its input, so a non-finite k_star shows up here).  k_star is not
-    written to: V' = k_star' R' goes to a fresh array.
+    not check its input, so a non-finite k_star shows up here).  V' =
+    k_star' R' goes to a fresh array unless overwrite_k_star is set; f2py's
+    overwrite_b writes even into a read-only array, so only a caller that
+    owns a C-contiguous k_star may set it.
     """
     k_star = np.asarray(k_star, dtype=float)
     k_ss = np.asarray(k_star_star_diag, dtype=float)
-    if k_star.ndim != 2 or k_star.shape[0] != post.m.size:
+    if k_star.ndim != 2 or k_star.shape[0] != post.alpha.size:
         raise ValueError("k_star must be (n_train, n_test)")
     if k_ss.shape != (k_star.shape[1],):
         raise ValueError("k_star_star_diag must align with k_star columns")
     mean = k_star.T @ post.alpha
-    # overwrite_b would write even into a read-only k_star, so trmm copies it
-    Vt = dtrmm(1.0, post.R, k_star.T, side=1, lower=1, trans_a=1)
+    Vt = dtrmm(1.0, post.R, k_star.T, side=1, lower=1, trans_a=1, overwrite_b=overwrite_k_star)
     var = k_ss - np.einsum("ij,ij->i", Vt, Vt)
     if not np.all(var >= VAR_TOL):  # NaN fails this too
         raise NumericsError("predictive variance is not finite or fell below tolerance")
@@ -195,23 +208,42 @@ def latent_predict(post, k_star, k_star_star_diag):
     return MarginalMoments(mean=mean, var=var)
 
 
+class _Scoring(NamedTuple):
+    """What prediction reads of a posterior."""
+
+    alpha: np.ndarray
+    R: np.ndarray
+
+
 def predictive_z(post, theta, X_train, X_test):
     """z = E[f*] / sqrt(1 + Var[f*]) per test row, so p(y* | x*) = Phi(y* z).
 
-    post is the posterior at the training rows X_train under theta.  Rows go
-    through cross_gram and latent_predict PREDICT_BLOCK at a time.  A row
-    whose kernel values are not finite (a squared distance that overflows)
-    is a ValueError that names it.
+    post is the posterior at the training rows X_train under theta; only
+    its alpha and R are kept, so the posterior itself is freed here unless
+    the caller still holds it.  Rows go through cross_gram and
+    latent_predict PREDICT_BLOCK at a time, in one workspace: each block,
+    the last one too, is the first n * w entries of flat buffers, reshaped
+    to C-contiguous (n, w) arrays.  A row whose kernel values are not
+    finite (a squared distance that overflows) is a ValueError that names
+    it.
     """
-    z = np.empty(X_test.shape[0])
-    for start in range(0, z.size, PREDICT_BLOCK):
+    post = _Scoring(post.alpha, post.R)
+    n, rows = X_train.shape[0], X_test.shape[0]
+    z = np.empty(rows)
+    width = min(PREDICT_BLOCK, rows)
+    flat = [np.empty(n * width) for _ in range(3)]  # distances / u, scratch, kernel
+    finite = np.empty(n * width, dtype=bool)
+    k_ss = np.full(width, theta.magnitude ** 2)
+    for start in range(0, rows, PREDICT_BLOCK):
         block = X_test[start:start + PREDICT_BLOCK]
+        w = block.shape[0]
+        work = [buf[:n * w].reshape(n, w) for buf in flat]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by row
-            k_star = cross_gram(X_train, block, theta)
-        bad = np.flatnonzero(~np.isfinite(k_star).all(axis=0))
+            k_star = cross_gram(X_train, block, theta, work)
+        ok = np.isfinite(k_star, out=finite[:n * w].reshape(n, w)).all(axis=0)
+        bad = np.flatnonzero(~ok)
         if bad.size:
             raise ValueError(f"test row {start + bad[0]}: kernel values are not finite")
-        k_ss = np.full(block.shape[0], theta.magnitude ** 2)
-        mm = latent_predict(post, k_star, k_ss)
-        z[start:start + block.shape[0]] = mm.mean / np.sqrt(1.0 + mm.var)
+        mm = latent_predict(post, k_star, k_ss[:w], overwrite_k_star=True)
+        z[start:start + w] = mm.mean / np.sqrt(1.0 + mm.var)
     return z

@@ -308,6 +308,29 @@ def assemble_reference(K, sites):
     )
 
 
+def assemble_in_new_arrays(K, sites):
+    """posterior.assemble as it was before it worked in place: B^1/2 K and A
+    in C order, cholesky's copy of A and solve_triangular's copy of B^1/2 K.
+    Returns a namespace with the fields GaussianPosterior computes."""
+    Km = K.K
+    n = Km.shape[0]
+    sqrt_b = np.sqrt(-2.0 * sites.lam2)
+    bk = sqrt_b[:, None] * Km
+    A = bk * sqrt_b[None, :]
+    A += 0.0
+    A[np.diag_indices(n)] += 1.0
+    chol_a = cholesky(A, lower=True)
+    V = solve_triangular(chol_a, bk, lower=True, check_finite=False)
+    var = np.diag(Km) - np.einsum("ij,ij->j", V, V)
+    k_lam = Km @ sites.lam1
+    alpha = sites.lam1 - sqrt_b * cho_solve((chol_a, True), sqrt_b * k_lam, check_finite=False)
+    m = Km @ alpha
+    log_det_ikb = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
+    return SimpleNamespace(
+        m=m, var=var, alpha=alpha, sqrt_b=sqrt_b, chol_a=chol_a, log_det_ikb=log_det_ikb, V=V
+    )
+
+
 def prior_kl_reference(post):
     """KL( N(m, S) || N(0, K) ) with tr(A^-1) from an explicit triangular
     inverse of chol_a, as it was computed before the Woodbury trace."""

@@ -187,6 +187,37 @@ class TestPredict:
         assert str(model) in err and f"missing keys ['{key}']" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("line", ["seed=x", "n=x", "objective=zzz"])
+    def test_model_with_a_bad_key_value_is_usage_error(self, tmp_path, capsys, line):
+        """A key= line whose value does not parse, or an objective the trainer
+        does not know, exits 1 naming the file and the key, with no output."""
+        data, model, _ = self.fitted(tmp_path, seed=6)
+        key = line.partition("=")[0]
+        lines = [line if old.startswith(f"{key}=") else old
+                 for old in model.read_text().splitlines()]
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model), "--data", str(data),
+                    "--label", "last", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(model) in err and f"key '{key}'" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_model_with_a_bad_block_value_names_the_block(self, tmp_path, capsys):
+        data, model, _ = self.fitted(tmp_path, seed=6)
+        lines = model.read_text().splitlines()
+        row = lines.index("lambda1:") + 1
+        lines[row] = " ".join(["x"] + lines[row].split()[1:])
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model), "--data", str(data),
+                    "--label", "last", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(model) in err and "'lambda1'" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_feature_count_mismatch_is_usage_error(self, tmp_path, capsys):
         _, model, _ = self.fitted(tmp_path, seed=5)
         bad = tmp_path / "bad.csv"

@@ -15,7 +15,9 @@ import helpers
 from probitgp import Hyperparams, Sites, assemble, e_step, gram, predictive_z
 from probitgp.posterior import LAMBDA2_CEIL, PREDICT_BLOCK
 
-ROW_COUNTS = (1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 3 * PREDICT_BLOCK)
+# one row, one block, a block and a one-row tail, three blocks; and fixed
+# counts that cross several block edges whatever PREDICT_BLOCK is
+ROW_COUNTS = tuple(sorted({1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 3 * PREDICT_BLOCK, 1024, 1025, 3072}))
 SITE_KINDS = ("zero", "ceiling", "e_step")
 RTOL = 1e-13
 
