@@ -20,7 +20,7 @@ from .errors import NumericsError
 from .harness import METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep
 from .kernel import Hyperparams, gram
 from .model_io import ModelArtifact, load_model, save_model
-from .posterior import assemble, predictive_z
+from .posterior import ScoringState, assemble, predictive_z
 from .trainer import TrainConfig, fit as train_fit
 
 EXIT_OK = 0
@@ -233,12 +233,11 @@ def _cmd_predict(args):
     nonfinite = np.flatnonzero(~np.isfinite(Xs).all(axis=1))
     if nonfinite.size:
         raise ValueError(f"{args.data}: non-finite standardized feature in row {nonfinite[0]}")
-    # the posterior is passed inline: predictive_z keeps only alpha and R of
-    # it, so K, V and chol_a are freed before scoring starts
-    p_pos = ndtr(predictive_z(
-        assemble(gram(artifact.features, artifact.theta, artifact.jitter), artifact.sites),
-        artifact.theta, artifact.features, Xs,
-    ))
+    post = assemble(gram(artifact.features, artifact.theta, artifact.jitter), artifact.sites)
+    # scoring reads only alpha and R: keeping just those frees K, V and
+    # chol_a before the first block
+    post = ScoringState(post.alpha, post.R)
+    p_pos = ndtr(predictive_z(post, artifact.theta, artifact.features, Xs))
     with open(args.out, "w") as handle:
         handle.write(f"# {_resolved_command(args)}\n")
         handle.write("row,p_positive,label\n")

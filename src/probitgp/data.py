@@ -212,8 +212,7 @@ def read_feature_rows(path, label_column=None):
     For unlabeled prediction inputs; labels (if present) are ignored, not
     validated.  Returns an (n, d) array of finite floats, n >= 1.
     """
-    labelled = label_column is not None
-    return _read_table(path, label_column, labelled, keep_labels=False)[0]
+    return _read_table(path, label_column, labelled=label_column is not None, keep_labels=False)[0]
 
 
 def feature_stats(train):

@@ -27,18 +27,17 @@ grows with neither the row count nor the block count.  The variance needs
 V = L^-1 B^1/2 k* per block.  Rather than one triangular solve per block,
 each posterior keeps R = L^-1 B^1/2, built on first prediction by one
 LAPACK triangular inverse and a column scaling; a block then costs one
-triangular matrix product V' = k*' R' (BLAS trmm), which predictive_z runs
-in place on the transpose of its C-ordered kernel buffer (Fortran-
-contiguous), plus the row sums of V' * V'.  Once it holds alpha and R,
-predictive_z drops its reference to the posterior, so a caller that passes
-one inline frees K, V and chol_a before the first block.  trmm does not
-check for NaN or inf, so predictive_z checks each block's kernel values
-and the variance check fails on a NaN.
+triangular matrix product V' = k*' R' (BLAS trmm) on the transpose of the
+C-ordered block, which is Fortran-contiguous, plus the row sums of
+V' * V'.  Prediction reads only alpha and R, so it also takes a
+ScoringState holding just those: a caller that keeps that instead of the
+posterior frees K, V and chol_a before it scores.  trmm does not check for
+NaN or inf, so predictive_z checks each block's kernel values and
+latent_predict fails on a NaN variance.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -181,17 +180,27 @@ def elbo(post, y, quad_order=DEFAULT_QUAD_ORDER):
     return float(np.sum(e)) - prior_kl(post)
 
 
-def latent_predict(post, k_star, k_star_star_diag, overwrite_k_star=False):
+@dataclass(frozen=True)
+class ScoringState:
+    """What prediction reads of a GaussianPosterior: alpha and R.
+
+    A caller that keeps only these, and not the posterior, lets K, V and
+    chol_a be freed while it scores.
+    """
+
+    alpha: np.ndarray
+    R: np.ndarray
+
+
+def latent_predict(post, k_star, k_star_star_diag):
     """Latent predictive moments at test points.
 
     k_star[i, j] = k(train_i, test_j); k_star_star_diag[j] = k(test_j, test_j).
-    post is a GaussianPosterior, or any object with its alpha and R.
+    post is a GaussianPosterior or its ScoringState.
     Returns MarginalMoments with aligned mean/var arrays; variances are clamped
     at zero, and one that is NaN or below -1e-10 beforehand raises (trmm does
-    not check its input, so a non-finite k_star shows up here).  V' =
-    k_star' R' goes to a fresh array unless overwrite_k_star is set; f2py's
-    overwrite_b writes even into a read-only array, so only a caller that
-    owns a C-contiguous k_star may set it.
+    not check its input, so a non-finite k_star shows up here).  k_star is not
+    written to: V' = k_star' R' goes to a fresh array.
     """
     k_star = np.asarray(k_star, dtype=float)
     k_ss = np.asarray(k_star_star_diag, dtype=float)
@@ -200,7 +209,8 @@ def latent_predict(post, k_star, k_star_star_diag, overwrite_k_star=False):
     if k_ss.shape != (k_star.shape[1],):
         raise ValueError("k_star_star_diag must align with k_star columns")
     mean = k_star.T @ post.alpha
-    Vt = dtrmm(1.0, post.R, k_star.T, side=1, lower=1, trans_a=1, overwrite_b=overwrite_k_star)
+    # overwrite_b would write even into a read-only k_star, so trmm copies it
+    Vt = dtrmm(1.0, post.R, k_star.T, side=1, lower=1, trans_a=1)
     var = k_ss - np.einsum("ij,ij->i", Vt, Vt)
     if not np.all(var >= VAR_TOL):  # NaN fails this too
         raise NumericsError("predictive variance is not finite or fell below tolerance")
@@ -208,26 +218,16 @@ def latent_predict(post, k_star, k_star_star_diag, overwrite_k_star=False):
     return MarginalMoments(mean=mean, var=var)
 
 
-class _Scoring(NamedTuple):
-    """What prediction reads of a posterior."""
-
-    alpha: np.ndarray
-    R: np.ndarray
-
-
 def predictive_z(post, theta, X_train, X_test):
     """z = E[f*] / sqrt(1 + Var[f*]) per test row, so p(y* | x*) = Phi(y* z).
 
-    post is the posterior at the training rows X_train under theta; only
-    its alpha and R are kept, so the posterior itself is freed here unless
-    the caller still holds it.  Rows go through cross_gram and
-    latent_predict PREDICT_BLOCK at a time, in one workspace: each block,
-    the last one too, is the first n * w entries of flat buffers, reshaped
-    to C-contiguous (n, w) arrays.  A row whose kernel values are not
-    finite (a squared distance that overflows) is a ValueError that names
-    it.
+    post is the posterior at the training rows X_train under theta, or its
+    ScoringState.  Rows go through cross_gram and latent_predict
+    PREDICT_BLOCK at a time, in one workspace: each block, the last one
+    too, is the first n * w entries of flat buffers, reshaped to
+    C-contiguous (n, w) arrays.  A row whose kernel values are not finite
+    (a squared distance that overflows) is a ValueError that names it.
     """
-    post = _Scoring(post.alpha, post.R)
     n, rows = X_train.shape[0], X_test.shape[0]
     z = np.empty(rows)
     width = min(PREDICT_BLOCK, rows)
@@ -244,6 +244,6 @@ def predictive_z(post, theta, X_train, X_test):
         bad = np.flatnonzero(~ok)
         if bad.size:
             raise ValueError(f"test row {start + bad[0]}: kernel values are not finite")
-        mm = latent_predict(post, k_star, k_ss[:w], overwrite_k_star=True)
+        mm = latent_predict(post, k_star, k_ss[:w])
         z[start:start + w] = mm.mean / np.sqrt(1.0 + mm.var)
     return z

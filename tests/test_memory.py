@@ -3,12 +3,12 @@
 tracemalloc sees every numpy buffer, so its peak over a call is the most
 memory the call held at once (BLAS's own scratch aside).  The bounds:
 predictive_z scores in one workspace per call, so its peak does not grow
-with the number of blocks, and once it holds alpha and R the posterior it
-was handed is freed; assemble keeps at most three n x n arrays alive, its
-outputs V and chol_a included; gram forms no identity, so its peak is the
-three n x n buffers of the Matern evaluation; read_feature_rows keeps no
-label strings.  Where the code works in place, it must give the same bits
-as the former expressions.
+with the number of blocks, and predict scores holding alpha and R only,
+so the posterior it assembled is freed first; assemble keeps at most three
+n x n arrays alive, its outputs V and chol_a included; gram forms no
+identity, so its peak is the three n x n buffers of the Matern evaluation;
+read_feature_rows keeps no label strings.  Where the code works in place,
+it must give the same bits as the former expressions.
 """
 
 import tracemalloc
@@ -20,7 +20,8 @@ from scipy.spatial.distance import cdist
 
 import helpers
 from probitgp import Hyperparams, Sites, assemble, gram, posterior, predictive_z, read_feature_rows
-from probitgp.posterior import PREDICT_BLOCK
+from probitgp.posterior import PREDICT_BLOCK, ScoringState
+import probitgp.cli as cli
 
 N = 300
 NN_BYTES = N * N * 8
@@ -52,31 +53,47 @@ def test_scoring_peak_does_not_grow_with_the_block_count():
     z_one, one = peak_bytes(predictive_z, post, theta, X, X_test[:PREDICT_BLOCK])
     z_all, eight = peak_bytes(predictive_z, post, theta, X, X_test)
     assert eight <= 1.1 * one, (one, eight)
-    # three kernel buffers and a mask; trmm writes V' over the kernel values
-    assert one <= 3.25 * N * PREDICT_BLOCK * 8, one / (N * PREDICT_BLOCK * 8)
+    # three kernel buffers, a mask and trmm's copy of the kernel values
+    assert one <= 4.25 * N * PREDICT_BLOCK * 8, one / (N * PREDICT_BLOCK * 8)
     assert np.array_equal(z_one, z_all[:PREDICT_BLOCK])
 
 
-def test_scoring_frees_a_posterior_passed_inline(monkeypatch):
-    """With the only reference handed to predictive_z, the posterior and its
-    Gram matrix are gone before the first block's kernel is computed."""
+def test_scoring_state_scores_as_the_posterior():
     K, sites, theta, X, X_test = scoring_instance(40, PREDICT_BLOCK + 3, seed=1)
     post = assemble(K, sites)
-    expected = helpers.predict_reference(post, theta, X, X_test[:PREDICT_BLOCK])
-    refs = (weakref.ref(post), weakref.ref(K))
-    alive = []
-    real_cross_gram = posterior.cross_gram
+    z = predictive_z(ScoringState(post.alpha, post.R), theta, X, X_test)
+    assert np.array_equal(z, predictive_z(post, theta, X, X_test))
 
-    def spy(*args, **kwargs):
+
+def test_predict_frees_the_posterior_before_scoring(tmp_path, monkeypatch):
+    """The posterior predict assembles, and its Gram matrix, are gone before
+    the first block's kernel is computed: scoring holds alpha and R only."""
+    ds = helpers.make_blobs(18, 2, 0)
+    train, score, model = tmp_path / "train.csv", tmp_path / "score.csv", tmp_path / "m.model"
+    train.write_text("".join(f"{a!r},{b!r},{int(y)}\n" for (a, b), y in zip(ds.X.tolist(), ds.y)))
+    rows = np.random.default_rng(1).standard_normal((PREDICT_BLOCK + 3, 2))
+    score.write_text("".join(f"{a!r},{b!r}\n" for a, b in rows.tolist()))
+    assert cli.run(["fit", "--data", str(train), "--out", str(model),
+                    "--e-iters", "8", "--m-iters", "1", "--rounds", "2"]) == 0
+    refs, alive = [], []
+    real_assemble, real_cross_gram = cli.assemble, posterior.cross_gram
+
+    def assemble_spy(K, sites):
+        post = real_assemble(K, sites)
+        refs.extend((weakref.ref(post), weakref.ref(post.K)))
+        return post
+
+    def cross_gram_spy(*args, **kwargs):
         alive.append([ref() is not None for ref in refs])
         return real_cross_gram(*args, **kwargs)
 
-    monkeypatch.setattr(posterior, "cross_gram", spy)
-    handed = [post]
-    del post, K
-    z = predictive_z(handed.pop(), theta, X, X_test)
+    monkeypatch.setattr(cli, "assemble", assemble_spy)
+    monkeypatch.setattr(posterior, "cross_gram", cross_gram_spy)
+    out = tmp_path / "pred.csv"
+    assert cli.run(["predict", "--model", str(model), "--data", str(score),
+                    "--label", "none", "--out", str(out)]) == 0
     assert alive == [[False, False], [False, False]]
-    assert np.array_equal(z[:PREDICT_BLOCK], expected)
+    assert len(out.read_text().splitlines()) == 2 + rows.shape[0]
 
 
 def test_assemble_keeps_at_most_three_square_arrays():
