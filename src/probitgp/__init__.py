@@ -34,13 +34,7 @@ from .harness import (
     paired_t_test,
 )
 from .kernel import GramMatrix, Hyperparams, cross_gram, gram
-from .likelihood import (
-    ExpectationStats,
-    MarginalMoments,
-    ep_tilted_moments,
-    expectation_stats,
-    expected_loglik,
-)
+from .likelihood import MarginalMoments, ep_tilted_moments, expectation_stats
 from .model_io import ModelArtifact, load_model, save_model
 from .posterior import (
     GaussianPosterior,
@@ -52,7 +46,7 @@ from .posterior import (
     predictive_z,
     prior_kl,
 )
-from .trainer import TrainConfig, TrainResult, fit, objective_value
+from .trainer import TrainConfig, TrainResult, fit
 
 __version__ = "0.1.0"
 
@@ -66,11 +60,10 @@ __all__ = [
     "CvReport", "GridSpec", "SurfaceRecord", "SweepConfig",
     "cross_validate", "grid_sweep", "paired_t_test",
     "GramMatrix", "Hyperparams", "cross_gram", "gram",
-    "ExpectationStats", "MarginalMoments", "ep_tilted_moments",
-    "expectation_stats", "expected_loglik",
+    "MarginalMoments", "ep_tilted_moments", "expectation_stats",
     "ModelArtifact", "load_model", "save_model",
     "GaussianPosterior", "Sites", "assemble", "elbo", "ep_like_energy",
     "latent_predict", "predictive_z", "prior_kl",
-    "TrainConfig", "TrainResult", "fit", "objective_value",
+    "TrainConfig", "TrainResult", "fit",
     "__version__",
 ]

@@ -1,14 +1,14 @@
 """Annealed importance sampling along a tempered-likelihood path.
 
-The bridge at step t is p(f) p(y|f)^tau(t) with tau(t) = (t/steps)^power, so
-the log marginal likelihood telescopes into sum_t (tau(t) - tau(t-1)) times
-the log likelihood of a state advanced by one elliptical slice transition
-targeting the previous bridge.  ess_step takes that temperature and returns
-the untempered log likelihood of the state it accepts.  ais_lml factors
-K = L L^T itself: it is the only reader of a factor of the prior covariance,
-so the Gram matrix does not keep one.  Chains run in g = y * f with prior
-factor diag(y) L: for labels +-1 that is the same chain bit for bit, one
-multiply per proposal cheaper.  Repeats run independent chains on seeds
+The bridge at step t is p(f) p(y|f)^tau(t) on the quartic schedule
+tau(t) = (t/steps)^4, so the log marginal likelihood telescopes into
+sum_t (tau(t) - tau(t-1)) times the log likelihood of a state advanced by
+one elliptical slice transition targeting the previous bridge.  ess_step
+takes that temperature and returns the untempered log likelihood of the
+state it accepts.  ais_lml factors K = L L^T itself: it is the only reader
+of a factor of the prior covariance, so the Gram matrix does not keep one.
+Chains run in g = y * f with prior factor diag(y) L, which for labels +-1
+is the chain in f, bit for bit.  Repeats run independent chains on seeds
 seed, seed+1, ... and are combined by the mean of their log estimates.
 Everything is a pure function of the config, so estimates are reproducible
 bit for bit.
@@ -25,7 +25,6 @@ from .errors import NumericsError
 
 DEFAULT_STEPS = 8000
 DEFAULT_REPEATS = 3
-DEFAULT_POWER = 4.0
 
 _TWO_PI = 2.0 * np.pi
 _MAX_SHRINK = 1000
@@ -36,15 +35,12 @@ class AisConfig:
     steps: int = DEFAULT_STEPS
     repeats: int = DEFAULT_REPEATS
     seed: int = 0
-    schedule_power: float = DEFAULT_POWER
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if not self.schedule_power > 0:
-            raise ValueError("schedule power must be > 0")
 
 
 @dataclass(frozen=True)
@@ -53,11 +49,11 @@ class AisEstimate:
     per_repeat: np.ndarray
 
 
-def temperature(t, steps, power=DEFAULT_POWER):
-    """Annealing exponent tau(t) = (t/steps)^power, with tau(0)=0, tau(steps)=1."""
+def temperature(t, steps):
+    """Annealing exponent tau(t) = (t/steps)^4, with tau(0)=0, tau(steps)=1."""
     if not 0 <= t <= steps:
         raise ValueError("step index out of range")
-    return float((t / steps) ** power)
+    return float((t / steps) ** 4.0)
 
 
 def ess_step(f, loglik, prior_chol, rng, cur_loglik=None, tau=1.0):
@@ -102,7 +98,7 @@ def ais_lml(K, y, cfg):
     def loglik(g):
         return float(np.add.reduce(log_ndtr(g)))  # np.sum's reduction, minus its wrapper
 
-    taus = [temperature(t, cfg.steps, cfg.schedule_power) for t in range(cfg.steps + 1)]
+    taus = [temperature(t, cfg.steps) for t in range(cfg.steps + 1)]
     per_repeat = np.empty(cfg.repeats)
     for r in range(cfg.repeats):
         rng = np.random.default_rng(cfg.seed + r)

@@ -17,11 +17,11 @@ from scipy.special import ndtr
 from .ais import AisConfig, ais_lml
 from .data import feature_stats, load_csv, make_folds, fold_datasets, read_feature_rows, standardize
 from .errors import NumericsError
-from .harness import METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep
+from .harness import METHODS, TRAINABLE_METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep
 from .kernel import Hyperparams, gram
 from .model_io import ModelArtifact, load_model, save_model
 from .posterior import ScoringState, assemble, predictive_z
-from .trainer import TrainConfig, fit as train_fit
+from .trainer import OBJECTIVES, TrainConfig, fit as train_fit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,8 +64,7 @@ _SPECS = {
         ("--data", dict(required=True, help="training CSV")),
         ("--label", dict(default="last", help="label column: name, index, or 'last'")),
         ("--out", dict(required=True, help="model artifact path (trace CSV beside it)")),
-        ("--seed", dict(type=int, default=0)),
-        ("--objective", dict(choices=("elbo", "ep_like"), default="elbo")),
+        ("--objective", dict(choices=OBJECTIVES, default="elbo")),
         ("--log-lengthscale", dict(type=float, default=0.0, help="initial log lengthscale")),
         ("--log-magnitude", dict(type=float, default=0.0, help="initial log magnitude")),
         ("--e-iters", dict(type=int, default=20)),
@@ -189,8 +188,8 @@ def _cmd_fit(args):
     result = train_fit(train, _train_config(args, args.objective))
     mean, scale = feature_stats(dataset)
     artifact = ModelArtifact(
-        name=dataset.name, objective=args.objective, seed=args.seed,
-        jitter=args.jitter, theta=result.theta, sites=result.sites,
+        name=dataset.name, objective=args.objective, jitter=args.jitter,
+        theta=result.theta, sites=result.sites,
         feature_mean=mean, feature_scale=scale, features=train.X,
     )
     save_model(args.out, artifact)
@@ -275,7 +274,7 @@ def _cmd_grid(args):
 
 
 def _cmd_cv(args):
-    methods = _parse_methods(args.methods, ("vi", "ours"))
+    methods = _parse_methods(args.methods, TRAINABLE_METHODS)
     dataset = load_csv(args.data, args.label)
     report = cross_validate(
         dataset, 5, methods, _train_config(args), args.seed, jobs=args.jobs

@@ -17,20 +17,13 @@ import logging
 
 import numpy as np
 
-from .likelihood import DEFAULT_QUAD_ORDER, expectation_stats
+from .likelihood import expectation_stats
 from .posterior import LAMBDA2_CEIL, Sites, assemble, prior_kl
 
 logger = logging.getLogger(__name__)
 
 
-def e_step(
-    post,
-    y,
-    step_size=0.1,
-    iters=20,
-    quad_order=DEFAULT_QUAD_ORDER,
-    loglik_stats=None,
-):
+def e_step(post, y, step_size=0.1, iters=20):
     """Run `iters` synchronous natural-gradient updates from post.sites under post.K.
 
     Returns (sites, trace, post): trace[k] is the ELBO after k updates
@@ -45,12 +38,7 @@ def e_step(
     if iters < 0:
         raise ValueError("iteration count must be >= 0")
 
-    def stats(post):
-        if loglik_stats is None:
-            return expectation_stats(y, post.m, post.var, quad_order=quad_order)
-        return loglik_stats(y, post.m, post.var)
-
-    e, g_m, g_v = stats(post)
+    e, g_m, g_v = expectation_stats(y, post.m, post.var)
     trace = [float(np.sum(e)) - prior_kl(post)]
     for it in range(iters):
         sites = post.sites
@@ -58,7 +46,7 @@ def e_step(
         lam2 = (1.0 - step_size) * sites.lam2 + step_size * g_v
         lam2 = np.minimum(lam2, LAMBDA2_CEIL)
         new_post = assemble(post.K, Sites(lam1, lam2))
-        e, g_m, g_v = stats(new_post)
+        e, g_m, g_v = expectation_stats(y, new_post.m, new_post.var)
         value = float(np.sum(e)) - prior_kl(new_post)
         if not np.isfinite(value):
             logger.warning("E-step diverged at iteration %d; keeping last finite state", it + 1)

@@ -1,12 +1,14 @@
 """Classic expectation propagation with scaled Gaussian sites.
 
-Sequential sweeps in index order: form the cavity by natural-parameter
-subtraction, moment-match against the closed-form tilted distribution, damp
-the site move in natural parameters, rank-one-update the posterior, and
-re-factorize once per sweep to kill accumulated drift.  Each site also keeps
-a log scale chosen so the scaled site integrates the tilted evidence against
-its cavity; summing those scales on top of the unnormalized-site energy
-recovers the standard EP marginal-likelihood approximation.
+Sequential sweeps in index order, at most SWEEPS of them: form the cavity
+by natural-parameter subtraction, moment-match against the closed-form
+tilted distribution, damp the site move in natural parameters by the fixed
+DAMPING, rank-one-update the posterior, and re-factorize once per sweep to
+kill accumulated drift.  Only the convergence tolerance is an argument.
+Each site also keeps a log scale chosen so the scaled site integrates the
+tilted evidence against its cavity; summing those scales on top of the
+unnormalized-site energy recovers the standard EP marginal-likelihood
+approximation.
 """
 
 import logging
@@ -20,8 +22,8 @@ from .posterior import LAMBDA2_CEIL, Sites, assemble, ep_like_energy
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SWEEPS = 100
-DEFAULT_DAMPING = 0.9
+SWEEPS = 100
+DAMPING = 0.9
 CONVERGENCE_TOL = 1e-6
 
 
@@ -58,7 +60,7 @@ def _log_gauss_site_integral(mean, var, lam1, lam2):
     return 0.5 * (np.log(rho) - np.log(rho_new)) - 0.5 * mean * mean * rho + 0.5 * shift * shift / rho_new
 
 
-def ep_inference(K, y, sweeps=DEFAULT_SWEEPS, damping=DEFAULT_DAMPING, tol=CONVERGENCE_TOL):
+def ep_inference(K, y, tol=CONVERGENCE_TOL):
     """Run EP from zero sites; returns (EpSites, GaussianPosterior, converged).
 
     converged means the largest natural-parameter change in the final sweep
@@ -67,10 +69,6 @@ def ep_inference(K, y, sweeps=DEFAULT_SWEEPS, damping=DEFAULT_DAMPING, tol=CONVE
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    if sweeps < 1:
-        raise ValueError("sweep count must be >= 1")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
 
     lam1 = np.zeros(n)
     lam2 = np.zeros(n)
@@ -81,7 +79,7 @@ def ep_inference(K, y, sweeps=DEFAULT_SWEEPS, damping=DEFAULT_DAMPING, tol=CONVE
 
     converged = False
     skipped_total = 0
-    for sweep in range(sweeps):
+    for _ in range(SWEEPS):
         max_delta = 0.0
         skipped = 0
         for i in range(n):
@@ -97,8 +95,8 @@ def ep_inference(K, y, sweeps=DEFAULT_SWEEPS, damping=DEFAULT_DAMPING, tol=CONVE
             log_z, tilted = ep_tilted_moments(y[i], cav)
             tau_new = 1.0 / tilted.var - cav_rho
             nu_new = tilted.mean / tilted.var - cav_gam
-            tau_d = max((1.0 - damping) * tau + damping * tau_new, -2.0 * LAMBDA2_CEIL)
-            nu_d = (1.0 - damping) * nu + damping * nu_new
+            tau_d = max((1.0 - DAMPING) * tau + DAMPING * tau_new, -2.0 * LAMBDA2_CEIL)
+            nu_d = (1.0 - DAMPING) * nu + DAMPING * nu_new
             d_tau = tau_d - tau
             d_nu = nu_d - nu
             lam1[i] = nu_d

@@ -20,14 +20,14 @@ from .data import Dataset, fold_datasets, make_folds, standardize
 from .ep import ep_energy, ep_inference
 from .errors import NumericsError
 from .kernel import Hyperparams, gram
-from .likelihood import DEFAULT_QUAD_ORDER
 from .posterior import Sites, assemble, elbo, ep_like_energy, predictive_z
 from .trainer import fit, fit_start
 
 logger = logging.getLogger(__name__)
 
 METHODS = ("vi", "ours", "ep", "mcmc")
-TRAINABLE_METHODS = ("vi", "ours")
+OBJECTIVE_OF = {"vi": "elbo", "ours": "ep_like"}  # each trainable method's learning objective
+TRAINABLE_METHODS = tuple(OBJECTIVE_OF)
 
 SURFACE_E_ITERS = 200
 
@@ -62,7 +62,6 @@ class SweepConfig:
     e_step_size: float = 0.1
     ais_steps: int = 8000
     ais_repeats: int = 3
-    quad_order: int = DEFAULT_QUAD_ORDER
     jitter: float | None = None
     seed: int = 0
 
@@ -120,12 +119,11 @@ def _sweep_cell(args):
     if "vi" in methods or "ours" in methods:
         try:
             _, _, post = e_step(
-                assemble(K, Sites.zeros(n)), y_train,
-                step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
+                assemble(K, Sites.zeros(n)), y_train, step_size=cfg.e_step_size, iters=cfg.e_iters
             )
             lpd = _mean_lpd(post, theta, X_train, X_test, y_test)
             if "vi" in methods:
-                records["vi"] = (elbo(post, y_train, quad_order=cfg.quad_order) / n, lpd)
+                records["vi"] = (elbo(post, y_train) / n, lpd)
             if "ours" in methods:
                 records["ours"] = (ep_like_energy(post) / n, lpd)
         except (NumericsError, np.linalg.LinAlgError) as exc:
@@ -198,8 +196,7 @@ def _cv_task(args):
     start = fit_start(train, cfg)  # the objective does not enter the E-step
     scores = []
     for method in methods:
-        objective = "elbo" if method == "vi" else "ep_like"
-        result = fit(train, replace(cfg, objective=objective), start=start)
+        result = fit(train, replace(cfg, objective=OBJECTIVE_OF[method]), start=start)
         z = predictive_z(result.posterior, result.theta, train.X, test.X)
         del result  # its posterior need not outlive scoring into the next fit
         predicted = np.where(ndtr(z) >= 0.5, 1.0, -1.0)

@@ -1,8 +1,9 @@
 """Probit Bernoulli likelihood for labels in {-1, +1}.
 
-Gaussian expectations of the log-likelihood log Phi(y f) (Gauss-Hermite)
-and the closed-form tilted moments used by EP.  All cumulative-normal work
-goes through log_ndtr so nothing underflows for |f| well past 30.
+Gaussian expectations of the log-likelihood log Phi(y f) by Gauss-Hermite
+quadrature of the one order QUAD_ORDER, and the closed-form tilted moments
+used by EP.  All cumulative-normal work goes through log_ndtr so nothing
+underflows for |f| well past 30.
 """
 
 from typing import NamedTuple
@@ -10,11 +11,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import log_ndtr
 
-DEFAULT_QUAD_ORDER = 50
+QUAD_ORDER = 50
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-_hermgauss_cache = {}
+_NODES, _WEIGHTS = np.polynomial.hermite.hermgauss(QUAD_ORDER)
+_WEIGHTS = _WEIGHTS / np.sqrt(np.pi)
 
 
 class MarginalMoments(NamedTuple):
@@ -22,14 +24,6 @@ class MarginalMoments(NamedTuple):
 
     mean: float
     var: float
-
-
-class ExpectationStats(NamedTuple):
-    """E[log p(y|f)] and its derivatives w.r.t. the marginal mean and variance."""
-
-    e: float
-    g_m: float
-    g_v: float
 
 
 def _check_labels(y):
@@ -48,16 +42,7 @@ def _phi_over_cdf(z):
     return np.exp(_norm_logpdf(z) - log_ndtr(z))
 
 
-def _quad_nodes(order):
-    if order < 3:
-        raise ValueError("quadrature order must be >= 3")
-    if order not in _hermgauss_cache:
-        x, w = np.polynomial.hermite.hermgauss(order)
-        _hermgauss_cache[order] = (x, w / np.sqrt(np.pi))
-    return _hermgauss_cache[order]
-
-
-def expectation_stats(y, mean, var, quad_order=DEFAULT_QUAD_ORDER):
+def expectation_stats(y, mean, var):
     """Vectorized E[log Phi(y f)], dE/dmean, dE/dvar under f ~ N(mean, var).
 
     The mean derivative integrates d/df log Phi(y f); the variance derivative
@@ -71,18 +56,17 @@ def expectation_stats(y, mean, var, quad_order=DEFAULT_QUAD_ORDER):
         raise ValueError("y, mean, var must align")
     if np.any(var < 0):
         raise ValueError("variances must be >= 0")
-    x, w = _quad_nodes(quad_order)
 
-    f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * x[None, :]
+    f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * _NODES[None, :]
     z = y[:, None] * f
     lp = log_ndtr(z)
     ratio = np.exp(_norm_logpdf(z) - lp)  # phi/Phi, reusing the one log_ndtr
     d1 = y[:, None] * ratio           # d/df log Phi(y f)
     d2 = -ratio * (z + ratio)         # d^2/df^2, independent of y since y^2 = 1
 
-    e = lp @ w
-    g_m = d1 @ w
-    g_v = 0.5 * (d2 @ w)
+    e = lp @ _WEIGHTS
+    g_m = d1 @ _WEIGHTS
+    g_v = 0.5 * (d2 @ _WEIGHTS)
 
     point = var == 0.0
     if np.any(point):
@@ -92,14 +76,6 @@ def expectation_stats(y, mean, var, quad_order=DEFAULT_QUAD_ORDER):
         g_m[point] = y[point] * r0
         g_v[point] = -0.5 * r0 * (z0 + r0)
     return e, g_m, g_v
-
-
-def expected_loglik(y, moments, quad_order=DEFAULT_QUAD_ORDER):
-    """Scalar ExpectationStats of log p(y|f) under f ~ N(moments)."""
-    e, g_m, g_v = expectation_stats(
-        [y], [moments.mean], [moments.var], quad_order=quad_order
-    )
-    return ExpectationStats(e=float(e[0]), g_m=float(g_m[0]), g_v=float(g_v[0]))
 
 
 def ep_tilted_moments(y, cavity):

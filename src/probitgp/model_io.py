@@ -4,7 +4,8 @@ key=value lines followed by named numeric blocks; everything a prediction
 needs travels with the model: hyperparameters, site parameters, the
 standardized training inputs, and the standardization statistics.  Numbers
 are written with 17 significant digits, so save/load round-trips float64
-exactly and the files diff cleanly.
+exactly and the files diff cleanly.  load_model skips keys it does not
+know, such as the seed= line that older files carry.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .trainer import OBJECTIVES
 FORMAT_NAME = "probitgp-model"
 FORMAT_VERSION = 1
 
-_KEYS = ("name", "objective", "seed", "jitter", "log_lengthscale", "log_magnitude", "n", "d")
+_KEYS = ("name", "objective", "jitter", "log_lengthscale", "log_magnitude", "n", "d")
 _BLOCKS = ("feature_mean", "feature_scale", "lambda1", "lambda2", "features")
 
 
@@ -26,7 +27,6 @@ _BLOCKS = ("feature_mean", "feature_scale", "lambda1", "lambda2", "features")
 class ModelArtifact:
     name: str
     objective: str
-    seed: int
     jitter: float | None
     theta: Hyperparams
     sites: Sites
@@ -71,7 +71,6 @@ def save_model(path, artifact):
         handle.write(f"version={FORMAT_VERSION}\n")
         handle.write(f"name={artifact.name}\n")
         handle.write(f"objective={artifact.objective}\n")
-        handle.write(f"seed={artifact.seed}\n")
         jit = "none" if artifact.jitter is None else _fmt(artifact.jitter)
         handle.write(f"jitter={jit}\n")
         handle.write(f"log_lengthscale={_fmt(artifact.theta.log_lengthscale)}\n")
@@ -117,7 +116,6 @@ def load_model(path):
         raise ValueError(f"{path}: missing keys {missing}")
     objective = _value(path, "objective", keys["objective"], str, f"one of {OBJECTIVES}",
                        lambda v: v in OBJECTIVES)
-    seed = _value(path, "seed", keys["seed"], int, "an integer")
     n, d = (_value(path, k, keys[k], int, "an integer >= 0", lambda v: v >= 0) for k in ("n", "d"))
     jitter = None if keys["jitter"] == "none" else _value(
         path, "jitter", keys["jitter"], float, "none or a finite number", np.isfinite
@@ -159,7 +157,6 @@ def load_model(path):
     return ModelArtifact(
         name=keys["name"],
         objective=objective,
-        seed=seed,
         jitter=jitter,
         theta=theta,
         sites=Sites(blocks["lambda1"], blocks["lambda2"]),

@@ -46,7 +46,7 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import FactorizationError, NumericsError
 from .kernel import GramMatrix, cross_gram
-from .likelihood import DEFAULT_QUAD_ORDER, MarginalMoments, expectation_stats
+from .likelihood import MarginalMoments, expectation_stats
 
 # updaters clamp lam2 at or below this (keeps B positive, sites proper)
 LAMBDA2_CEIL = -1e-10
@@ -171,12 +171,12 @@ def prior_kl(post):
     return 0.5 * (trace_term + quad_term + post.log_det_ikb)
 
 
-def elbo(post, y, quad_order=DEFAULT_QUAD_ORDER):
+def elbo(post, y):
     """Evidence lower bound: -KL(q || prior) + sum_i E_q[log p(y_i | f_i)]."""
     y = np.asarray(y, dtype=float)
     if y.shape != post.m.shape:
         raise ValueError("labels must align with the posterior")
-    e, _, _ = expectation_stats(y, post.m, post.var, quad_order=quad_order)
+    e, _, _ = expectation_stats(y, post.m, post.var)
     return float(np.sum(e)) - prior_kl(post)
 
 

@@ -8,6 +8,8 @@ and the gradient together, so the objective's dependence on the
 hyperparameters through the posterior is honored.  The Gram matrices of a
 fit share one distance matrix.  The E-step after each M-step gives the
 round's ELBO; the last leaves the sites consistent with the final theta.
+TrainConfig holds the budgets and step sizes of the two steps, the
+objective and the jitter; nothing else is tunable.
 
 Each posterior is assembled once and handed on, and it carries its Gram
 matrix and sites, so it is the one value passed between the steps: the
@@ -25,7 +27,7 @@ from .cvi import e_step
 from .errors import NumericsError
 from .data import Dataset
 from .kernel import Hyperparams, gram, gram_grads
-from .likelihood import DEFAULT_QUAD_ORDER, expectation_stats
+from .likelihood import expectation_stats
 from .posterior import GaussianPosterior, Sites, assemble, elbo, ep_like_energy, prior_kl
 
 OBJECTIVES = ("elbo", "ep_like")
@@ -41,7 +43,6 @@ class TrainConfig:
     m_lr: float = 0.001
     outer_rounds: int = 50
     outer_tol: float = 1e-4
-    quad_order: int = DEFAULT_QUAD_ORDER
     jitter: float | None = None
 
     def __post_init__(self):
@@ -77,39 +78,31 @@ class FitStart:
 
 def _start_key(cfg):
     """What the opening E-step depends on; the objective is not part of it."""
-    return (cfg.theta0, cfg.e_iters, cfg.e_step_size, cfg.quad_order, cfg.jitter)
+    return (cfg.theta0, cfg.e_iters, cfg.e_step_size, cfg.jitter)
 
 
-def objective_value(dataset, sites, theta, objective, jitter=None, quad_order=DEFAULT_QUAD_ORDER):
-    """Learning objective at (sites, theta); rebuilds K and the posterior."""
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
-    K = gram(dataset.X, theta, jitter, dataset.distances)
-    return _value(dataset.y, assemble(K, sites), objective, quad_order)
-
-
-def _value(y, post, objective, quad_order):
+def _value(y, post, objective):
     """The objective of post's sites under post's Gram matrix."""
     if objective == "elbo":
-        return elbo(post, y, quad_order=quad_order)
+        return elbo(post, y)
     return ep_like_energy(post)
 
 
-def _value_and_grad(dataset, theta, post, objective, jitter, quad_order):
-    """objective_value and its gradient wrt log-theta at fixed sites.
+def _value_and_grad(dataset, theta, post, objective, jitter):
+    """The objective at post and its gradient wrt log-theta at fixed sites.
 
     post is the posterior of the sites under
     gram(dataset.X, theta, jitter, dataset.distances).  Each gradient entry
     is sum(G * dK) over one kernel derivative (GPML eq. 5.9).
     """
-    value, G = _value_and_weights(dataset.y, post, objective, quad_order)
+    value, G = _value_and_weights(dataset.y, post, objective)
     d_ell, d_sig = gram_grads(dataset.distances, theta, post.K, jitter)
     d_ell *= G
     d_sig *= G
     return value, np.array([np.sum(d_ell), np.sum(d_sig)])
 
 
-def _value_and_weights(y, post, objective, quad_order):
+def _value_and_weights(y, post, objective):
     """The objective and its gradient weights G wrt K at fixed sites.
 
     With B = diag(-2 lam2), Woodbury gives W = B^1/2 A^-1 B^1/2 = B - BSB and
@@ -131,7 +124,7 @@ def _value_and_weights(y, post, objective, quad_order):
     W -= bsb
     del bsb
     if objective == "elbo":
-        e, g_m, g_v = expectation_stats(y, post.m, post.var, quad_order=quad_order)
+        e, g_m, g_v = expectation_stats(y, post.m, post.var)
         value = float(np.sum(e)) - prior_kl(post)
         Mt = np.eye(b.size)
         Mt -= b[:, None] * S
@@ -161,16 +154,16 @@ def _m_step(dataset, theta, cfg, post):
     cfg.m_iters == 0 only the value is computed.
     """
     if cfg.m_iters == 0:
-        return theta, _value(dataset.y, post, cfg.objective, cfg.quad_order), post
+        return theta, _value(dataset.y, post, cfg.objective), post
     sites = post.sites
 
     def probe(vec):
         th = Hyperparams(vec[0], vec[1])
         post = assemble(gram(dataset.X, th, cfg.jitter, dataset.distances), sites)
-        return *_value_and_grad(dataset, th, post, cfg.objective, cfg.jitter, cfg.quad_order), post
+        return *_value_and_grad(dataset, th, post, cfg.objective, cfg.jitter), post
 
     th = theta.as_array()
-    current, grad = _value_and_grad(dataset, theta, post, cfg.objective, cfg.jitter, cfg.quad_order)
+    current, grad = _value_and_grad(dataset, theta, post, cfg.objective, cfg.jitter)
     for _ in range(cfg.m_iters):
         if not np.isfinite(grad).all():
             break
@@ -197,13 +190,12 @@ def fit_start(dataset, cfg):
     sites under gram(dataset.X, cfg.theta0, cfg.jitter).
 
     It depends on the dataset, theta0, the E-step budget (e_iters and
-    e_step_size), quad_order and jitter, not on the objective or the M-step
-    settings, so one start serves every fit that agrees on those.
+    e_step_size) and jitter, not on the objective or the M-step settings,
+    so one start serves every fit that agrees on those.
     """
     K = gram(dataset.X, cfg.theta0, cfg.jitter, dataset.distances)
     _, _, post = e_step(
-        assemble(K, Sites.zeros(dataset.n)), dataset.y,
-        step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
+        assemble(K, Sites.zeros(dataset.n)), dataset.y, step_size=cfg.e_step_size, iters=cfg.e_iters
     )
     return FitStart(dataset, _start_key(cfg), post)
 
@@ -216,7 +208,7 @@ def fit(dataset, cfg, start=None):
     says which); the E-step after the last M-step refreshes the sites, and
     its posterior is TrainResult.posterior.  start is fit_start(dataset, cfg)
     or any start built for this dataset object with the same theta0, E-step
-    budget, quad_order and jitter (ValueError otherwise); None runs it here.
+    budget and jitter (ValueError otherwise); None runs it here.
     The result is bitwise the same either way.  Deterministic: no randomness
     anywhere.
     """
@@ -232,10 +224,7 @@ def fit(dataset, cfg, start=None):
     converged = False
     for _ in range(cfg.outer_rounds):
         new_theta, obj, post = _m_step(dataset, theta, cfg, post)
-        _, e_trace, post = e_step(
-            post, dataset.y,
-            step_size=cfg.e_step_size, iters=cfg.e_iters, quad_order=cfg.quad_order,
-        )
+        _, e_trace, post = e_step(post, dataset.y, step_size=cfg.e_step_size, iters=cfg.e_iters)
         objective_trace.append(obj)
         elbo_trace.append(e_trace[0])  # ELBO at the M-step's sites and new_theta
         theta_trace.append([new_theta.log_lengthscale, new_theta.log_magnitude])

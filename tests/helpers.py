@@ -9,6 +9,7 @@ import csv
 import os
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -25,20 +26,16 @@ from probitgp import (
     NumericsError,
     assemble,
     cross_gram,
+    elbo,
+    ep_like_energy,
+    expectation_stats,
     gram,
     latent_predict,
-    objective_value,
     temperature,
 )
 from probitgp.data import _parse_float
 from probitgp.kernel import _matern
-from probitgp.likelihood import (
-    DEFAULT_QUAD_ORDER,
-    _check_labels,
-    _norm_logpdf,
-    _phi_over_cdf,
-    _quad_nodes,
-)
+from probitgp.likelihood import QUAD_ORDER, _check_labels, _phi_over_cdf
 from probitgp.posterior import VAR_TOL
 
 DATA_DIR = Path(os.environ.get("PROBITGP_DATA", Path(__file__).resolve().parent.parent / "data"))
@@ -163,6 +160,30 @@ def gaussian_loglik_stats(noise_var, targets):
     return stats
 
 
+def objective_value(dataset, sites, theta, objective, jitter=None):
+    """Learning objective ("elbo" or "ep_like") at (sites, theta), from a
+    fresh Gram matrix and posterior."""
+    post = assemble(gram(dataset.X, theta, jitter, dataset.distances), sites)
+    if objective == "elbo":
+        return elbo(post, dataset.y)
+    return ep_like_energy(post)
+
+
+class ExpectationStats(NamedTuple):
+    """E[log p(y|f)] and its derivatives w.r.t. the marginal mean and variance."""
+
+    e: float
+    g_m: float
+    g_v: float
+
+
+def expected_loglik(y, moments):
+    """Scalar ExpectationStats of log Phi(y f) under f ~ N(moments), by
+    likelihood.expectation_stats."""
+    e, g_m, g_v = expectation_stats([y], [moments.mean], [moments.var])
+    return ExpectationStats(e=float(e[0]), g_m=float(g_m[0]), g_v=float(g_v[0]))
+
+
 def fd_m_step(dataset, sites, theta, cfg, h=1e-4):
     """Finite-difference M-step, the trainer's former implementation.
 
@@ -173,8 +194,7 @@ def fd_m_step(dataset, sites, theta, cfg, h=1e-4):
     def value_at(vec):
         try:
             return objective_value(
-                dataset, sites, Hyperparams(vec[0], vec[1]),
-                cfg.objective, cfg.jitter, cfg.quad_order,
+                dataset, sites, Hyperparams(vec[0], vec[1]), cfg.objective, cfg.jitter
             )
         except NumericsError:
             return -np.inf
@@ -254,8 +274,8 @@ def ais_lml_reference(K, y, cfg):
         cur = base_loglik(f)
         total = 0.0
         for t in range(1, cfg.steps + 1):
-            tau_prev = temperature(t - 1, cfg.steps, cfg.schedule_power)
-            tau_now = temperature(t, cfg.steps, cfg.schedule_power)
+            tau_prev = temperature(t - 1, cfg.steps)
+            tau_now = temperature(t, cfg.steps)
             cache = {"value": cur}
 
             def tempered(state, _tau=tau_prev, _cache=cache):
@@ -341,9 +361,10 @@ def prior_kl_reference(post):
     return 0.5 * (trace_term + quad_term - n + post.log_det_ikb)
 
 
-def expectation_stats_reference(y, mean, var, quad_order=DEFAULT_QUAD_ORDER):
+def expectation_stats_reference(y, mean, var, quad_order=QUAD_ORDER):
     """likelihood.expectation_stats as it was with two log_ndtr evaluations
-    per quadrature node (one inside _phi_over_cdf)."""
+    per quadrature node (one inside _phi_over_cdf), at any Gauss-Hermite
+    order."""
     y = _check_labels(np.atleast_1d(y))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
@@ -351,7 +372,8 @@ def expectation_stats_reference(y, mean, var, quad_order=DEFAULT_QUAD_ORDER):
         raise ValueError("y, mean, var must align")
     if np.any(var < 0):
         raise ValueError("variances must be >= 0")
-    x, w = _quad_nodes(quad_order)
+    x, w = np.polynomial.hermite.hermgauss(quad_order)
+    w = w / np.sqrt(np.pi)
 
     f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * x[None, :]
     z = y[:, None] * f

@@ -7,6 +7,7 @@ explanation when the CSVs are not present under data/ (or $PROBITGP_DATA).
 
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from probitgp import (
     ep_energy,
     ep_inference,
     ep_like_energy,
-    expected_loglik,
     grid_sweep,
     gram,
     load_csv,
@@ -98,13 +98,13 @@ def test_criterion_3_gradient_checks():
     for y in (1.0, -1.0):
         for m in np.linspace(-3.0, 3.0, 10):
             for v in np.geomspace(0.05, 2.0, 10):
-                st = expected_loglik(y, MarginalMoments(m, v))
+                st = helpers.expected_loglik(y, MarginalMoments(m, v))
                 hm = 1e-5 * max(1.0, abs(m))
-                fd_m = (expected_loglik(y, MarginalMoments(m + hm, v)).e
-                        - expected_loglik(y, MarginalMoments(m - hm, v)).e) / (2 * hm)
+                fd_m = (helpers.expected_loglik(y, MarginalMoments(m + hm, v)).e
+                        - helpers.expected_loglik(y, MarginalMoments(m - hm, v)).e) / (2 * hm)
                 hv = 1e-5 * v
-                fd_v = (expected_loglik(y, MarginalMoments(m, v + hv)).e
-                        - expected_loglik(y, MarginalMoments(m, v - hv)).e) / (2 * hv)
+                fd_v = (helpers.expected_loglik(y, MarginalMoments(m, v + hv)).e
+                        - helpers.expected_loglik(y, MarginalMoments(m, v - hv)).e) / (2 * hv)
                 worst_rel = max(
                     worst_rel,
                     abs(fd_m - st.g_m) / abs(st.g_m),
@@ -112,8 +112,6 @@ def test_criterion_3_gradient_checks():
                 )
     # (b) FD energy gradient against the closed-form regression-evidence
     # gradient when the sites carry an exact Gaussian likelihood
-    from probitgp import objective_value
-
     rng = np.random.default_rng(77)
     n, noise = 8, 0.5
     X = rng.standard_normal((n, 2))
@@ -138,8 +136,8 @@ def test_criterion_3_gradient_checks():
             dv = (h, 0.0) if j == 0 else (0.0, h)
             up = Hyperparams(theta.log_lengthscale + dv[0], theta.log_magnitude + dv[1])
             dn = Hyperparams(theta.log_lengthscale - dv[0], theta.log_magnitude - dv[1])
-            fd = (objective_value(ds, sites, up, "ep_like", jitter=0.0)
-                  - objective_value(ds, sites, dn, "ep_like", jitter=0.0)) / (2 * h)
+            fd = (helpers.objective_value(ds, sites, up, "ep_like", jitter=0.0)
+                  - helpers.objective_value(ds, sites, dn, "ep_like", jitter=0.0)) / (2 * h)
             worst_conj = max(worst_conj, abs(fd - analytic) / abs(analytic))
     print(f"criterion 3: likelihood-gradient rel err {worst_rel:.3g} (limit 1e-6), "
           f"conjugate energy-gradient rel err {worst_conj:.3g} (limit 1e-4)")
@@ -264,16 +262,16 @@ def test_criterion_8_cli_determinism(tmp_path):
             fh.write(f"{float(row[0])!r},{float(row[1])!r},{int(label)}\n")
 
     def bytes_of(path):
-        return open(path, "rb").read()
+        return Path(path).read_bytes()
 
     def body_of(path):
-        return open(path, "rb").read().split(b"\n", 1)[1]
+        return bytes_of(path).split(b"\n", 1)[1]
 
     checks = []
 
     # fit: rerun reproduces the model and the trace byte for byte
     m1, m2 = tmp_path / "m1.model", tmp_path / "m2.model"
-    fit_flags = ["--e-iters", "8", "--m-iters", "2", "--rounds", "2", "--seed", "3"]
+    fit_flags = ["--e-iters", "8", "--m-iters", "2", "--rounds", "2"]
     assert run(["fit", "--data", str(data), "--out", str(m1), *fit_flags]) == 0
     assert run(["fit", "--data", str(data), "--out", str(m2), *fit_flags]) == 0
     checks.append(bytes_of(m1) == bytes_of(m2))

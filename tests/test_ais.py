@@ -30,8 +30,7 @@ class TestSchedule:
 
     def test_quartic_shape(self):
         assert temperature(1, 10) == pytest.approx(1e-4, rel=1e-12)
-        assert temperature(5, 10, power=4.0) == pytest.approx(0.5 ** 4, rel=1e-12)
-        assert temperature(5, 10, power=1.0) == 0.5
+        assert temperature(5, 10) == pytest.approx(0.5 ** 4, rel=1e-12)
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -44,8 +43,6 @@ class TestSchedule:
             AisConfig(steps=0)
         with pytest.raises(ValueError):
             AisConfig(repeats=0)
-        with pytest.raises(ValueError):
-            AisConfig(schedule_power=0.0)
 
 
 class TestSliceKernel:
@@ -247,7 +244,6 @@ class TestReferenceEquivalence:
                 steps=int(rng.integers(1, 401)),
                 repeats=int(rng.integers(1, 5)),
                 seed=int(rng.integers(0, 10_000)),
-                schedule_power=float(rng.choice([1.0, 2.5, 4.0])),
             )
             est = ais_lml(K, y, cfg)
             ref = helpers.ais_lml_reference(K, y, cfg)

@@ -31,7 +31,8 @@ def write_blobs_csv(path, n=18, seed=0, zero_one=False):
 
 def rerun_from_header(path):
     """Re-execute the resolved command recorded in a CSV's first line."""
-    header = open(path).readline()
+    with open(path) as fh:
+        header = fh.readline()
     assert header.startswith("# probitgp ")
     argv = shlex.split(header[2:].strip())[1:]
     return run(argv)
@@ -170,7 +171,7 @@ class TestPredict:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("key", [
-        "name", "objective", "seed", "jitter", "log_lengthscale", "log_magnitude", "n", "d",
+        "name", "objective", "jitter", "log_lengthscale", "log_magnitude", "n", "d",
     ])
     def test_model_without_a_required_key_is_usage_error(self, tmp_path, capsys, key):
         """A model file missing a key= line exits 1, naming the file and the
@@ -187,7 +188,7 @@ class TestPredict:
         assert str(model) in err and f"missing keys ['{key}']" in err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("line", ["seed=x", "n=x", "objective=zzz"])
+    @pytest.mark.parametrize("line", ["jitter=x", "n=x", "objective=zzz"])
     def test_model_with_a_bad_key_value_is_usage_error(self, tmp_path, capsys, line):
         """A key= line whose value does not parse, or an objective the trainer
         does not know, exits 1 naming the file and the key, with no output."""
@@ -203,6 +204,24 @@ class TestPredict:
         err = capsys.readouterr().err
         assert str(model) in err and f"key '{key}'" in err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_model_with_a_seed_line_predicts_the_same_bytes(self, tmp_path):
+        """Model files written while fit took --seed carry a seed= line after
+        objective=.  load_model skips it: predict writes the same file, byte
+        for byte, as from the model without it."""
+        data, model, _ = self.fitted(tmp_path, seed=6)
+        out = tmp_path / "pred.csv"
+        argv = ["predict", "--model", str(model), "--data", str(data),
+                "--label", "last", "--out", str(out)]
+        assert run(argv) == 0
+        without = out.read_bytes()
+        lines = model.read_text().splitlines()
+        assert not any(line.startswith("seed=") for line in lines)
+        lines.insert(lines.index("objective=elbo") + 1, "seed=0")
+        model.write_text("\n".join(lines) + "\n")
+        assert load_model(model).objective == "elbo"
+        assert run(argv) == 0
+        assert out.read_bytes() == without
 
     def test_model_with_a_bad_block_value_names_the_block(self, tmp_path, capsys):
         data, model, _ = self.fitted(tmp_path, seed=6)

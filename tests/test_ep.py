@@ -144,15 +144,3 @@ class TestEvidenceQuality:
             assert converged
             truth = helpers.probit_evidence_quadrature(K.K, y)
             assert abs(ep_energy(post, sites) - truth) < 1e-2
-
-
-class TestValidation:
-    def test_bad_arguments(self):
-        K = helpers.gram_from_matrix(np.eye(2))
-        y = np.array([1.0, -1.0])
-        with pytest.raises(ValueError):
-            ep_inference(K, y, sweeps=0)
-        with pytest.raises(ValueError):
-            ep_inference(K, y, damping=0.0)
-        with pytest.raises(ValueError):
-            ep_inference(K, y, damping=1.2)

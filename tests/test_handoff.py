@@ -153,7 +153,6 @@ class TestFitStart:
         {"theta0": Hyperparams(0.1, 0.0)},
         {"e_iters": 5},
         {"e_step_size": 0.2},
-        {"quad_order": 20},
         {"jitter": 1e-5},
     ])
     def test_start_for_another_configuration_is_rejected(self, change):

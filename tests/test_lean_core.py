@@ -102,16 +102,15 @@ class TestLeanCore:
 
 
 class TestExpectationStatsReference:
-    @pytest.mark.parametrize("order", [3, 20, 50])
-    def test_bitwise_equal_to_two_log_ndtr_form(self, order):
-        rng = np.random.default_rng(23 + order)
+    def test_bitwise_equal_to_two_log_ndtr_form(self):
+        rng = np.random.default_rng(73)
         n = 300
         y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
         mean = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 1.6, n)
         var = 10.0 ** rng.uniform(-8, 3, n)
         var[::7] = 0.0  # exact point evaluations
-        new = expectation_stats(y, mean, var, quad_order=order)
-        ref = helpers.expectation_stats_reference(y, mean, var, quad_order=order)
+        new = expectation_stats(y, mean, var)
+        ref = helpers.expectation_stats_reference(y, mean, var)
         for a, b in zip(new, ref):
             assert np.array_equal(a, b)
 

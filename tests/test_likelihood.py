@@ -6,13 +6,15 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from helpers import log_lik, predictive_prob
-from probitgp import (
-    MarginalMoments,
-    ep_tilted_moments,
+from helpers import (
+    ExpectationStats,
+    expectation_stats_reference,
     expected_loglik,
+    log_lik,
+    predictive_prob,
 )
-from probitgp.likelihood import expectation_stats
+from probitgp import MarginalMoments, ep_tilted_moments
+from probitgp.likelihood import QUAD_ORDER, expectation_stats
 
 # frozen 30-digit constants
 LOG_PHI_0 = -0.69314718055994531
@@ -84,18 +86,25 @@ class TestExpectedLoglik:
             assert_allclose(e0.g_v, de_dv, rtol=1e-5, atol=1e-7)
 
     def test_quadrature_order_insensitivity(self):
-        """Order 50 vs 100 agree to 1e-9 on a moderate-moment grid."""
+        """The library's order 50 and an order-100 rule agree to 1e-9 on a
+        moderate-moment grid."""
+        assert QUAD_ORDER == 50
+
+        def order_100(y, m, v):
+            stats = expectation_stats_reference([y], [m], [v], quad_order=100)
+            return ExpectationStats(*(float(s[0]) for s in stats))
+
         worst = 0.0
         for y in (-1, 1):
             for m in np.linspace(-3, 3, 9):
                 for v in (0.05, 0.5, 2.0):
-                    a = expected_loglik(y, MarginalMoments(m, v), quad_order=50)
-                    b = expected_loglik(y, MarginalMoments(m, v), quad_order=100)
+                    a = expected_loglik(y, MarginalMoments(m, v))
+                    b = order_100(y, m, v)
                     worst = max(worst, abs(a.e - b.e), abs(a.g_m - b.g_m), abs(a.g_v - b.g_v))
         assert worst < 1e-9
         # wider marginals converge more slowly but stay tight
-        a = expected_loglik(-1, MarginalMoments(-1.5, 4.0), quad_order=50)
-        b = expected_loglik(-1, MarginalMoments(-1.5, 4.0), quad_order=100)
+        a = expected_loglik(-1, MarginalMoments(-1.5, 4.0))
+        b = order_100(-1, -1.5, 4.0)
         assert abs(a.g_v - b.g_v) < 1e-6
 
     def test_g_v_is_nonpositive(self):
@@ -106,10 +115,6 @@ class TestExpectedLoglik:
         v = rng.uniform(1e-8, 20, 200)
         _, _, g_v = expectation_stats(y, m, v)
         assert np.all(g_v <= 0)
-
-    def test_low_order_rejected(self):
-        with pytest.raises(ValueError):
-            expected_loglik(1, MarginalMoments(0.0, 1.0), quad_order=2)
 
 
 class TestTiltedMoments:

@@ -17,7 +17,6 @@ def awkward_artifact():
     return ModelArtifact(
         name="toy",
         objective="ep_like",
-        seed=42,
         jitter=None,
         theta=Hyperparams(0.1234567890123456, -1.0 / 7.0),
         sites=Sites(rng.standard_normal(n), -np.exp(rng.standard_normal(n))),
@@ -35,7 +34,6 @@ class TestRoundTrip:
         back = load_model(p)
         assert back.name == art.name
         assert back.objective == art.objective
-        assert back.seed == art.seed
         assert back.jitter is None
         assert back.theta == art.theta
         assert np.array_equal(back.sites.lam1, art.sites.lam1)
@@ -55,8 +53,7 @@ class TestRoundTrip:
     def test_explicit_jitter_round_trips(self, tmp_path):
         art = awkward_artifact()
         art = ModelArtifact(
-            name=art.name, objective=art.objective, seed=art.seed,
-            jitter=3.5e-7, theta=art.theta, sites=art.sites,
+            name=art.name, objective=art.objective, jitter=3.5e-7, theta=art.theta, sites=art.sites,
             feature_mean=art.feature_mean, feature_scale=art.feature_scale,
             features=art.features,
         )
@@ -115,14 +112,14 @@ class TestValidation:
         art = awkward_artifact()
         with pytest.raises(ValueError):
             ModelArtifact(
-                name="x", objective="elbo", seed=0, jitter=None,
+                name="x", objective="elbo", jitter=None,
                 theta=Hyperparams(), sites=Sites.zeros(4),
                 feature_mean=np.zeros(3), feature_scale=np.ones(3),
                 features=art.features,  # 5 rows vs 4 sites
             )
         with pytest.raises(ValueError):
             ModelArtifact(
-                name="x", objective="elbo", seed=0, jitter=None,
+                name="x", objective="elbo", jitter=None,
                 theta=Hyperparams(), sites=Sites.zeros(5),
                 feature_mean=np.zeros(2), feature_scale=np.ones(2),
                 features=art.features,  # 3 columns vs 2 stats
