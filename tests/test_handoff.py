@@ -153,6 +153,7 @@ class TestFitStart:
         {"theta0": Hyperparams(0.1, 0.0)},
         {"e_iters": 5},
         {"e_step_size": 0.2},
+        {"theta0": Hyperparams(0.0, 0.1)},
         {"jitter": 1e-5},
     ])
     def test_start_for_another_configuration_is_rejected(self, change):
