@@ -22,7 +22,7 @@ from .data import (
     read_feature_rows,
     standardize,
 )
-from .ep import EpSites, ep_energy, ep_inference
+from .ep import ep_energy, ep_inference
 from .errors import FactorizationError, NumericsError
 from .harness import (
     CvReport,
@@ -55,7 +55,7 @@ __all__ = [
     "e_step",
     "Dataset", "FoldSplit", "encode_labels", "feature_stats", "fold_datasets",
     "load_csv", "make_folds", "read_feature_rows", "standardize",
-    "EpSites", "ep_energy", "ep_inference",
+    "ep_energy", "ep_inference",
     "FactorizationError", "NumericsError",
     "CvReport", "GridSpec", "SurfaceRecord", "SweepConfig",
     "cross_validate", "grid_sweep", "paired_t_test",

@@ -189,7 +189,7 @@ def _cmd_fit(args):
     mean, scale = feature_stats(dataset)
     artifact = ModelArtifact(
         name=dataset.name, objective=args.objective, jitter=args.jitter,
-        theta=result.theta, sites=result.sites,
+        theta=result.theta, sites=result.posterior.sites,
         feature_mean=mean, feature_scale=scale, features=train.X,
     )
     save_model(args.out, artifact)
@@ -358,7 +358,7 @@ def run(argv):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericsError, np.linalg.LinAlgError) as exc:
+    except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except SystemExit as exc:  # argparse --help

@@ -8,11 +8,13 @@ kill accumulated drift.  Only the convergence tolerance is an argument.
 Each site also keeps a log scale chosen so the scaled site integrates the
 tilted evidence against its cavity; summing those scales on top of the
 unnormalized-site energy recovers the standard EP marginal-likelihood
-approximation.
+approximation.  ep_inference returns the final posterior, which carries the
+sites' natural parameters, with the log scales beside it as one array, and
+ep_energy(post, log_scale) adds them up; a non-finite log scale is a
+NumericsError, so a grid cell records NaN for EP alone.
 """
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,29 +29,6 @@ DAMPING = 0.9
 CONVERGENCE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class EpSites:
-    """Scaled sites: natural parameters plus per-site log normalizers."""
-
-    lam1: np.ndarray
-    lam2: np.ndarray
-    log_scale: np.ndarray
-
-    def __post_init__(self):
-        log_scale = np.array(self.log_scale, dtype=float)
-        sites = Sites(self.lam1, self.lam2)  # reuse validation (copies)
-        if log_scale.shape != sites.lam1.shape or not np.isfinite(log_scale).all():
-            raise ValueError("log scales must be finite and aligned")
-        log_scale.setflags(write=False)
-        object.__setattr__(self, "lam1", sites.lam1)
-        object.__setattr__(self, "lam2", sites.lam2)
-        object.__setattr__(self, "log_scale", log_scale)
-
-    @property
-    def sites(self):
-        return Sites(self.lam1, self.lam2)
-
-
 def _log_gauss_site_integral(mean, var, lam1, lam2):
     # log int N(f; mean, var) exp(lam1 f + lam2 f^2) df, requires var > 0, lam2 < 1/(2 var)
     rho = 1.0 / var
@@ -61,11 +40,13 @@ def _log_gauss_site_integral(mean, var, lam1, lam2):
 
 
 def ep_inference(K, y, tol=CONVERGENCE_TOL):
-    """Run EP from zero sites; returns (EpSites, GaussianPosterior, converged).
+    """Run EP from zero sites; returns (post, log_scale, converged).
 
-    converged means the largest natural-parameter change in the final sweep
-    fell below tol.  Sites whose cavity precision is not positive are skipped
-    for that sweep (counted and logged).
+    post is the GaussianPosterior of the final sites, which it carries, and
+    log_scale their per-site log normalizers.  converged means the largest
+    natural-parameter change in the final sweep fell below tol.  Sites whose
+    cavity precision is not positive are skipped for that sweep (counted and
+    logged).  A non-finite log scale raises NumericsError.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -74,12 +55,12 @@ def ep_inference(K, y, tol=CONVERGENCE_TOL):
     lam2 = np.zeros(n)
     log_scale = np.zeros(n)
     post = assemble(K, Sites(lam1, lam2))
-    S = post.covariance()
-    m = post.m.copy()
 
     converged = False
     skipped_total = 0
     for _ in range(SWEEPS):
+        S = post.covariance()
+        m = post.m.copy()
         max_delta = 0.0
         skipped = 0
         for i in range(n):
@@ -108,22 +89,20 @@ def ep_inference(K, y, tol=CONVERGENCE_TOL):
             m = S @ lam1
             max_delta = max(max_delta, abs(d_tau), abs(d_nu))
         post = assemble(K, Sites(lam1, lam2))
-        S = post.covariance()
-        m = post.m.copy()
         skipped_total += skipped
         if max_delta < tol:
             converged = True
             break
     if skipped_total:
         logger.info("EP skipped %d site updates on non-positive cavity precision", skipped_total)
-    ep_sites = EpSites(lam1=lam1, lam2=lam2, log_scale=log_scale)
-    return ep_sites, post, converged
+    if not np.isfinite(log_scale).all():
+        raise NumericsError("EP site log scales are not finite")
+    return post, log_scale, converged
 
 
-def ep_energy(post, ep_sites):
-    """Unnormalized-site energy plus the site log scales (EP evidence).
+def ep_energy(post, log_scale):
+    """Unnormalized-site energy of post plus the site log scales (EP evidence).
 
-    post is the posterior of ep_sites' natural parameters, as ep_inference
-    returns it with them.
+    post and log_scale are as ep_inference returns them.
     """
-    return ep_like_energy(post) + float(np.sum(ep_sites.log_scale))
+    return ep_like_energy(post) + float(np.sum(log_scale))

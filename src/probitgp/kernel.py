@@ -1,12 +1,17 @@
 """Isotropic Matern-5/2 covariance with log-space hyperparameters.
 
 The train-side Gram matrix carries the diagonal jitter that made it positive
-definite.  gram tests each jitter rung with a Cholesky factorization but does
-not keep the factor: the posterior assembly factors I + B^1/2 K B^1/2
-instead, and only AIS, which needs a factor of K itself, computes one.  The
-rungs are tried in the base kernel's own memory, only its diagonal rewritten
-per rung, so gram forms no identity and no second n x n matrix beyond the
-factorization's scratch copy.
+definite.  gram tries at most five rungs, 1e-6 to 1e-2 times magnitude^2, or
+an explicit jitter and the rungs above it, so it ends for every finite
+theta.  A magnitude^2 that is not finite and positive, or a kernel with a
+non-finite entry (a lengthscale so small that distance / lengthscale
+overflows), is a FactorizationError before any rung is tried.  gram tests
+each rung with a Cholesky factorization but does not keep the factor: the
+posterior assembly factors I + B^1/2 K B^1/2 instead, and only AIS, which
+needs a factor of K itself, computes one.  The rungs are tried in the base
+kernel's own memory, only its diagonal rewritten per rung, so gram forms no
+identity and no second n x n matrix beyond the factorization's scratch
+copy.
 
 The Matern evaluation takes optional caller-owned buffers, so prediction can
 reuse one workspace for every block of test rows (posterior.predictive_z).
@@ -22,9 +27,11 @@ from .errors import FactorizationError
 
 _SQRT5 = np.sqrt(5.0)
 
-# jitter policy, both in units of magnitude^2
+# jitter policy, both in units of magnitude^2: the ladder's JITTER_RUNGS rungs
+# are JITTER_DEFAULT * 10^k for k = 0 .. 4, the last JITTER_CAP
 JITTER_DEFAULT = 1e-6
 JITTER_CAP = 1e-2
+JITTER_RUNGS = 5
 
 
 @dataclass(frozen=True)
@@ -129,32 +136,43 @@ def gram(X, theta, jitter=None, dist=None):
     dist may pass cdist(X, X) precomputed (Dataset.distances), bitwise alike.
     jitter=None starts at the default 1e-6 * magnitude^2; an explicit value is
     tried first as given.  On failure the jitter is raised tenfold per attempt
-    up to 1e-2 * magnitude^2, after which FactorizationError is raised.
+    up to 1e-2 * magnitude^2, after which FactorizationError is raised.  So is
+    a magnitude^2 that is not finite and positive, or a kernel with a
+    non-finite entry, and neither warns.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("expected a 2-d input matrix")
-    sig2 = theta.magnitude ** 2
-    if jitter is None:
-        ladder = [JITTER_DEFAULT * sig2]
-    else:
+    if jitter is not None:
         jitter = float(jitter)
         if not np.isfinite(jitter) or jitter < 0:
             raise ValueError("jitter must be finite and >= 0")
-        ladder = [jitter]
+    with np.errstate(over="ignore"):  # np.exp overflows to inf, rejected below
+        try:
+            sig2 = theta.magnitude ** 2
+        except OverflowError:  # a float's ** raises where its * gives inf
+            sig2 = np.inf
+    if not 0.0 < sig2 < np.inf:
+        raise FactorizationError(f"kernel magnitude^2 {sig2:g} is not finite and positive")
+    ladder = [] if jitter is None else [jitter]
     rung = JITTER_DEFAULT * sig2
-    while rung <= JITTER_CAP * sig2 * (1.0 + 1e-12):
-        if rung > ladder[-1]:
+    for _ in range(JITTER_RUNGS):
+        if not ladder or rung > ladder[-1]:
             ladder.append(rung)
         rung *= 10.0
 
-    K = _matern(cdist(X, X), theta, overwrite=True) if dist is None else _matern(dist, theta)
-    diag = np.diag_indices_from(K)
-    base_diag = K[diag]  # a copy: each rung is base + j on the diagonal, as base + j I
+    with np.errstate(all="ignore"):  # a non-finite kernel is rejected below
+        K = _matern(cdist(X, X), theta, overwrite=True) if dist is None else _matern(dist, theta)
+        diag = np.diag_indices_from(K)
+        base_diag = K[diag]  # a copy: each rung is base + j on the diagonal, as base + j I
+        K[diag] = base_diag + ladder[-1]
+    # if the top rung's K is finite, so is every rung's
+    if not np.isfinite(K).all():
+        raise FactorizationError(f"kernel has non-finite entries (n={X.shape[0]})")
     for j in ladder:
         K[diag] = base_diag + j
         try:
-            cholesky(K, lower=True)  # the positive-definiteness test
+            cholesky(K, lower=True, check_finite=False)  # the positive-definiteness test
         except np.linalg.LinAlgError:
             continue
         K.setflags(write=False)

@@ -57,16 +57,21 @@ def expectation_stats(y, mean, var):
     if np.any(var < 0):
         raise ValueError("variances must be >= 0")
 
-    f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * _NODES[None, :]
-    z = y[:, None] * f
-    lp = log_ndtr(z)
-    ratio = np.exp(_norm_logpdf(z) - lp)  # phi/Phi, reusing the one log_ndtr
-    d1 = y[:, None] * ratio           # d/df log Phi(y f)
-    d2 = -ratio * (z + ratio)         # d^2/df^2, independent of y since y^2 = 1
+    # at extreme moments (|f| in the billions and beyond) the difference of
+    # logs below loses all precision and can overflow: the outputs are then
+    # not finite, without a warning, and e_step and the M-step treat such a
+    # state as diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * _NODES[None, :]
+        z = y[:, None] * f
+        lp = log_ndtr(z)
+        ratio = np.exp(_norm_logpdf(z) - lp)  # phi/Phi, reusing the one log_ndtr
+        d1 = y[:, None] * ratio           # d/df log Phi(y f)
+        d2 = -ratio * (z + ratio)         # d^2/df^2, independent of y since y^2 = 1
 
-    e = lp @ _WEIGHTS
-    g_m = d1 @ _WEIGHTS
-    g_v = 0.5 * (d2 @ _WEIGHTS)
+        e = lp @ _WEIGHTS
+        g_m = d1 @ _WEIGHTS
+        g_v = 0.5 * (d2 @ _WEIGHTS)
 
     point = var == 0.0
     if np.any(point):

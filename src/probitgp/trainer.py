@@ -57,11 +57,10 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainResult:
     theta: Hyperparams
-    sites: Sites
     objective_trace: np.ndarray   # objective after each outer round
     elbo_trace: np.ndarray        # ELBO after each outer round
     theta_trace: np.ndarray       # hyperparameters after each outer round
-    posterior: GaussianPosterior  # of sites under theta, from the last E-step
+    posterior: GaussianPosterior  # of the final sites under theta, from the last E-step
     converged: bool               # outer_tol met; False: stopped at outer_rounds
 
 
@@ -93,13 +92,16 @@ def _value_and_grad(dataset, theta, post, objective, jitter):
 
     post is the posterior of the sites under
     gram(dataset.X, theta, jitter, dataset.distances).  Each gradient entry
-    is sum(G * dK) over one kernel derivative (GPML eq. 5.9).
+    is sum(G * dK) over one kernel derivative (GPML eq. 5.9).  At extreme
+    states either may come out non-finite, without a warning: _m_step
+    rejects such a probe, and stops on such a gradient.
     """
-    value, G = _value_and_weights(dataset.y, post, objective)
-    d_ell, d_sig = gram_grads(dataset.distances, theta, post.K, jitter)
-    d_ell *= G
-    d_sig *= G
-    return value, np.array([np.sum(d_ell), np.sum(d_sig)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, G = _value_and_weights(dataset.y, post, objective)
+        d_ell, d_sig = gram_grads(dataset.distances, theta, post.K, jitter)
+        d_ell *= G
+        d_sig *= G
+        return value, np.array([np.sum(d_ell), np.sum(d_sig)])
 
 
 def _value_and_weights(y, post, objective):
@@ -160,6 +162,8 @@ def _m_step(dataset, theta, cfg, post):
     def probe(vec):
         th = Hyperparams(vec[0], vec[1])
         post = assemble(gram(dataset.X, th, cfg.jitter, dataset.distances), sites)
+        if not np.all(post.var >= 0.0):  # neither the ELBO nor the next E-step could read it
+            raise NumericsError("probe posterior has a negative marginal variance")
         return *_value_and_grad(dataset, th, post, cfg.objective, cfg.jitter), post
 
     th = theta.as_array()
@@ -238,7 +242,6 @@ def fit(dataset, cfg, start=None):
             break
     return TrainResult(
         theta=theta,
-        sites=post.sites,
         objective_trace=np.array(objective_trace),
         elbo_trace=np.array(elbo_trace),
         theta_trace=np.array(theta_trace),

@@ -2,9 +2,11 @@
 
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +480,69 @@ class TestExitCodes:
                     "--jitter", "-1"]) == 1
         assert run(["fit", "--data", str(data), "--out", str(tmp_path / "m.model"),
                     "--jitter", "soft"]) == 1
+
+
+TEN_ROWS = "a,b,c\n" + "".join(f"{0.3 * i},{(7 * i) % 5},{i % 2}\n" for i in range(10))
+
+# (argv after --data and --out, exit code): hyperparameters past what the
+# floats can hold or the E-step can follow, and an M-step rate that throws
+# its probes there.  The grids run a short AIS chain; it is not what fails.
+EXTREME_RUNS = [
+    (["fit", "--log-magnitude", "800"], 2),
+    (["fit", "--log-magnitude", "-400"], 2),
+    (["fit", "--log-magnitude", "360"], 2),
+    (["fit", "--log-magnitude", "300"], 0),
+    (["fit", "--log-lengthscale", "-800"], 2),
+    (["fit", "--log-lengthscale", "800"], 0),
+    (["ais", "--log-magnitude", "800"], 2),
+    (["ais", "--log-magnitude", "-400"], 2),
+    (["cv", "--m-lr", "1e6", "--rounds", "2"], 0),
+    (["grid", "--points", "2", "--hi", "800"], 0),
+    (["grid", "--points", "2", "--lo", "0", "--hi", "20"], 0),
+    (["grid", "--points", "2", "--lo", "-50", "--hi", "50"], 0),
+    (["grid", "--points", "2", "--lo", "0", "--hi", "15"], 0),
+]
+EXTREME_SECONDS = 10
+
+
+class _Overtime(Exception):
+    pass
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise _Overtime in the running code once seconds have passed."""
+    def expire(signum, frame):
+        raise _Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv, expected", EXTREME_RUNS, ids=[" ".join(a).replace("--", "") for a, _ in EXTREME_RUNS]
+)
+def test_extreme_hyperparameters_exit_cleanly_in_time(tmp_path, capsys, argv, expected):
+    """Each run ends within the time limit with 0 or 2 and no traceback.  A
+    grid writes all 16 rows, each value finite or NaN (a failed cell)."""
+    data, out = tmp_path / "ten.csv", tmp_path / "out.csv"
+    data.write_text(TEN_ROWS)
+    command, *flags = argv
+    if command == "grid":
+        flags += ["--ais-T", "200", "--ais-repeats", "1"]
+    with time_limit(EXTREME_SECONDS):
+        code = run([command, "--data", str(data), "--out", str(out), *flags])
+    assert code == expected
+    assert "Traceback" not in capsys.readouterr().err
+    if command == "grid":
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 16
+        assert all(not np.isinf(float(v)) for row in rows for v in row[3:])
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,5 +1,7 @@
 """Natural-gradient E-step: fixed points, exactness on conjugate sites, traces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -38,6 +40,39 @@ class TestMechanics:
         assert len(trace) == 16
         # the reported trace end is exactly the ELBO of the returned sites
         assert trace[-1] == elbo(assemble(K, sites), y)
+
+    @pytest.mark.parametrize("breakdown", ["non_finite_update", "negative_variance"])
+    def test_breakdown_keeps_the_last_finite_state(self, monkeypatch, caplog, breakdown):
+        """Non-finite sites from the third update, or a negative marginal
+        variance in its posterior, is a divergence: the E-step returns the
+        state after two updates, as iters=2 does, and logs a warning."""
+        K, y = toy_problem()
+        sites2, trace2, _ = e_step(assemble(K, Sites.zeros(len(y))), y, iters=2)
+        calls = []
+        if breakdown == "non_finite_update":
+            real = cvi.expectation_stats
+
+            def stats(y, mean, var):  # the third call serves the third update
+                e, g_m, g_v = real(y, mean, var)
+                calls.append(1)
+                return e, (np.full_like(g_m, np.nan) if len(calls) == 3 else g_m), g_v
+
+            monkeypatch.setattr(cvi, "expectation_stats", stats)
+        else:
+            def assemble_with_a_negative_variance(K, sites):
+                post = assemble(K, sites)
+                calls.append(1)
+                if len(calls) == 3:  # the posterior of the third update
+                    var = post.var.copy()
+                    var[4] = -1e-9
+                    post = dataclasses.replace(post, var=var)
+                return post
+
+            monkeypatch.setattr(cvi, "assemble", assemble_with_a_negative_variance)
+        sites, trace, post = e_step(assemble(K, Sites.zeros(len(y))), y, iters=10)
+        assert trace == trace2
+        assert np.array_equal(sites.lam1, sites2.lam1) and post.sites is sites
+        assert "diverged at iteration 3" in caplog.text
 
     def test_invalid_arguments(self):
         K, y = toy_problem()

@@ -7,9 +7,9 @@ from scipy.special import ndtr
 
 import helpers
 from probitgp import (
-    EpSites,
     Hyperparams,
     MarginalMoments,
+    NumericsError,
     Sites,
     assemble,
     ep_energy,
@@ -17,24 +17,17 @@ from probitgp import (
     ep_tilted_moments,
     gram,
 )
+from probitgp import ep
 
 LOG_HALF = -0.69314718055994531
 
 
-class TestEpSites:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EpSites(np.zeros(3), np.zeros(3), np.zeros(2))
-        with pytest.raises(ValueError):
-            EpSites(np.zeros(2), np.zeros(2), np.array([0.0, np.inf]))
-        with pytest.raises(ValueError):
-            EpSites(np.zeros(2), np.ones(2), np.zeros(2))
-
-    def test_sites_view(self):
-        eps = EpSites(np.array([1.0]), np.array([-0.5]), np.array([0.3]))
-        s = eps.sites
-        assert isinstance(s, Sites)
-        assert s.lam1[0] == 1.0 and s.lam2[0] == -0.5
+class TestNonFiniteLogScale:
+    def test_is_a_numerics_error(self, monkeypatch):
+        monkeypatch.setattr(ep, "_log_gauss_site_integral", lambda *args: np.inf)
+        ds = helpers.make_blobs(6, 2, 30)
+        with pytest.raises(NumericsError, match="log scales"):
+            ep_inference(gram(ds.X, Hyperparams(0.3, 0.0)), ds.y)
 
 
 class TestSingleSiteExactness:
@@ -45,15 +38,15 @@ class TestSingleSiteExactness:
     def test_evidence_is_log_half(self, k, y):
         # zero prior mean makes the true evidence label- and scale-free
         K = helpers.gram_from_matrix(np.array([[k]]))
-        sites, post, converged = ep_inference(K, np.array([y]), tol=1e-10)
+        post, log_scale, converged = ep_inference(K, np.array([y]), tol=1e-10)
         assert converged
-        assert_allclose(ep_energy(post, sites), LOG_HALF, atol=1e-9)
+        assert_allclose(ep_energy(post, log_scale), LOG_HALF, atol=1e-9)
 
     @pytest.mark.parametrize("k", [0.3, 1.0, 4.0])
     def test_posterior_moments_match_quadrature(self, k):
         K = helpers.gram_from_matrix(np.array([[k]]))
         y = np.array([1.0])
-        _, post, _ = ep_inference(K, y, tol=1e-12)
+        post, _, _ = ep_inference(K, y, tol=1e-12)
         Z = helpers.gauss_expect(lambda f: ndtr(f[:, 0]), K.K)
         mean = helpers.gauss_expect(lambda f: f[:, 0] * ndtr(f[:, 0]), K.K) / Z
         second = helpers.gauss_expect(lambda f: f[:, 0] ** 2 * ndtr(f[:, 0]), K.K) / Z
@@ -74,33 +67,33 @@ class TestConjugateEvidence:
         t = rng.standard_normal(n)
         K = gram(X, Hyperparams(0.2, 0.0))
         log_scale = -0.5 * np.log(2.0 * np.pi * s) - t * t / (2.0 * s)
-        eps = EpSites(t / s, np.full(n, -0.5 / s), log_scale)
+        sites = Sites(t / s, np.full(n, -0.5 / s))
         cov = K.K + s * np.eye(n)
         sign, logdet = np.linalg.slogdet(cov)
         oracle = -0.5 * (t @ np.linalg.solve(cov, t) + logdet + n * np.log(2.0 * np.pi))
         assert sign > 0
-        assert_allclose(ep_energy(assemble(K, eps.sites), eps), oracle, rtol=1e-10)
+        assert_allclose(ep_energy(assemble(K, sites), log_scale), oracle, rtol=1e-10)
 
     def test_zero_sites_energy_is_zero(self):
         K = helpers.gram_from_matrix(helpers.random_spd(4, np.random.default_rng(1)))
-        eps = EpSites(np.zeros(4), np.zeros(4), np.zeros(4))
-        assert ep_energy(assemble(K, eps.sites), eps) == 0.0
+        assert ep_energy(assemble(K, Sites.zeros(4)), np.zeros(4)) == 0.0
 
 
 class TestFixedPoint:
     def test_converges_on_synthetic_data(self):
         ds = helpers.make_blobs(20, 2, 31)
         K = gram(ds.X, Hyperparams(0.3, 0.0))
-        sites, post, converged = ep_inference(K, ds.y)
+        post, log_scale, converged = ep_inference(K, ds.y)
         assert converged
-        assert np.all(sites.lam2 < 0)
-        assert np.isfinite(ep_energy(post, sites))
+        assert np.all(post.sites.lam2 < 0)
+        assert np.isfinite(ep_energy(post, log_scale))
 
     def test_moment_matching_at_convergence(self):
         """Each tilted distribution agrees with the posterior marginal."""
         ds = helpers.make_blobs(14, 2, 32)
         K = gram(ds.X, Hyperparams(0.2, 0.0))
-        sites, post, converged = ep_inference(K, ds.y, tol=1e-9)
+        post, _, converged = ep_inference(K, ds.y, tol=1e-9)
+        sites = post.sites
         assert converged
         for i in range(14):
             cav_rho = 1.0 / post.covariance()[i, i] + 2.0 * sites.lam2[i]
@@ -115,21 +108,21 @@ class TestFixedPoint:
     def test_label_flip_symmetry(self):
         ds = helpers.make_blobs(10, 2, 33)
         K = gram(ds.X, Hyperparams(0.3, 0.0))
-        a, post_a, _ = ep_inference(K, ds.y, tol=1e-10)
-        b, post_b, _ = ep_inference(K, -ds.y, tol=1e-10)
-        assert_allclose(b.lam1, -a.lam1, atol=1e-9)
-        assert_allclose(b.lam2, a.lam2, atol=1e-9)
-        assert_allclose(b.log_scale, a.log_scale, atol=1e-9)
-        assert_allclose(ep_energy(post_b, b), ep_energy(post_a, a), atol=1e-9)
+        post_a, scale_a, _ = ep_inference(K, ds.y, tol=1e-10)
+        post_b, scale_b, _ = ep_inference(K, -ds.y, tol=1e-10)
+        assert_allclose(post_b.sites.lam1, -post_a.sites.lam1, atol=1e-9)
+        assert_allclose(post_b.sites.lam2, post_a.sites.lam2, atol=1e-9)
+        assert_allclose(scale_b, scale_a, atol=1e-9)
+        assert_allclose(ep_energy(post_b, scale_b), ep_energy(post_a, scale_a), atol=1e-9)
 
     def test_deterministic(self):
         ds = helpers.make_blobs(12, 2, 34)
         K = gram(ds.X, Hyperparams(0.3, 0.0))
-        a, _, _ = ep_inference(K, ds.y)
-        b, _, _ = ep_inference(K, ds.y)
-        assert np.array_equal(a.lam1, b.lam1)
-        assert np.array_equal(a.lam2, b.lam2)
-        assert np.array_equal(a.log_scale, b.log_scale)
+        post_a, scale_a, _ = ep_inference(K, ds.y)
+        post_b, scale_b, _ = ep_inference(K, ds.y)
+        assert np.array_equal(post_a.sites.lam1, post_b.sites.lam1)
+        assert np.array_equal(post_a.sites.lam2, post_b.sites.lam2)
+        assert np.array_equal(scale_a, scale_b)
 
 
 class TestEvidenceQuality:
@@ -140,7 +133,7 @@ class TestEvidenceQuality:
             X = rng.standard_normal((2, 2))
             y = np.where(rng.uniform(size=2) < 0.5, -1.0, 1.0)
             K = gram(X, Hyperparams(0.4, 0.0))
-            sites, post, converged = ep_inference(K, y, tol=1e-9)
+            post, log_scale, converged = ep_inference(K, y, tol=1e-9)
             assert converged
             truth = helpers.probit_evidence_quadrature(K.K, y)
-            assert abs(ep_energy(post, sites) - truth) < 1e-2
+            assert abs(ep_energy(post, log_scale) - truth) < 1e-2

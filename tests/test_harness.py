@@ -13,6 +13,7 @@ from probitgp import (
     grid_sweep,
     paired_t_test,
 )
+from probitgp import ep
 
 DESK_CFG = SweepConfig(e_iters=40, ais_steps=60, ais_repeats=1)
 
@@ -96,6 +97,21 @@ class TestGridSweep:
                 assert np.isnan(r.lpd_per_n)  # no predictive column for annealing
             else:
                 assert np.isfinite(r.lpd_per_n)
+
+    def test_a_failed_ep_costs_the_cell_its_ep_records_only(self, monkeypatch):
+        """A non-finite EP log scale is a NumericsError, so the cell records
+        NaN for ep and keeps the other methods' values."""
+        monkeypatch.setattr(ep, "_log_gauss_site_integral", lambda *args: np.inf)
+        train, test = split_blobs(seed=2)
+        spec = GridSpec(lo=0.0, hi=1.0, points=2, methods=("vi", "ours", "ep", "mcmc"))
+        recs = grid_sweep(train, test, spec, DESK_CFG)
+        assert len(recs) == 4 * 4
+        for r in recs:
+            if r.method == "ep":
+                assert np.isnan(r.lml_per_n) and np.isnan(r.lpd_per_n)
+            else:
+                assert np.isfinite(r.lml_per_n)
+                assert np.isfinite(r.lpd_per_n) or r.method == "mcmc"
 
     def test_parallel_equals_serial(self):
         train, test = split_blobs(seed=3)

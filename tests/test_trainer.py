@@ -1,5 +1,7 @@
 """Alternating trainer: objective dispatch, gradient probes, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -267,6 +269,19 @@ class TestFdEquivalence:
 
 
 class TestFit:
+    @pytest.mark.parametrize("objective", ["elbo", "ep_like"])
+    def test_probe_with_a_negative_variance_is_rejected(self, monkeypatch, objective):
+        """A probe whose posterior has a negative marginal variance fails like
+        a probe whose Gram matrix fails: with every probe so, theta stays."""
+        ds = blob_dataset(n=12, seed=17)
+        cfg = TrainConfig(objective=objective, e_iters=5, m_iters=3, outer_rounds=2)
+        start = trainer.fit_start(ds, cfg)
+        real = trainer.assemble
+        monkeypatch.setattr(trainer, "assemble", lambda K, sites: dataclasses.replace(
+            real(K, sites), var=np.full(sites.n, -1e-9)))
+        res = fit(ds, cfg, start=start)
+        assert res.theta == cfg.theta0 and res.converged
+
     def test_pure_inference_round_computes_no_gradient(self, monkeypatch):
         """With m_iters 0 the M-step records objective_value, bit for bit,
         without forming any gradient."""
@@ -293,8 +308,8 @@ class TestFit:
         K = gram(ds.X, cfg.theta0)
         s1, _, _ = e_step(assemble(K, Sites.zeros(ds.n)), ds.y, iters=12)
         s2, _, _ = e_step(assemble(K, s1), ds.y, iters=12)
-        assert np.array_equal(res.sites.lam1, s2.lam1)
-        assert np.array_equal(res.sites.lam2, s2.lam2)
+        assert np.array_equal(res.posterior.sites.lam1, s2.lam1)
+        assert np.array_equal(res.posterior.sites.lam2, s2.lam2)
 
     def test_elbo_trace_nondecreasing(self):
         ds = blob_dataset(n=12, seed=3)
@@ -323,7 +338,7 @@ class TestFit:
         cfg = TrainConfig(e_iters=10, m_iters=3, outer_rounds=3)
         a, b = fit(ds, cfg), fit(ds, cfg)
         assert a.theta == b.theta
-        assert np.array_equal(a.sites.lam1, b.sites.lam1)
+        assert np.array_equal(a.posterior.sites.lam1, b.posterior.sites.lam1)
         assert np.array_equal(a.objective_trace, b.objective_trace)
 
     def test_outer_tol_stops_early(self):
