@@ -23,17 +23,14 @@ from scipy.special import log_ndtr
 
 from .errors import NumericsError
 
-DEFAULT_STEPS = 8000
-DEFAULT_REPEATS = 3
-
 _TWO_PI = 2.0 * np.pi
 _MAX_SHRINK = 1000
 
 
 @dataclass(frozen=True)
 class AisConfig:
-    steps: int = DEFAULT_STEPS
-    repeats: int = DEFAULT_REPEATS
+    steps: int = 8000
+    repeats: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -56,18 +53,17 @@ def temperature(t, steps):
     return float((t / steps) ** 4.0)
 
 
-def ess_step(f, loglik, prior_chol, rng, cur_loglik=None, tau=1.0):
+def ess_step(f, loglik, prior_chol, rng, cur_loglik, tau):
     """One elliptical slice transition, invariant for exp(tau * loglik(f)) * N(0, K).
 
-    prior_chol is a factor L of K = L L^T.  cur_loglik is loglik(f), evaluated
-    here when None.  Returns (state, loglik(state)), the log likelihood
-    untempered.  Proposals whose tempered log likelihood is non-finite are
-    rejected; a bracket that shrinks _MAX_SHRINK times raises NumericsError.
+    prior_chol is a factor L of K = L L^T and cur_loglik is loglik(f), which
+    the caller has from the previous step.  Returns (state, loglik(state)),
+    the log likelihood untempered.  Proposals whose tempered log likelihood
+    is non-finite are rejected; a bracket that shrinks _MAX_SHRINK times
+    raises NumericsError.
     """
     f = np.asarray(f, dtype=float)
     nu = prior_chol @ rng.standard_normal(f.size)
-    if cur_loglik is None:
-        cur_loglik = loglik(f)
     threshold = tau * cur_loglik + np.log(rng.random())
     angle = _TWO_PI * rng.random()
     lo, hi = angle - _TWO_PI, angle

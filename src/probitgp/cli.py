@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on usage errors, 2 on numeric failures.  Every
 output CSV starts with a comment line holding the fully resolved command
 (all defaults materialized); re-running that command reproduces the file
-bit for bit.
+bit for bit.  A flag's default is read from the library type that owns the
+setting (TrainConfig, SweepConfig, GridSpec, AisConfig), and --methods is
+checked where the library checks a method list: GridSpec, cross_validate.
 """
 
 import argparse
@@ -17,7 +19,9 @@ from scipy.special import ndtr
 from .ais import AisConfig, ais_lml
 from .data import feature_stats, load_csv, make_folds, fold_datasets, read_feature_rows, standardize
 from .errors import NumericsError
-from .harness import METHODS, TRAINABLE_METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep
+from .harness import (
+    TRAINABLE_METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep, paired_t_test,
+)
 from .kernel import Hyperparams, gram
 from .model_io import ModelArtifact, load_model, save_model
 from .posterior import ScoringState, assemble, predictive_z
@@ -58,22 +62,38 @@ def _jitter_arg(text):
     return value
 
 
-# flag registry per subcommand, in header order: (flag, dest, adder kwargs)
+_TRAIN = TrainConfig()
+_SWEEP = SweepConfig()
+_GRID = GridSpec()
+_AIS = AisConfig()
+
+# fit's and cv's training flags, and grid's and ais's annealing flags
+_TRAIN_FLAGS = [
+    ("--log-lengthscale", dict(type=float, default=_TRAIN.theta0.log_lengthscale,
+                               help="initial log lengthscale")),
+    ("--log-magnitude", dict(type=float, default=_TRAIN.theta0.log_magnitude,
+                             help="initial log magnitude")),
+    ("--e-iters", dict(type=int, default=_TRAIN.e_iters)),
+    ("--m-iters", dict(type=int, default=_TRAIN.m_iters)),
+    ("--e-step-size", dict(type=float, default=_TRAIN.e_step_size)),
+    ("--m-lr", dict(type=float, default=_TRAIN.m_lr)),
+    ("--rounds", dict(type=int, default=_TRAIN.outer_rounds)),
+    ("--tol", dict(type=float, default=_TRAIN.outer_tol)),
+]
+_AIS_FLAGS = [
+    ("--ais-T", dict(type=int, default=_AIS.steps)),
+    ("--ais-repeats", dict(type=int, default=_AIS.repeats)),
+]
+
+# flag registry per subcommand, in header order: (flag, adder kwargs)
 _SPECS = {
     "fit": [
         ("--data", dict(required=True, help="training CSV")),
         ("--label", dict(default="last", help="label column: name, index, or 'last'")),
         ("--out", dict(required=True, help="model artifact path (trace CSV beside it)")),
-        ("--objective", dict(choices=OBJECTIVES, default="elbo")),
-        ("--log-lengthscale", dict(type=float, default=0.0, help="initial log lengthscale")),
-        ("--log-magnitude", dict(type=float, default=0.0, help="initial log magnitude")),
-        ("--e-iters", dict(type=int, default=20)),
-        ("--m-iters", dict(type=int, default=20)),
-        ("--e-step-size", dict(type=float, default=0.1)),
-        ("--m-lr", dict(type=float, default=0.001)),
-        ("--rounds", dict(type=int, default=50)),
-        ("--tol", dict(type=float, default=1e-4)),
-        ("--jitter", dict(type=_jitter_arg, default=None)),
+        ("--objective", dict(choices=OBJECTIVES, default=_TRAIN.objective)),
+        *_TRAIN_FLAGS,
+        ("--jitter", dict(type=_jitter_arg, default=_TRAIN.jitter)),
     ],
     "predict": [
         ("--model", dict(required=True, help="model artifact from fit")),
@@ -85,44 +105,35 @@ _SPECS = {
         ("--data", dict(required=True)),
         ("--label", dict(default="last")),
         ("--out", dict(required=True)),
-        ("--seed", dict(type=int, default=0)),
-        ("--lo", dict(type=float, default=-1.0)),
-        ("--hi", dict(type=float, default=5.0)),
-        ("--points", dict(type=int, default=21)),
-        ("--methods", dict(default="vi,ours,ep,mcmc")),
-        ("--e-iters", dict(type=int, default=200)),
-        ("--e-step-size", dict(type=float, default=0.1)),
-        ("--ais-T", dict(type=int, default=8000)),
-        ("--ais-repeats", dict(type=int, default=3)),
+        ("--seed", dict(type=int, default=_AIS.seed)),
+        ("--lo", dict(type=float, default=_GRID.lo)),
+        ("--hi", dict(type=float, default=_GRID.hi)),
+        ("--points", dict(type=int, default=_GRID.points)),
+        ("--methods", dict(default=",".join(_GRID.methods))),
+        ("--e-iters", dict(type=int, default=_SWEEP.e_iters)),
+        ("--e-step-size", dict(type=float, default=_SWEEP.e_step_size)),
+        *_AIS_FLAGS,
         ("--jobs", dict(type=int, default=1)),
-        ("--jitter", dict(type=_jitter_arg, default=None)),
+        ("--jitter", dict(type=_jitter_arg, default=_SWEEP.jitter)),
     ],
     "cv": [
         ("--data", dict(required=True)),
         ("--label", dict(default="last")),
         ("--out", dict(required=True, help="per-fold CSV (summary written beside it)")),
         ("--seed", dict(type=int, default=0)),
-        ("--methods", dict(default="vi,ours")),
-        ("--log-lengthscale", dict(type=float, default=0.0)),
-        ("--log-magnitude", dict(type=float, default=0.0)),
-        ("--e-iters", dict(type=int, default=20)),
-        ("--m-iters", dict(type=int, default=20)),
-        ("--e-step-size", dict(type=float, default=0.1)),
-        ("--m-lr", dict(type=float, default=0.001)),
-        ("--rounds", dict(type=int, default=50)),
-        ("--tol", dict(type=float, default=1e-4)),
+        ("--methods", dict(default=",".join(TRAINABLE_METHODS))),
+        *_TRAIN_FLAGS,
         ("--jobs", dict(type=int, default=1)),
-        ("--jitter", dict(type=_jitter_arg, default=None)),
+        ("--jitter", dict(type=_jitter_arg, default=_TRAIN.jitter)),
     ],
     "ais": [
         ("--data", dict(required=True)),
         ("--label", dict(default="last")),
         ("--out", dict(default=None, help="optional CSV for the estimate")),
-        ("--seed", dict(type=int, default=0)),
-        ("--log-lengthscale", dict(type=float, default=0.0)),
-        ("--log-magnitude", dict(type=float, default=0.0)),
-        ("--ais-T", dict(type=int, default=8000)),
-        ("--ais-repeats", dict(type=int, default=3)),
+        ("--seed", dict(type=int, default=_AIS.seed)),
+        ("--log-lengthscale", dict(type=float, default=Hyperparams().log_lengthscale)),
+        ("--log-magnitude", dict(type=float, default=Hyperparams().log_magnitude)),
+        *_AIS_FLAGS,
         ("--jitter", dict(type=_jitter_arg, default=None)),
     ],
 }
@@ -157,20 +168,14 @@ def _write_csv(path, header_comment, columns, rows):
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _parse_methods(text, allowed):
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    bad = [m for m in methods if m not in allowed]
-    if bad or not methods:
-        raise _UsageError(f"--methods must name a non-empty subset of {allowed}")
-    if len(set(methods)) != len(methods):
-        raise _UsageError("--methods has duplicates")
-    return methods
+def _methods(text):
+    return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
-def _train_config(args, objective="elbo"):
-    # cv keeps the default: cross_validate sets each method's own objective
+def _train_config(args, **fields):
+    # cv passes no objective: cross_validate sets each method's own
     return TrainConfig(
-        objective=objective,
+        **fields,
         theta0=Hyperparams(args.log_lengthscale, args.log_magnitude),
         e_iters=args.e_iters,
         e_step_size=args.e_step_size,
@@ -182,10 +187,14 @@ def _train_config(args, objective="elbo"):
     )
 
 
+def _ais_config(args):
+    return AisConfig(steps=args.ais_T, repeats=args.ais_repeats, seed=args.seed)
+
+
 def _cmd_fit(args):
     dataset = load_csv(args.data, args.label)
     train, _ = standardize(dataset)
-    result = train_fit(train, _train_config(args, args.objective))
+    result = train_fit(train, _train_config(args, objective=args.objective))
     mean, scale = feature_stats(dataset)
     artifact = ModelArtifact(
         name=dataset.name, objective=args.objective, jitter=args.jitter,
@@ -214,7 +223,7 @@ def _cmd_fit(args):
         f"log_lengthscale={_fmt(result.theta.log_lengthscale)} "
         f"log_magnitude={_fmt(result.theta.log_magnitude)} "
         f"objective={_fmt(float(result.objective_trace[-1]))} "
-        f"stopped={'tolerance' if result.converged else 'round_cap'}"
+        f"stopped={result.stopped}"
     )
     return EXIT_OK
 
@@ -248,16 +257,14 @@ def _cmd_predict(args):
 
 
 def _cmd_grid(args):
-    methods = _parse_methods(args.methods, METHODS)
+    spec = GridSpec(lo=args.lo, hi=args.hi, points=args.points, methods=_methods(args.methods))
     dataset = load_csv(args.data, args.label)
     folds = make_folds(dataset.n, 5, args.seed)
     train_raw, test_raw = fold_datasets(dataset, folds, 0)
     train, (test,) = standardize(train_raw, [test_raw])
-    spec = GridSpec(lo=args.lo, hi=args.hi, points=args.points, methods=methods)
     cfg = SweepConfig(
-        e_iters=args.e_iters, e_step_size=args.e_step_size,
-        ais_steps=args.ais_T, ais_repeats=args.ais_repeats,
-        jitter=args.jitter, seed=args.seed,
+        e_iters=args.e_iters, e_step_size=args.e_step_size, jitter=args.jitter,
+        ais=_ais_config(args),
     )
     records = grid_sweep(train, test, spec, cfg, jobs=args.jobs)
     rows = [
@@ -274,11 +281,11 @@ def _cmd_grid(args):
 
 
 def _cmd_cv(args):
-    methods = _parse_methods(args.methods, TRAINABLE_METHODS)
     dataset = load_csv(args.data, args.label)
     report = cross_validate(
-        dataset, 5, methods, _train_config(args), args.seed, jobs=args.jobs
+        dataset, 5, _methods(args.methods), _train_config(args), args.seed, jobs=args.jobs
     )
+    methods = report.methods
     fold_rows = [
         (dataset.name, fold, method, report.accuracy[method][fold], report.lpd[method][fold])
         for fold in range(report.k)
@@ -289,20 +296,16 @@ def _cmd_cv(args):
         ("dataset", "fold", "method", "accuracy", "lpd"),
         fold_rows,
     )
-    pair_lookup = {
-        (t.metric, t.method_a, t.method_b): t for t in report.tests
-    }
+    # t and p pair each method's folds with the first method's; the first
+    # method's own row reads paired_t_test's (0, 1) for identical columns
     summary_rows = []
-    baseline = methods[0]
     for metric in ("accuracy", "lpd"):
+        folds = getattr(report, metric)
         for method in methods:
-            mean, sd = report.mean_sd(method, metric)
-            if method == baseline:
-                t_stat, p_val = 0.0, 1.0
-            else:
-                test = pair_lookup[(metric, baseline, method)]
-                t_stat, p_val = test.t_statistic, test.p_value
-            summary_rows.append((dataset.name, metric, method, mean, sd, t_stat, p_val))
+            t_stat, p_val = paired_t_test(folds[methods[0]], folds[method])
+            summary_rows.append(
+                (dataset.name, metric, method, *report.mean_sd(method, metric), t_stat, p_val)
+            )
     summary_path = str(Path(args.out).with_suffix(".summary.csv"))
     _write_csv(
         summary_path, _resolved_command(args),
@@ -324,8 +327,7 @@ def _cmd_ais(args):
     train, _ = standardize(dataset)
     theta = Hyperparams(args.log_lengthscale, args.log_magnitude)
     K = gram(train.X, theta, args.jitter)
-    cfg = AisConfig(steps=args.ais_T, repeats=args.ais_repeats, seed=args.seed)
-    est = ais_lml(K, train.y, cfg)
+    est = ais_lml(K, train.y, _ais_config(args))
     per = ",".join(_fmt(float(v)) for v in est.per_repeat)
     print(f"log_ml={_fmt(est.log_ml)} per_repeat={per} n={dataset.n}")
     out = None if args.out in (None, "none") else args.out
@@ -352,10 +354,7 @@ def run(argv):
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericsError as exc:

@@ -31,12 +31,12 @@ logger = logging.getLogger(__name__)
 def e_step(post, y, step_size=0.1, iters=20):
     """Run `iters` synchronous natural-gradient updates from post.sites under post.K.
 
-    Returns (sites, trace, post): trace[k] is the ELBO after k updates
-    (length iters + 1) and post is the posterior of the returned sites under
-    the same Gram matrix, which the loop has assembled anyway.  An update
+    Returns (post, trace): post is the posterior of the sites the loop ends
+    with, under the same Gram matrix, and carries them as post.sites;
+    trace[k] is the ELBO after k updates (length iters + 1).  An update
     that diverges (as the module docstring defines it) ends the loop with a
-    warning; the last finite state is returned with its shortened trace and
-    its posterior.
+    warning; the posterior of the last finite state is returned with its
+    shortened trace.
     """
     y = np.asarray(y, dtype=float)
     if not 0.0 < step_size <= 1.0:
@@ -63,4 +63,4 @@ def e_step(post, y, step_size=0.1, iters=20):
             break
         post = new_post
         trace.append(value)
-    return post.sites, trace, post
+    return post, trace

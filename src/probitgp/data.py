@@ -223,12 +223,12 @@ def feature_stats(train):
     return mean, scale
 
 
-def apply_standardization(ds, mean, scale, name=None):
+def apply_standardization(ds, mean, scale):
     if np.any(scale <= 0) or not (np.isfinite(mean).all() and np.isfinite(scale).all()):
         raise ValueError("invalid standardization stats")
     if mean.shape != (ds.d,) or scale.shape != (ds.d,):
         raise ValueError("standardization stats must match the column count")
-    return Dataset(name=name or ds.name, X=(ds.X - mean) / scale, y=ds.y)
+    return Dataset(name=ds.name, X=(ds.X - mean) / scale, y=ds.y)
 
 
 def standardize(train, others=()):

@@ -1,22 +1,22 @@
-"""Experiment harness: hyperparameter surface sweeps, k-fold CV, paired tests.
+"""Experiment harness: hyperparameter surface sweeps, k-fold CV, the paired t-test.
 
 Grid cells and CV folds are independent pure functions of their inputs, so
 they run under an optional process pool; results are reduced in a canonical
-order and are bitwise identical for any worker count.
+order and are bitwise identical for any worker count.  paired_t_test
+compares two methods' fold columns of a CvReport.
 """
 
 import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, stdtr
 
 from .ais import AisConfig, ais_lml
 from .cvi import e_step
-from .data import Dataset, fold_datasets, make_folds, standardize
+from .data import fold_datasets, make_folds, standardize
 from .ep import ep_energy, ep_inference
 from .errors import NumericsError
 from .kernel import Hyperparams, gram
@@ -29,7 +29,10 @@ METHODS = ("vi", "ours", "ep", "mcmc")
 OBJECTIVE_OF = {"vi": "elbo", "ours": "ep_like"}  # each trainable method's learning objective
 TRAINABLE_METHODS = tuple(OBJECTIVE_OF)
 
-SURFACE_E_ITERS = 200
+
+def _check_methods(methods, allowed):
+    if not methods or len(set(methods)) != len(methods) or not set(methods) <= set(allowed):
+        raise ValueError(f"methods must name each of a non-empty subset of {allowed} once")
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,7 @@ class GridSpec:
             raise ValueError("need lo < hi")
         if self.points < 2:
             raise ValueError("need at least 2 points per axis")
-        bad = [m for m in self.methods if m not in METHODS]
-        if bad or not self.methods:
-            raise ValueError(f"methods must be a non-empty subset of {METHODS}")
+        _check_methods(self.methods, METHODS)
 
     def axis(self):
         return np.linspace(self.lo, self.hi, self.points)
@@ -56,14 +57,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Per-cell inference budgets for surface sweeps."""
+    """Per-cell inference budgets for surface sweeps; cell i anneals with
+    ais.seed + i * ais.repeats."""
 
-    e_iters: int = SURFACE_E_ITERS
+    e_iters: int = 200
     e_step_size: float = 0.1
-    ais_steps: int = 8000
-    ais_repeats: int = 3
     jitter: float | None = None
-    seed: int = 0
+    ais: AisConfig = AisConfig()
 
 
 @dataclass(frozen=True)
@@ -75,24 +75,15 @@ class SurfaceRecord:
     lpd_per_n: float
 
 
-class PairedTest(NamedTuple):
-    metric: str
-    method_a: str
-    method_b: str
-    t_statistic: float
-    p_value: float
-
-
 @dataclass(frozen=True)
 class CvReport:
-    """Per-fold metrics by method plus pairwise paired t-tests."""
+    """Per-fold metrics by method: accuracy[m] and lpd[m] hold k values."""
 
     dataset: str
     k: int
     methods: tuple
     accuracy: dict
     lpd: dict
-    tests: tuple
 
     def mean_sd(self, method, metric):
         vals = getattr(self, metric)[method]
@@ -118,7 +109,7 @@ def _sweep_cell(args):
 
     if "vi" in methods or "ours" in methods:
         try:
-            _, _, post = e_step(
+            post, _ = e_step(
                 assemble(K, Sites.zeros(n)), y_train, step_size=cfg.e_step_size, iters=cfg.e_iters
             )
             lpd = _mean_lpd(post, theta, X_train, X_test, y_test)
@@ -139,10 +130,7 @@ def _sweep_cell(args):
 
     if "mcmc" in methods:
         try:
-            est = ais_lml(
-                K, y_train,
-                AisConfig(steps=cfg.ais_steps, repeats=cfg.ais_repeats, seed=cell_seed),
-            )
+            est = ais_lml(K, y_train, replace(cfg.ais, seed=cell_seed))
             records["mcmc"] = (est.log_ml / n, float("nan"))
         except NumericsError as exc:
             logger.warning("cell (%g, %g): annealing failed: %s", ll, ls, exc)
@@ -180,7 +168,7 @@ def grid_sweep(train, test, spec, cfg, jobs=1):
             args.append((
                 train.X, train.y, test.X, test.y,
                 float(ll), float(ls), tuple(spec.methods), cfg,
-                cfg.seed + cell_index * cfg.ais_repeats,
+                cfg.ais.seed + cell_index * cfg.ais.repeats,
             ))
     cell_lists = _pmap(_sweep_cell, args, jobs)
     records = [rec for cell in cell_lists for rec in cell]
@@ -217,11 +205,7 @@ def cross_validate(dataset, k, methods, cfg, seed, jobs=1):
     at most k workers are busy.
     """
     methods = tuple(methods)
-    if not methods or len(set(methods)) != len(methods):
-        raise ValueError("methods must be non-empty and unique")
-    bad = [m for m in methods if m not in TRAINABLE_METHODS]
-    if bad:
-        raise ValueError(f"cross-validation supports {TRAINABLE_METHODS}, got {bad}")
+    _check_methods(methods, TRAINABLE_METHODS)
     folds = make_folds(dataset.n, k, seed)
     args = [(dataset, folds, fold, methods, cfg) for fold in range(k)]
     results = _pmap(_cv_task, args, jobs)
@@ -230,17 +214,7 @@ def cross_validate(dataset, k, methods, cfg, seed, jobs=1):
     for fold, method, acc, lp in (score for scores in results for score in scores):
         accuracy[method][fold] = acc
         lpd[method][fold] = lp
-    tests = []
-    for metric_name, values in (("accuracy", accuracy), ("lpd", lpd)):
-        for a_idx in range(len(methods)):
-            for b_idx in range(a_idx + 1, len(methods)):
-                ma, mb = methods[a_idx], methods[b_idx]
-                t_stat, p_val = paired_t_test(values[ma], values[mb])
-                tests.append(PairedTest(metric_name, ma, mb, t_stat, p_val))
-    return CvReport(
-        dataset=dataset.name, k=k, methods=methods,
-        accuracy=accuracy, lpd=lpd, tests=tuple(tests),
-    )
+    return CvReport(dataset=dataset.name, k=k, methods=methods, accuracy=accuracy, lpd=lpd)
 
 
 def paired_t_test(a, b):

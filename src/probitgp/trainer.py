@@ -61,7 +61,7 @@ class TrainResult:
     elbo_trace: np.ndarray        # ELBO after each outer round
     theta_trace: np.ndarray       # hyperparameters after each outer round
     posterior: GaussianPosterior  # of the final sites under theta, from the last E-step
-    converged: bool               # outer_tol met; False: stopped at outer_rounds
+    stopped: str                  # "tolerance", "stalled" or "round_cap"; see fit
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,19 @@ def _m_step(dataset, theta, cfg, post):
     10 times per iteration; post.sites stay fixed throughout.
 
     post is the posterior at theta and serves the first probe.  Returns
-    (theta, value, post) at the last accepted point: the new theta, the
-    objective there and the posterior the probe built there.  With
-    cfg.m_iters == 0 only the value is computed.
+    (theta, value, post, stalled) at the last accepted point: the new theta,
+    the objective there, the posterior the probe built there, and whether
+    the gradient at theta was not finite, so that theta could not move.  A
+    step that overflows is a rejected probe.  With cfg.m_iters == 0 only the
+    value is computed.
     """
     if cfg.m_iters == 0:
-        return theta, _value(dataset.y, post, cfg.objective), post
+        return theta, _value(dataset.y, post, cfg.objective), post, False
     sites = post.sites
 
     def probe(vec):
+        if not np.isfinite(vec).all():
+            raise NumericsError("the step overflowed")
         th = Hyperparams(vec[0], vec[1])
         post = assemble(gram(dataset.X, th, cfg.jitter, dataset.distances), sites)
         if not np.all(post.var >= 0.0):  # neither the ELBO nor the next E-step could read it
@@ -168,12 +172,14 @@ def _m_step(dataset, theta, cfg, post):
 
     th = theta.as_array()
     current, grad = _value_and_grad(dataset, theta, post, cfg.objective, cfg.jitter)
+    stalled = not np.isfinite(grad).all()
     for _ in range(cfg.m_iters):
         if not np.isfinite(grad).all():
             break
         step = cfg.m_lr
         for _ in range(11):  # full step, then up to 10 halvings
-            cand = th + step * grad
+            with np.errstate(over="ignore"):  # probe rejects a non-finite point
+                cand = th + step * grad
             try:
                 probed = probe(cand)
             except NumericsError:
@@ -186,7 +192,7 @@ def _m_step(dataset, theta, cfg, post):
             step *= 0.5
         else:
             break  # every probe failed; the next iteration would repeat them
-    return Hyperparams(float(th[0]), float(th[1])), current, post
+    return Hyperparams(float(th[0]), float(th[1])), current, post, stalled
 
 
 def fit_start(dataset, cfg):
@@ -198,7 +204,7 @@ def fit_start(dataset, cfg):
     so one start serves every fit that agrees on those.
     """
     K = gram(dataset.X, cfg.theta0, cfg.jitter, dataset.distances)
-    _, _, post = e_step(
+    post, _ = e_step(
         assemble(K, Sites.zeros(dataset.n)), dataset.y, step_size=cfg.e_step_size, iters=cfg.e_iters
     )
     return FitStart(dataset, _start_key(cfg), post)
@@ -208,8 +214,10 @@ def fit(dataset, cfg, start=None):
     """Alternate E- and M-steps until the hyperparameter move stalls.
 
     Stops after cfg.outer_rounds rounds or when the max absolute change of
-    log-theta over a round drops below cfg.outer_tol (TrainResult.converged
-    says which); the E-step after the last M-step refreshes the sites, and
+    log-theta over a round drops below cfg.outer_tol.  TrainResult.stopped
+    says which: "round_cap", or "tolerance", or "stalled" when that round's
+    M-step met a non-finite gradient at theta and so could not move it.
+    The E-step after the last M-step refreshes the sites, and
     its posterior is TrainResult.posterior.  start is fit_start(dataset, cfg)
     or any start built for this dataset object with the same theta0, E-step
     budget and jitter (ValueError otherwise); None runs it here.
@@ -225,10 +233,10 @@ def fit(dataset, cfg, start=None):
     objective_trace = []
     elbo_trace = []
     theta_trace = []
-    converged = False
+    stopped = "round_cap"
     for _ in range(cfg.outer_rounds):
-        new_theta, obj, post = _m_step(dataset, theta, cfg, post)
-        _, e_trace, post = e_step(post, dataset.y, step_size=cfg.e_step_size, iters=cfg.e_iters)
+        new_theta, obj, post, stalled = _m_step(dataset, theta, cfg, post)
+        post, e_trace = e_step(post, dataset.y, step_size=cfg.e_step_size, iters=cfg.e_iters)
         objective_trace.append(obj)
         elbo_trace.append(e_trace[0])  # ELBO at the M-step's sites and new_theta
         theta_trace.append([new_theta.log_lengthscale, new_theta.log_magnitude])
@@ -238,7 +246,7 @@ def fit(dataset, cfg, start=None):
         )
         theta = new_theta
         if delta < cfg.outer_tol:
-            converged = True
+            stopped = "stalled" if stalled else "tolerance"
             break
     return TrainResult(
         theta=theta,
@@ -246,5 +254,5 @@ def fit(dataset, cfg, start=None):
         elbo_trace=np.array(elbo_trace),
         theta_trace=np.array(theta_trace),
         posterior=post,
-        converged=converged,
+        stopped=stopped,
     )

@@ -226,7 +226,7 @@ def test_criterion_7_surface_argmax_against_annealing():
     train_raw, test_raw = fold_datasets(ds, folds, 0)
     train, (test,) = standardize(train_raw, [test_raw])
     spec = GridSpec(lo=-1.0, hi=5.0, points=7, methods=("vi", "ours", "mcmc"))
-    cfg = SweepConfig(ais_steps=2000, ais_repeats=3, seed=0)
+    cfg = SweepConfig(ais=AisConfig(steps=2000, repeats=3, seed=0))
     records = grid_sweep(train, test, spec, cfg, jobs=7)
 
     def argmax_cell(method):

@@ -57,7 +57,7 @@ class TestSliceKernel:
             return 0.0
 
         f = L @ rng.standard_normal(3)
-        ess_step(f, flat, L, rng, cur_loglik=0.0)
+        ess_step(f, flat, L, rng, cur_loglik=0.0, tau=1.0)
         assert len(calls) == 1
 
     def test_flat_target_preserves_prior_exactly(self):
@@ -69,7 +69,7 @@ class TestSliceKernel:
         out = np.empty((m, 2))
         for i in range(m):
             f = L @ rng.standard_normal(2)
-            out[i], _ = ess_step(f, lambda _: 0.0, L, rng, cur_loglik=0.0)
+            out[i], _ = ess_step(f, lambda _: 0.0, L, rng, cur_loglik=0.0, tau=1.0)
         se_mean = np.sqrt(np.diag(K) / m)
         assert np.all(np.abs(out.mean(axis=0)) < 4 * se_mean)
         emp_cov = np.cov(out.T)
@@ -90,10 +90,11 @@ class TestSliceKernel:
         cdf /= cdf[-1]
 
         f = np.array([0.0])
+        cur = loglik(f)
         burn, keep = 2000, 30000
         samples = np.empty(keep)
         for i in range(burn + keep):
-            f, _ = ess_step(f, loglik, L, rng)
+            f, cur = ess_step(f, loglik, L, rng, cur_loglik=cur, tau=1.0)
             if i >= burn:
                 samples[i - burn] = f[0]
         samples.sort()
@@ -130,7 +131,7 @@ class TestSliceKernel:
         f = np.zeros(5)
         for tau in (1.0, 0.3, 1e-4, 1.0):
             for _ in range(50):
-                f, value = ess_step(f, loglik, L, rng, tau=tau)
+                f, value = ess_step(f, loglik, L, rng, cur_loglik=loglik(f), tau=tau)
                 assert value == loglik(f)
 
     def test_tempered_chain_matches_quadrature_cdf(self):
@@ -166,7 +167,7 @@ class TestSliceKernel:
         rng = np.random.default_rng(3)
         L = np.eye(1)
         with pytest.raises(NumericsError):
-            ess_step(np.array([0.0]), lambda _: -np.inf, L, rng, cur_loglik=0.0)
+            ess_step(np.array([0.0]), lambda _: -np.inf, L, rng, cur_loglik=0.0, tau=1.0)
 
 
 class TestAisEstimates:

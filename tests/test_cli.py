@@ -14,7 +14,7 @@ import pytest
 from scipy.special import ndtr
 
 import helpers
-from probitgp import NumericsError, load_model
+from probitgp import NumericsError, load_model, paired_t_test
 from probitgp.cli import run
 import probitgp
 import probitgp.cli as cli_module
@@ -392,6 +392,28 @@ class TestCv:
         baseline_acc = slines[2].split(",")
         assert baseline_acc[2] == "vi" and baseline_acc[5] == "0" and baseline_acc[6] == "1"
 
+    @pytest.mark.parametrize("methods", ["vi,ours", "ours"])
+    def test_summary_tests_each_method_against_the_first(self, tmp_path, methods):
+        """Each summary row's t and p are the paired test of the first
+        method's fold column against that row's method's column."""
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, n=20, seed=12)
+        out = tmp_path / "cv.csv"
+        assert run(["cv", "--data", str(data), "--out", str(out), "--methods", methods,
+                    "--e-iters", "5", "--m-iters", "1", "--rounds", "1"]) == 0
+        folds = {}
+        for line in out.read_text().splitlines()[2:]:
+            _, _, method, accuracy, lpd = line.split(",")
+            folds.setdefault(("accuracy", method), []).append(float(accuracy))
+            folds.setdefault(("lpd", method), []).append(float(lpd))
+        first = methods.split(",")[0]
+        rows = (tmp_path / "cv.summary.csv").read_text().splitlines()[2:]
+        assert len(rows) == 2 * len(methods.split(","))
+        for line in rows:
+            _, metric, method, _, _, t, p = line.split(",")
+            want = paired_t_test(folds[(metric, first)], folds[(metric, method)])
+            assert (float(t), float(p)) == want
+
     def test_cv_rejects_untrainable_methods(self, tmp_path):
         data = tmp_path / "train.csv"
         write_blobs_csv(data, n=20, seed=11)
@@ -484,23 +506,25 @@ class TestExitCodes:
 
 TEN_ROWS = "a,b,c\n" + "".join(f"{0.3 * i},{(7 * i) % 5},{i % 2}\n" for i in range(10))
 
-# (argv after --data and --out, exit code): hyperparameters past what the
-# floats can hold or the E-step can follow, and an M-step rate that throws
-# its probes there.  The grids run a short AIS chain; it is not what fails.
+# (argv after --data and --out, exit code, what a fit that exits 0 prints
+# as stopped=): hyperparameters past what the floats can hold or the E-step
+# can follow, and M-step rates that throw their probes there or past the
+# floats.  The grids run a short AIS chain; it is not what fails.
 EXTREME_RUNS = [
-    (["fit", "--log-magnitude", "800"], 2),
-    (["fit", "--log-magnitude", "-400"], 2),
-    (["fit", "--log-magnitude", "360"], 2),
-    (["fit", "--log-magnitude", "300"], 0),
-    (["fit", "--log-lengthscale", "-800"], 2),
-    (["fit", "--log-lengthscale", "800"], 0),
-    (["ais", "--log-magnitude", "800"], 2),
-    (["ais", "--log-magnitude", "-400"], 2),
-    (["cv", "--m-lr", "1e6", "--rounds", "2"], 0),
-    (["grid", "--points", "2", "--hi", "800"], 0),
-    (["grid", "--points", "2", "--lo", "0", "--hi", "20"], 0),
-    (["grid", "--points", "2", "--lo", "-50", "--hi", "50"], 0),
-    (["grid", "--points", "2", "--lo", "0", "--hi", "15"], 0),
+    (["fit", "--log-magnitude", "800"], 2, None),
+    (["fit", "--log-magnitude", "-400"], 2, None),
+    (["fit", "--log-magnitude", "360"], 2, None),
+    (["fit", "--log-magnitude", "300"], 0, "stalled"),
+    (["fit", "--log-lengthscale", "-800"], 2, None),
+    (["fit", "--log-lengthscale", "800"], 0, "round_cap"),
+    (["fit", "--m-lr", "1.7e308", "--rounds", "3"], 0, None),
+    (["ais", "--log-magnitude", "800"], 2, None),
+    (["ais", "--log-magnitude", "-400"], 2, None),
+    (["cv", "--m-lr", "1e6", "--rounds", "2"], 0, None),
+    (["grid", "--points", "2", "--hi", "800"], 0, None),
+    (["grid", "--points", "2", "--lo", "0", "--hi", "20"], 0, None),
+    (["grid", "--points", "2", "--lo", "-50", "--hi", "50"], 0, None),
+    (["grid", "--points", "2", "--lo", "0", "--hi", "15"], 0, None),
 ]
 EXTREME_SECONDS = 10
 
@@ -525,11 +549,13 @@ def time_limit(seconds):
 
 
 @pytest.mark.parametrize(
-    "argv, expected", EXTREME_RUNS, ids=[" ".join(a).replace("--", "") for a, _ in EXTREME_RUNS]
+    "argv, expected, stopped", EXTREME_RUNS,
+    ids=[" ".join(a).replace("--", "") for a, *_ in EXTREME_RUNS],
 )
-def test_extreme_hyperparameters_exit_cleanly_in_time(tmp_path, capsys, argv, expected):
+def test_extreme_hyperparameters_exit_cleanly_in_time(tmp_path, capsys, argv, expected, stopped):
     """Each run ends within the time limit with 0 or 2 and no traceback.  A
-    grid writes all 16 rows, each value finite or NaN (a failed cell)."""
+    fit says why it stopped, and a grid writes all 16 rows, each value
+    finite or NaN (a failed cell)."""
     data, out = tmp_path / "ten.csv", tmp_path / "out.csv"
     data.write_text(TEN_ROWS)
     command, *flags = argv
@@ -538,7 +564,10 @@ def test_extreme_hyperparameters_exit_cleanly_in_time(tmp_path, capsys, argv, ex
     with time_limit(EXTREME_SECONDS):
         code = run([command, "--data", str(data), "--out", str(out), *flags])
     assert code == expected
-    assert "Traceback" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if stopped:
+        assert captured.out.rstrip().endswith(f"stopped={stopped}")
     if command == "grid":
         rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
         assert len(rows) == 16

@@ -29,17 +29,17 @@ class TestMechanics:
     def test_zero_iters_returns_start_and_single_trace_entry(self):
         K, y = toy_problem()
         start = Sites.zeros(len(y))
-        sites, trace, _ = e_step(assemble(K, start), y, iters=0)
-        assert sites is start
+        post, trace = e_step(assemble(K, start), y, iters=0)
+        assert post.sites is start
         assert len(trace) == 1
         assert_allclose(trace[0], elbo(assemble(K, start), y), rtol=0)
 
     def test_trace_length_and_final_value(self):
         K, y = toy_problem()
-        sites, trace, _ = e_step(assemble(K, Sites.zeros(len(y))), y, iters=15)
+        post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, iters=15)
         assert len(trace) == 16
         # the reported trace end is exactly the ELBO of the returned sites
-        assert trace[-1] == elbo(assemble(K, sites), y)
+        assert trace[-1] == elbo(assemble(K, post.sites), y)
 
     @pytest.mark.parametrize("breakdown", ["non_finite_update", "negative_variance"])
     def test_breakdown_keeps_the_last_finite_state(self, monkeypatch, caplog, breakdown):
@@ -47,7 +47,7 @@ class TestMechanics:
         variance in its posterior, is a divergence: the E-step returns the
         state after two updates, as iters=2 does, and logs a warning."""
         K, y = toy_problem()
-        sites2, trace2, _ = e_step(assemble(K, Sites.zeros(len(y))), y, iters=2)
+        post2, trace2 = e_step(assemble(K, Sites.zeros(len(y))), y, iters=2)
         calls = []
         if breakdown == "non_finite_update":
             real = cvi.expectation_stats
@@ -69,9 +69,9 @@ class TestMechanics:
                 return post
 
             monkeypatch.setattr(cvi, "assemble", assemble_with_a_negative_variance)
-        sites, trace, post = e_step(assemble(K, Sites.zeros(len(y))), y, iters=10)
+        post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, iters=10)
         assert trace == trace2
-        assert np.array_equal(sites.lam1, sites2.lam1) and post.sites is sites
+        assert np.array_equal(post.sites.lam1, post2.sites.lam1)
         assert "diverged at iteration 3" in caplog.text
 
     def test_invalid_arguments(self):
@@ -88,22 +88,22 @@ class TestConvergence:
     def test_elbo_nondecreasing_from_zero_start(self):
         for seed in range(4):
             K, y = toy_problem(seed=seed)
-            _, trace, _ = e_step(assemble(K, Sites.zeros(len(y))), y, iters=60)
+            _, trace = e_step(assemble(K, Sites.zeros(len(y))), y, iters=60)
             diffs = np.diff(trace)
             assert diffs.min() > -1e-9
 
     def test_fixed_point_is_stationary(self):
         """At convergence another update leaves sites essentially unchanged."""
         K, y = toy_problem()
-        sites, _, _ = e_step(assemble(K, Sites.zeros(len(y))), y, iters=400)
-        moved, _, _ = e_step(assemble(K, sites), y, iters=1)
+        sites = e_step(assemble(K, Sites.zeros(len(y))), y, iters=400)[0].sites
+        moved = e_step(assemble(K, sites), y, iters=1)[0].sites
         assert np.max(np.abs(moved.lam1 - sites.lam1)) < 1e-9
         assert np.max(np.abs(moved.lam2 - sites.lam2)) < 1e-9
 
     def test_fixed_point_satisfies_stationarity_equations(self):
         """lam1 = g_m - 2 g_v m and lam2 = g_v at the converged posterior."""
         K, y = toy_problem(seed=3)
-        sites, _, _ = e_step(assemble(K, Sites.zeros(len(y))), y, iters=500)
+        sites = e_step(assemble(K, Sites.zeros(len(y))), y, iters=500)[0].sites
         post = assemble(K, sites)
         _, g_m, g_v = expectation_stats(y, post.m, np.diag(post.covariance()))
         assert_allclose(sites.lam1, g_m - 2.0 * g_v * post.m, atol=1e-8)
@@ -112,7 +112,8 @@ class TestConvergence:
     def test_beats_hand_perturbed_sites(self):
         """Converged ELBO dominates nearby site settings (local optimality)."""
         K, y = toy_problem(seed=1)
-        sites, trace, _ = e_step(assemble(K, Sites.zeros(len(y))), y, iters=400)
+        post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, iters=400)
+        sites = post.sites
         best = trace[-1]
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -132,12 +133,12 @@ class TestConjugateSurrogate:
         t = rng.standard_normal(n)
         K = gram(X, Hyperparams(0.2, 0.1))
         monkeypatch.setattr(cvi, "expectation_stats", helpers.gaussian_loglik_stats(noise, t))
-        sites, trace, _ = e_step(assemble(K, Sites.zeros(n)), np.ones(n), step_size=1.0, iters=1)
+        sites = e_step(assemble(K, Sites.zeros(n)), np.ones(n), step_size=1.0, iters=1)[0].sites
         # with constant curvature the update is beta-independent at beta=1
         assert_allclose(sites.lam1, t / noise, rtol=1e-12)
         assert_allclose(sites.lam2, np.full(n, -0.5 / noise), rtol=1e-12)
         # and a second iteration does not move
-        again, _, _ = e_step(assemble(K, sites), np.ones(n), step_size=1.0, iters=1)
+        again = e_step(assemble(K, sites), np.ones(n), step_size=1.0, iters=1)[0].sites
         assert_allclose(again.lam1, sites.lam1, rtol=1e-12)
         assert_allclose(again.lam2, sites.lam2, rtol=1e-12)
 
@@ -148,7 +149,7 @@ class TestConjugateSurrogate:
         t = rng.standard_normal(n)
         K = gram(X, Hyperparams(0.0, 0.0))
         monkeypatch.setattr(cvi, "expectation_stats", helpers.gaussian_loglik_stats(noise, t))
-        sites, _, _ = e_step(assemble(K, Sites.zeros(n)), np.ones(n), step_size=0.3, iters=200)
+        sites = e_step(assemble(K, Sites.zeros(n)), np.ones(n), step_size=0.3, iters=200)[0].sites
         assert_allclose(sites.lam1, t / noise, atol=1e-10)
         assert_allclose(sites.lam2, np.full(n, -0.5 / noise), atol=1e-10)
 
@@ -160,27 +161,28 @@ class TestStructure:
         X = helpers.make_blobs(10, 2, 5).X
         perm = np.random.default_rng(9).permutation(10)
         Kp = gram(X[perm], Hyperparams(0.3, 0.0))
-        s1, _, _ = e_step(assemble(K, Sites.zeros(10)), y, iters=50)
-        s2, _, _ = e_step(assemble(Kp, Sites.zeros(10)), y[perm], iters=50)
+        s1 = e_step(assemble(K, Sites.zeros(10)), y, iters=50)[0].sites
+        s2 = e_step(assemble(Kp, Sites.zeros(10)), y[perm], iters=50)[0].sites
         assert_allclose(s2.lam1, s1.lam1[perm], atol=1e-10)
         assert_allclose(s2.lam2, s1.lam2[perm], atol=1e-10)
 
     def test_label_flip_flips_lam1(self):
         """Negating every label negates the site means and keeps curvatures."""
         K, y = toy_problem(n=8, seed=6)
-        s1, _, _ = e_step(assemble(K, Sites.zeros(8)), y, iters=40)
-        s2, _, _ = e_step(assemble(K, Sites.zeros(8)), -y, iters=40)
+        s1 = e_step(assemble(K, Sites.zeros(8)), y, iters=40)[0].sites
+        s2 = e_step(assemble(K, Sites.zeros(8)), -y, iters=40)[0].sites
         assert_allclose(s2.lam1, -s1.lam1, atol=1e-12)
         assert_allclose(s2.lam2, s1.lam2, atol=1e-12)
 
     def test_lam2_stays_strictly_negative(self):
         K, y = toy_problem(n=14, seed=7)
-        sites, _, _ = e_step(assemble(K, Sites.zeros(14)), y, iters=30)
+        sites = e_step(assemble(K, Sites.zeros(14)), y, iters=30)[0].sites
         assert np.all(sites.lam2 <= -1e-10)
 
     def test_deterministic(self):
         K, y = toy_problem(n=9, seed=8)
-        a, ta, _ = e_step(assemble(K, Sites.zeros(9)), y, iters=25)
-        b, tb, _ = e_step(assemble(K, Sites.zeros(9)), y, iters=25)
+        post_a, ta = e_step(assemble(K, Sites.zeros(9)), y, iters=25)
+        post_b, tb = e_step(assemble(K, Sites.zeros(9)), y, iters=25)
+        a, b = post_a.sites, post_b.sites
         assert np.array_equal(a.lam1, b.lam1) and np.array_equal(a.lam2, b.lam2)
         assert ta == tb

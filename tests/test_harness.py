@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import helpers
 from probitgp import (
+    AisConfig,
     GridSpec,
     SweepConfig,
     TrainConfig,
@@ -15,7 +16,7 @@ from probitgp import (
 )
 from probitgp import ep
 
-DESK_CFG = SweepConfig(e_iters=40, ais_steps=60, ais_repeats=1)
+DESK_CFG = SweepConfig(e_iters=40, ais=AisConfig(steps=60, repeats=1))
 
 
 def same_records(a, b):
@@ -61,6 +62,10 @@ class TestGridSpec:
             GridSpec(methods=("vi", "bogus"))
         with pytest.raises(ValueError):
             GridSpec(methods=())
+
+    def test_methods_name_each_method_once(self):
+        with pytest.raises(ValueError):
+            GridSpec(methods=("vi", "vi"))
 
 
 class TestGridSweep:
@@ -141,8 +146,6 @@ class TestCrossValidate:
             assert rep.accuracy[m].shape == (4,)
             assert rep.lpd[m].shape == (4,)
             assert np.all(rep.lpd[m] < 0)
-        metrics = {t.metric for t in rep.tests}
-        assert metrics == {"accuracy", "lpd"}
         rep2 = cross_validate(ds, 4, ("vi", "ours"), self.CFG, seed=0)
         assert np.array_equal(rep.accuracy["vi"], rep2.accuracy["vi"])
         assert np.array_equal(rep.lpd["ours"], rep2.lpd["ours"])
@@ -156,9 +159,9 @@ class TestCrossValidate:
         ds = helpers.make_blobs(18, 2, 12)
         a = cross_validate(ds, 3, ("vi", "ours"), self.CFG, seed=2, jobs=1)
         b = cross_validate(ds, 3, ("vi", "ours"), self.CFG, seed=2, jobs=3)
-        assert np.array_equal(a.accuracy["vi"], b.accuracy["vi"])
-        assert np.array_equal(a.lpd["ours"], b.lpd["ours"])
-        assert a.tests == b.tests
+        for m in ("vi", "ours"):
+            assert np.array_equal(a.accuracy[m], b.accuracy[m])
+            assert np.array_equal(a.lpd[m], b.lpd[m])
 
     def test_rejects_untrainable_methods(self):
         ds = helpers.make_blobs(12, 2, 13)

@@ -55,7 +55,7 @@ def lean_core_instances(count=24, seed=20):
             lam1 = rng.uniform(-30.0, 30.0, n)
         else:
             y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
-            sites, _, _ = e_step(assemble(K, Sites.zeros(n)), y, iters=int(rng.integers(1, 8)))
+            sites = e_step(assemble(K, Sites.zeros(n)), y, iters=int(rng.integers(1, 8)))[0].sites
             lam1, lam2 = sites.lam1, sites.lam2
         yield K, Sites(lam1, lam2)
 

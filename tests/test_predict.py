@@ -36,7 +36,7 @@ def instance(n_rows, kind, seed):
     elif kind == "ceiling":
         sites = Sites(rng.uniform(-2.0, 2.0, n), np.full(n, LAMBDA2_CEIL))
     else:
-        sites, _, _ = e_step(assemble(K, Sites.zeros(n)), y, step_size=0.5, iters=15)
+        sites = e_step(assemble(K, Sites.zeros(n)), y, step_size=0.5, iters=15)[0].sites
     return assemble(K, sites), theta, X_train, X_test
 
 

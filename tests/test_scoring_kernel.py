@@ -57,7 +57,7 @@ def scoring_instance(kind, seed):
         sites = Sites(rng.uniform(-20.0, 20.0, n), -0.5 * rng.uniform(0.0, 600.0, n))
     else:
         y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-        sites, _, _ = e_step(assemble(K, Sites.zeros(n)), y, step_size=0.5, iters=15)
+        sites = e_step(assemble(K, Sites.zeros(n)), y, step_size=0.5, iters=15)[0].sites
     k_star = cross_gram(X, Z, theta)
     return assemble(K, sites), k_star, np.full(Z.shape[0], theta.magnitude ** 2)
 

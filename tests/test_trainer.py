@@ -48,7 +48,7 @@ class TestObjectiveValue:
         elbo and ep_like_energy."""
         ds = blob_dataset()
         theta = Hyperparams(0.2, -0.1)
-        sites, _, _ = e_step(assemble(gram(ds.X, theta), Sites.zeros(ds.n)), ds.y, iters=15)
+        sites = e_step(assemble(gram(ds.X, theta), Sites.zeros(ds.n)), ds.y, iters=15)[0].sites
         post = assemble(gram(ds.X, theta), sites)
         for objective, direct in (("elbo", elbo(post, ds.y)), ("ep_like", ep_like_energy(post))):
             assert trainer._value(ds.y, post, objective) == direct
@@ -148,9 +148,9 @@ def probit_instances(count=24, seed=77):
         theta = Hyperparams(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         kind = i % 3
         if kind == 0:
-            sites, _, _ = e_step(
+            sites = e_step(
                 assemble(gram(X, theta), Sites.zeros(n)), y, iters=int(rng.integers(1, 6))
-            )
+            )[0].sites
         elif kind == 1:
             sites = Sites.zeros(n)
         else:
@@ -202,11 +202,12 @@ class TestObjectivesMeetAtConvergence:
         y = np.where(X[:, 0] + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
         ds = Dataset("c", X, y)
         K = gram(X, theta)
-        early, _, _ = e_step(assemble(K, Sites.zeros(n)), y, step_size=0.5, iters=5)
+        early = e_step(assemble(K, Sites.zeros(n)), y, step_size=0.5, iters=5)[0].sites
         g_elbo, g_ep = self.gradients(ds, early, theta)
         # short of the fixed point the branches differ: the check has teeth
         assert np.max(np.abs(g_elbo - g_ep)) > 1e-4 * np.max(np.abs(g_elbo))
-        sites, trace, _ = e_step(assemble(K, early), y, step_size=0.5, iters=2000)
+        post, trace = e_step(assemble(K, early), y, step_size=0.5, iters=2000)
+        sites = post.sites
         assert abs(trace[-1] - trace[-2]) < 1e-10 * abs(trace[-1])
         g_elbo, g_ep = self.gradients(ds, sites, theta)
         assert np.max(np.abs(g_elbo - g_ep)) <= self.RTOL * np.max(np.abs(g_elbo))
@@ -223,7 +224,7 @@ class TestFdEquivalence:
             new = helpers.fd_m_step(dataset, sites, theta, cfg)
             K = gram(dataset.X, new, cfg.jitter, dataset.distances)
             value = helpers.objective_value(dataset, sites, new, cfg.objective, cfg.jitter)
-            return new, value, assemble(K, sites)
+            return new, value, assemble(K, sites), False
 
         with monkeypatch.context() as patch:
             patch.setattr(trainer, "_m_step", m_step)
@@ -248,7 +249,7 @@ class TestFdEquivalence:
         for objective in ("elbo", "ep_like"):
             cfg = TrainConfig(objective=objective, e_iters=8, m_iters=4, outer_rounds=1)
             res = fit(ds, cfg)
-            sites, _, _ = e_step(assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, iters=8)
+            sites = e_step(assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, iters=8)[0].sites
             assert res.objective_trace[0] == helpers.objective_value(ds, sites, res.theta, objective)
 
     def test_round_traces_are_objective_values_at_each_theta(self):
@@ -262,7 +263,7 @@ class TestFdEquivalence:
             assert len(res.theta_trace) == 3
             sites, theta = Sites.zeros(ds.n), cfg.theta0
             for r, row in enumerate(res.theta_trace):
-                sites, _, _ = e_step(assemble(gram(ds.X, theta), sites), ds.y, iters=8)
+                sites = e_step(assemble(gram(ds.X, theta), sites), ds.y, iters=8)[0].sites
                 theta = Hyperparams(*row)
                 assert res.objective_trace[r] == helpers.objective_value(ds, sites, theta, objective)
                 assert res.elbo_trace[r] == helpers.objective_value(ds, sites, theta, "elbo")
@@ -280,7 +281,7 @@ class TestFit:
         monkeypatch.setattr(trainer, "assemble", lambda K, sites: dataclasses.replace(
             real(K, sites), var=np.full(sites.n, -1e-9)))
         res = fit(ds, cfg, start=start)
-        assert res.theta == cfg.theta0 and res.converged
+        assert res.theta == cfg.theta0 and res.stopped == "tolerance"
 
     def test_pure_inference_round_computes_no_gradient(self, monkeypatch):
         """With m_iters 0 the M-step records objective_value, bit for bit,
@@ -296,7 +297,7 @@ class TestFit:
         for objective in ("elbo", "ep_like"):
             cfg = TrainConfig(objective=objective, e_iters=6, m_iters=0, outer_rounds=1)
             res = fit(ds, cfg)
-            sites, _, _ = e_step(assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, iters=6)
+            sites = e_step(assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, iters=6)[0].sites
             assert res.objective_trace[0] == helpers.objective_value(ds, sites, cfg.theta0, objective)
 
     def test_pure_inference_round_keeps_theta(self):
@@ -306,8 +307,8 @@ class TestFit:
         assert res.theta == cfg.theta0
         # composition: one round plus the final refresh, both from zero sites
         K = gram(ds.X, cfg.theta0)
-        s1, _, _ = e_step(assemble(K, Sites.zeros(ds.n)), ds.y, iters=12)
-        s2, _, _ = e_step(assemble(K, s1), ds.y, iters=12)
+        s1 = e_step(assemble(K, Sites.zeros(ds.n)), ds.y, iters=12)[0].sites
+        s2 = e_step(assemble(K, s1), ds.y, iters=12)[0].sites
         assert np.array_equal(res.posterior.sites.lam1, s2.lam1)
         assert np.array_equal(res.posterior.sites.lam2, s2.lam2)
 
