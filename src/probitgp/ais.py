@@ -3,15 +3,13 @@
 The bridge at step t is p(f) p(y|f)^tau(t) on the quartic schedule
 tau(t) = (t/steps)^4, so the log marginal likelihood telescopes into
 sum_t (tau(t) - tau(t-1)) times the log likelihood of a state advanced by
-one elliptical slice transition targeting the previous bridge.  ess_step
-takes that temperature and returns the untempered log likelihood of the
-state it accepts.  ais_lml factors K = L L^T itself: it is the only reader
-of a factor of the prior covariance, so the Gram matrix does not keep one.
-Chains run in g = y * f with prior factor diag(y) L, which for labels +-1
-is the chain in f, bit for bit.  Repeats run independent chains on seeds
-seed, seed+1, ... and are combined by the mean of their log estimates.
-Everything is a pure function of the config, so estimates are reproducible
-bit for bit.
+one elliptical slice transition targeting the previous bridge.  ais_lml
+factors K = L L^T itself: it is the only reader of a factor of the prior
+covariance, so the Gram matrix does not keep one.  Chains run in g = y * f
+with prior factor diag(y) L, which for labels +-1 is the chain in f, bit
+for bit.  Repeats run independent chains on seeds seed, seed+1, ... and
+are combined by the mean of their log estimates.  Everything is a pure
+function of the config, so estimates are reproducible bit for bit.
 """
 
 import math
@@ -22,6 +20,7 @@ from scipy.linalg import cholesky
 from scipy.special import log_ndtr
 
 from .errors import NumericsError
+from .likelihood import check_labels
 
 _TWO_PI = 2.0 * np.pi
 _MAX_SHRINK = 1000
@@ -83,12 +82,10 @@ def ess_step(f, loglik, prior_chol, rng, cur_loglik, tau):
 
 def ais_lml(K, y, cfg):
     """Annealed-importance estimate of log p(y) under the probit model; y in {-1, +1}."""
-    y = np.asarray(y, dtype=float)
+    y = check_labels(y)
     n = y.size
     if K.n != n:
         raise ValueError("labels must match the Gram matrix")
-    if not np.all((y == 1.0) | (y == -1.0)):
-        raise ValueError("labels must be -1 or +1")
     L = y[:, None] * cholesky(K.K, lower=True)  # prior factor of g = y * f
 
     def loglik(g):

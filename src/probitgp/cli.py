@@ -17,13 +17,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from .ais import AisConfig, ais_lml
-from .data import feature_stats, load_csv, make_folds, fold_datasets, read_feature_rows, standardize
+from .data import feature_stats, load_csv, make_folds, read_feature_rows, standardize
 from .errors import NumericsError
 from .harness import (
-    TRAINABLE_METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep, paired_t_test,
+    FOLDS, TRAINABLE_METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep, held_out_split,
+    paired_t_test,
 )
 from .kernel import Hyperparams, gram
-from .model_io import ModelArtifact, load_model, save_model
+from .model_io import ModelArtifact, load_model, number_text, save_model
 from .posterior import ScoringState, assemble, predictive_z
 from .trainer import OBJECTIVES, TrainConfig, fit as train_fit
 
@@ -44,15 +45,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
+def _none_or(parse):
+    """argparse type of a flag that also takes the word none, read as None."""
+    return lambda text: None if text == "none" else parse(text)
 
 
-def _jitter_arg(text):
-    if text == "none":
-        return None
+def _jitter(text):
     try:
         value = float(text)
     except ValueError as exc:
@@ -93,12 +91,13 @@ _SPECS = {
         ("--out", dict(required=True, help="model artifact path (trace CSV beside it)")),
         ("--objective", dict(choices=OBJECTIVES, default=_TRAIN.objective)),
         *_TRAIN_FLAGS,
-        ("--jitter", dict(type=_jitter_arg, default=_TRAIN.jitter)),
+        ("--jitter", dict(type=_none_or(_jitter), default=_TRAIN.jitter)),
     ],
     "predict": [
         ("--model", dict(required=True, help="model artifact from fit")),
         ("--data", dict(required=True, help="CSV of rows to score")),
-        ("--label", dict(default=None, help="label column to drop, if present")),
+        ("--label", dict(type=_none_or(str), default=None,
+                         help="label column to drop, if present")),
         ("--out", dict(required=True, help="output CSV")),
     ],
     "grid": [
@@ -114,7 +113,7 @@ _SPECS = {
         ("--e-step-size", dict(type=float, default=_SWEEP.e_step_size)),
         *_AIS_FLAGS,
         ("--jobs", dict(type=int, default=1)),
-        ("--jitter", dict(type=_jitter_arg, default=_SWEEP.jitter)),
+        ("--jitter", dict(type=_none_or(_jitter), default=_SWEEP.jitter)),
     ],
     "cv": [
         ("--data", dict(required=True)),
@@ -124,17 +123,17 @@ _SPECS = {
         ("--methods", dict(default=",".join(TRAINABLE_METHODS))),
         *_TRAIN_FLAGS,
         ("--jobs", dict(type=int, default=1)),
-        ("--jitter", dict(type=_jitter_arg, default=_TRAIN.jitter)),
+        ("--jitter", dict(type=_none_or(_jitter), default=_TRAIN.jitter)),
     ],
     "ais": [
         ("--data", dict(required=True)),
         ("--label", dict(default="last")),
-        ("--out", dict(default=None, help="optional CSV for the estimate")),
+        ("--out", dict(type=_none_or(str), default=None, help="optional CSV for the estimate")),
         ("--seed", dict(type=int, default=_AIS.seed)),
         ("--log-lengthscale", dict(type=float, default=Hyperparams().log_lengthscale)),
         ("--log-magnitude", dict(type=float, default=Hyperparams().log_magnitude)),
         *_AIS_FLAGS,
-        ("--jitter", dict(type=_jitter_arg, default=None)),
+        ("--jitter", dict(type=_none_or(_jitter), default=None)),
     ],
 }
 
@@ -156,7 +155,7 @@ def _resolved_command(args):
         value = getattr(args, dest)
         if value is None:
             value = "none"
-        parts.append(f"{flag} {_fmt(value)}")
+        parts.append(f"{flag} {number_text(value)}")
     return " ".join(parts)
 
 
@@ -165,7 +164,7 @@ def _write_csv(path, header_comment, columns, rows):
         handle.write(f"# {header_comment}\n")
         handle.write(",".join(columns) + "\n")
         for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+            handle.write(",".join(number_text(v) for v in row) + "\n")
 
 
 def _methods(text):
@@ -220,9 +219,9 @@ def _cmd_fit(args):
     )
     print(
         f"fit {dataset.name}: rounds={rounds} "
-        f"log_lengthscale={_fmt(result.theta.log_lengthscale)} "
-        f"log_magnitude={_fmt(result.theta.log_magnitude)} "
-        f"objective={_fmt(float(result.objective_trace[-1]))} "
+        f"log_lengthscale={number_text(result.theta.log_lengthscale)} "
+        f"log_magnitude={number_text(result.theta.log_magnitude)} "
+        f"objective={number_text(float(result.objective_trace[-1]))} "
         f"stopped={result.stopped}"
     )
     return EXIT_OK
@@ -230,8 +229,7 @@ def _cmd_fit(args):
 
 def _cmd_predict(args):
     artifact = load_model(args.model)
-    label = None if args.label in (None, "none") else args.label
-    X = read_feature_rows(args.data, label)
+    X = read_feature_rows(args.data, args.label)
     if X.shape[1] != artifact.features.shape[1]:
         raise _UsageError(
             f"feature count {X.shape[1]} does not match the model ({artifact.features.shape[1]})"
@@ -249,7 +247,7 @@ def _cmd_predict(args):
     with open(args.out, "w") as handle:
         handle.write(f"# {_resolved_command(args)}\n")
         handle.write("row,p_positive,label\n")
-        # one format string: the bytes _write_csv's _fmt gives an int, a float, an int
+        # one format string: the bytes number_text gives an int, a float, an int
         handle.writelines("%d,%.17g,%d\n" % (i, p, 1 if p >= 0.5 else -1)
                           for i, p in enumerate(p_pos.tolist()))
     print(f"predicted {Xs.shape[0]} rows -> {args.out}")
@@ -259,9 +257,7 @@ def _cmd_predict(args):
 def _cmd_grid(args):
     spec = GridSpec(lo=args.lo, hi=args.hi, points=args.points, methods=_methods(args.methods))
     dataset = load_csv(args.data, args.label)
-    folds = make_folds(dataset.n, 5, args.seed)
-    train_raw, test_raw = fold_datasets(dataset, folds, 0)
-    train, (test,) = standardize(train_raw, [test_raw])
+    train, test = held_out_split(dataset, make_folds(dataset.n, FOLDS, args.seed), 0)
     cfg = SweepConfig(
         e_iters=args.e_iters, e_step_size=args.e_step_size, jitter=args.jitter,
         ais=_ais_config(args),
@@ -283,7 +279,7 @@ def _cmd_grid(args):
 def _cmd_cv(args):
     dataset = load_csv(args.data, args.label)
     report = cross_validate(
-        dataset, 5, _methods(args.methods), _train_config(args), args.seed, jobs=args.jobs
+        dataset, FOLDS, _methods(args.methods), _train_config(args), args.seed, jobs=args.jobs
     )
     methods = report.methods
     fold_rows = [
@@ -328,13 +324,12 @@ def _cmd_ais(args):
     theta = Hyperparams(args.log_lengthscale, args.log_magnitude)
     K = gram(train.X, theta, args.jitter)
     est = ais_lml(K, train.y, _ais_config(args))
-    per = ",".join(_fmt(float(v)) for v in est.per_repeat)
-    print(f"log_ml={_fmt(est.log_ml)} per_repeat={per} n={dataset.n}")
-    out = None if args.out in (None, "none") else args.out
-    if out:
+    per = ",".join(number_text(float(v)) for v in est.per_repeat)
+    print(f"log_ml={number_text(est.log_ml)} per_repeat={per} n={dataset.n}")
+    if args.out:
         rows = [("log_ml", est.log_ml)]
         rows += [(f"repeat_{r}", float(v)) for r, v in enumerate(est.per_repeat)]
-        _write_csv(out, _resolved_command(args), ("quantity", "value"), rows)
+        _write_csv(args.out, _resolved_command(args), ("quantity", "value"), rows)
     return EXIT_OK
 
 

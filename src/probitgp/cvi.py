@@ -22,8 +22,7 @@ import logging
 
 import numpy as np
 
-from .likelihood import expectation_stats
-from .posterior import LAMBDA2_CEIL, Sites, assemble, prior_kl
+from .posterior import LAMBDA2_CEIL, Sites, assemble, elbo
 
 logger = logging.getLogger(__name__)
 
@@ -44,8 +43,8 @@ def e_step(post, y, step_size=0.1, iters=20):
     if iters < 0:
         raise ValueError("iteration count must be >= 0")
 
-    e, g_m, g_v = expectation_stats(y, post.m, post.var)
-    trace = [float(np.sum(e)) - prior_kl(post)]
+    value, g_m, g_v = elbo(post, y)
+    trace = [value]
     for it in range(iters):
         sites = post.sites
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -56,8 +55,7 @@ def e_step(post, y, step_size=0.1, iters=20):
         if np.isfinite(lam1).all() and np.isfinite(lam2).all():
             new_post = assemble(post.K, Sites(lam1, lam2))
             if np.all(new_post.var >= 0.0):  # cancellation can leave one below 0
-                e, g_m, g_v = expectation_stats(y, new_post.m, new_post.var)
-                value = float(np.sum(e)) - prior_kl(new_post)
+                value, g_m, g_v = elbo(new_post, y)
         if not np.isfinite(value):
             logger.warning("E-step diverged at iteration %d; keeping last finite state", it + 1)
             break

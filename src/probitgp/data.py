@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .likelihood import check_labels
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -34,8 +36,7 @@ class Dataset:
             raise ValueError("y must align with the rows of X")
         if not np.isfinite(X).all():
             raise ValueError("features must be finite")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValueError("labels must lie in {-1, +1}")
+        check_labels(y)
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -242,7 +243,7 @@ def standardize(train, others=()):
 def make_folds(n, k, seed):
     """Shuffled round-robin assignment of n rows to k folds (sizes differ <= 1)."""
     if not 2 <= k <= n:
-        raise ValueError("need 2 <= k <= n")
+        raise ValueError(f"need 2 <= k <= n: k={k} folds for n={n} rows")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=int)

@@ -2,8 +2,9 @@
 
 Grid cells and CV folds are independent pure functions of their inputs, so
 they run under an optional process pool; results are reduced in a canonical
-order and are bitwise identical for any worker count.  paired_t_test
-compares two methods' fold columns of a CvReport.
+order and are bitwise identical for any worker count.  Both drivers hold
+rows out the same way (held_out_split) and score them by the same mean log
+predictive density.
 """
 
 import logging
@@ -20,14 +21,15 @@ from .data import fold_datasets, make_folds, standardize
 from .ep import ep_energy, ep_inference
 from .errors import NumericsError
 from .kernel import Hyperparams, gram
-from .posterior import Sites, assemble, elbo, ep_like_energy, predictive_z
-from .trainer import fit, fit_start
+from .posterior import Sites, assemble, predictive_z
+from .trainer import fit, fit_start, learning_objective
 
 logger = logging.getLogger(__name__)
 
 METHODS = ("vi", "ours", "ep", "mcmc")
 OBJECTIVE_OF = {"vi": "elbo", "ours": "ep_like"}  # each trainable method's learning objective
 TRAINABLE_METHODS = tuple(OBJECTIVE_OF)
+FOLDS = 5  # folds of the held-out protocol: cv runs all of them, grid holds out the first
 
 
 def _check_methods(methods, allowed):
@@ -90,8 +92,16 @@ class CvReport:
         return float(np.mean(vals)), float(np.std(vals, ddof=1))
 
 
-def _mean_lpd(post, theta, X_train, X_test, y_test):
-    return float(np.mean(log_ndtr(y_test * predictive_z(post, theta, X_train, X_test))))
+def held_out_split(dataset, folds, fold):
+    """(train, test) of one fold, both standardized by the train rows' statistics."""
+    train_raw, test_raw = fold_datasets(dataset, folds, fold)
+    train, (test,) = standardize(train_raw, [test_raw])
+    return train, test
+
+
+def _mean_lpd(y, z):
+    """Held-out log predictive density per row, for p(y | x) = Phi(y z)."""
+    return float(np.mean(log_ndtr(y * z)))
 
 
 def _sweep_cell(args):
@@ -107,23 +117,23 @@ def _sweep_cell(args):
             SurfaceRecord(ll, ls, m, float("nan"), float("nan")) for m in methods
         ]
 
-    if "vi" in methods or "ours" in methods:
+    shared = [m for m in TRAINABLE_METHODS if m in methods]
+    if shared:
         try:
             post, _ = e_step(
                 assemble(K, Sites.zeros(n)), y_train, step_size=cfg.e_step_size, iters=cfg.e_iters
             )
-            lpd = _mean_lpd(post, theta, X_train, X_test, y_test)
-            if "vi" in methods:
-                records["vi"] = (elbo(post, y_train) / n, lpd)
-            if "ours" in methods:
-                records["ours"] = (ep_like_energy(post) / n, lpd)
+            lpd = _mean_lpd(y_test, predictive_z(post, theta, X_train, X_test))
+            for method in shared:
+                value = learning_objective(post, y_train, OBJECTIVE_OF[method])
+                records[method] = (value / n, lpd)
         except NumericsError as exc:
             logger.warning("cell (%g, %g): shared inference failed: %s", ll, ls, exc)
 
     if "ep" in methods:
         try:
             ep_post, log_scale, _ = ep_inference(K, y_train)
-            lpd = _mean_lpd(ep_post, theta, X_train, X_test, y_test)
+            lpd = _mean_lpd(y_test, predictive_z(ep_post, theta, X_train, X_test))
             records["ep"] = (ep_energy(ep_post, log_scale) / n, lpd)
         except NumericsError as exc:
             logger.warning("cell (%g, %g): EP failed: %s", ll, ls, exc)
@@ -179,8 +189,7 @@ def grid_sweep(train, test, spec, cfg, jobs=1):
 def _cv_task(args):
     """One fold: every method's fit from the fold's one shared start."""
     dataset, folds, fold, methods, cfg = args
-    train_raw, test_raw = fold_datasets(dataset, folds, fold)
-    train, (test,) = standardize(train_raw, [test_raw])
+    train, test = held_out_split(dataset, folds, fold)
     start = fit_start(train, cfg)  # the objective does not enter the E-step
     scores = []
     for method in methods:
@@ -189,7 +198,7 @@ def _cv_task(args):
         del result  # its posterior need not outlive scoring into the next fit
         predicted = np.where(ndtr(z) >= 0.5, 1.0, -1.0)
         accuracy = float(np.mean(predicted == test.y))
-        lpd = float(np.mean(log_ndtr(test.y * z)))
+        lpd = _mean_lpd(test.y, z)
         logger.info("fold %d method %s: accuracy %.4f lpd %.4f", fold, method, accuracy, lpd)
         scores.append((fold, method, accuracy, lpd))
     return scores

@@ -26,7 +26,8 @@ class MarginalMoments(NamedTuple):
     var: float
 
 
-def _check_labels(y):
+def check_labels(y):
+    """y as a float array; ValueError unless every label is -1 or +1."""
     y = np.asarray(y, dtype=float)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must lie in {-1, +1}")
@@ -49,7 +50,7 @@ def expectation_stats(y, mean, var):
     is half the expected second derivative.  Zero-variance entries collapse to
     the exact point evaluation.
     """
-    y = _check_labels(np.atleast_1d(y))
+    y = check_labels(np.atleast_1d(y))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
     if not (y.shape == mean.shape == var.shape):

@@ -3,9 +3,9 @@
 key=value lines followed by named numeric blocks; everything a prediction
 needs travels with the model: hyperparameters, site parameters, the
 standardized training inputs, and the standardization statistics.  Numbers
-are written with 17 significant digits, so save/load round-trips float64
-exactly and the files diff cleanly.  load_model skips keys it does not
-know, such as the seed= line that older files carry.
+are written by number_text, so save/load round-trips float64 exactly and
+the files diff cleanly.  load_model skips keys it does not know, such as
+the seed= line that older files carry.
 """
 
 from dataclasses import dataclass
@@ -54,15 +54,17 @@ class ModelArtifact:
         object.__setattr__(self, "feature_scale", scale)
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
+def number_text(x):
+    """The text of a value in every file probitgp writes: a float to 17
+    significant digits, which round-trip float64 exactly; anything else by str."""
+    return "%.17g" % x if isinstance(x, (float, np.floating)) else str(x)
 
 
 def _write_block(handle, label, values):
     handle.write(f"{label}:\n")
     flat = np.asarray(values, dtype=float).ravel()
     for start in range(0, flat.size, 6):
-        handle.write(" ".join(_fmt(v) for v in flat[start:start + 6]) + "\n")
+        handle.write(" ".join(number_text(v) for v in flat[start:start + 6]) + "\n")
 
 
 def save_model(path, artifact):
@@ -71,10 +73,10 @@ def save_model(path, artifact):
         handle.write(f"version={FORMAT_VERSION}\n")
         handle.write(f"name={artifact.name}\n")
         handle.write(f"objective={artifact.objective}\n")
-        jit = "none" if artifact.jitter is None else _fmt(artifact.jitter)
+        jit = "none" if artifact.jitter is None else number_text(artifact.jitter)
         handle.write(f"jitter={jit}\n")
-        handle.write(f"log_lengthscale={_fmt(artifact.theta.log_lengthscale)}\n")
-        handle.write(f"log_magnitude={_fmt(artifact.theta.log_magnitude)}\n")
+        handle.write(f"log_lengthscale={number_text(artifact.theta.log_lengthscale)}\n")
+        handle.write(f"log_magnitude={number_text(artifact.theta.log_magnitude)}\n")
         handle.write(f"n={artifact.features.shape[0]}\n")
         handle.write(f"d={artifact.features.shape[1]}\n")
         _write_block(handle, "feature_mean", artifact.feature_mean)

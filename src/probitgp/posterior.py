@@ -15,25 +15,16 @@ All of it stays well conditioned even when some sites are exactly zero.
 
 A GaussianPosterior carries the Gram matrix and the sites it was assembled
 from, so it is the one value the energies, the E-step, the M-step and
-prediction take: none of them is handed K or sites beside it.
-
-Assembly keeps at most three n x n arrays alive, its outputs included:
-B^1/2 K and A are built in Fortran order, LAPACK potrf factors A in its own
-memory (chol_a) and the triangular solve overwrites B^1/2 K with V.
+prediction take: none of them is handed K or sites beside it.  Assembly
+keeps at most three n x n arrays alive, its outputs included.
 
 predictive_z, the one prediction path (GPML Alg. 3.2), scores test rows in
 blocks of PREDICT_BLOCK in one workspace allocated per call, so its memory
 grows with neither the row count nor the block count.  The variance needs
 V = L^-1 B^1/2 k* per block.  Rather than one triangular solve per block,
-each posterior keeps R = L^-1 B^1/2, built on first prediction by one
-LAPACK triangular inverse and a column scaling; a block then costs one
-triangular matrix product V' = k*' R' (BLAS trmm) on the transpose of the
-C-ordered block, which is Fortran-contiguous, plus the row sums of
-V' * V'.  Prediction reads only alpha and R, so it also takes a
-ScoringState holding just those: a caller that keeps that instead of the
-posterior frees K, V and chol_a before it scores.  trmm does not check for
-NaN or inf, so predictive_z checks each block's kernel values and
-latent_predict fails on a NaN variance.
+each posterior keeps R = L^-1 B^1/2, so a block costs one triangular
+matrix product V' = k*' R' (BLAS trmm) on the transpose of the C-ordered
+block, which is Fortran-contiguous.
 """
 
 from dataclasses import dataclass
@@ -97,9 +88,7 @@ class GaussianPosterior:
 
     sqrt_b, chol_a (lower factor of I + B^1/2 K B^1/2), alpha = K^-1 m and
     log_det_ikb = log|I + K B| serve the energies and prediction;
-    V = chol_a^-1 B^1/2 K serves covariance(), which forms S anew on every
-    call, and R = chol_a^-1 B^1/2 serves predictive variances, built on
-    first use and kept.
+    V = chol_a^-1 B^1/2 K serves covariance(), and R predictive variances.
     """
 
     m: np.ndarray
@@ -172,12 +161,12 @@ def prior_kl(post):
 
 
 def elbo(post, y):
-    """Evidence lower bound: -KL(q || prior) + sum_i E_q[log p(y_i | f_i)]."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != post.m.shape:
-        raise ValueError("labels must align with the posterior")
-    e, _, _ = expectation_stats(y, post.m, post.var)
-    return float(np.sum(e)) - prior_kl(post)
+    """(value, g_m, g_v): the evidence lower bound
+    sum_i E_q[log p(y_i | f_i)] - KL(q || prior), and the derivatives of its
+    expected log likelihood wrt each marginal mean and variance, which the
+    E-step's site update and the M-step's gradient read."""
+    e, g_m, g_v = expectation_stats(y, post.m, post.var)
+    return float(np.sum(e)) - prior_kl(post), g_m, g_v
 
 
 @dataclass(frozen=True)
@@ -199,8 +188,7 @@ def latent_predict(post, k_star, k_star_star_diag):
     post is a GaussianPosterior or its ScoringState.
     Returns MarginalMoments with aligned mean/var arrays; variances are clamped
     at zero, and one that is NaN or below -1e-10 beforehand raises (trmm does
-    not check its input, so a non-finite k_star shows up here).  k_star is not
-    written to: V' = k_star' R' goes to a fresh array.
+    not check its input, so a non-finite k_star shows up here).
     """
     k_star = np.asarray(k_star, dtype=float)
     k_ss = np.asarray(k_star_star_diag, dtype=float)
@@ -222,11 +210,8 @@ def predictive_z(post, theta, X_train, X_test):
     """z = E[f*] / sqrt(1 + Var[f*]) per test row, so p(y* | x*) = Phi(y* z).
 
     post is the posterior at the training rows X_train under theta, or its
-    ScoringState.  Rows go through cross_gram and latent_predict
-    PREDICT_BLOCK at a time, in one workspace: each block, the last one
-    too, is the first n * w entries of flat buffers, reshaped to
-    C-contiguous (n, w) arrays.  A row whose kernel values are not finite
-    (a squared distance that overflows) is a ValueError that names it.
+    ScoringState.  A row whose kernel values are not finite (a squared
+    distance that overflows) is a ValueError that names it.
     """
     n, rows = X_train.shape[0], X_test.shape[0]
     z = np.empty(rows)

@@ -8,8 +8,6 @@ and the gradient together, so the objective's dependence on the
 hyperparameters through the posterior is honored.  The Gram matrices of a
 fit share one distance matrix.  The E-step after each M-step gives the
 round's ELBO; the last leaves the sites consistent with the final theta.
-TrainConfig holds the budgets and step sizes of the two steps, the
-objective and the jitter; nothing else is tunable.
 
 Each posterior is assembled once and handed on, and it carries its Gram
 matrix and sites, so it is the one value passed between the steps: the
@@ -27,8 +25,7 @@ from .cvi import e_step
 from .errors import NumericsError
 from .data import Dataset
 from .kernel import Hyperparams, gram, gram_grads
-from .likelihood import expectation_stats
-from .posterior import GaussianPosterior, Sites, assemble, elbo, ep_like_energy, prior_kl
+from .posterior import GaussianPosterior, Sites, assemble, elbo, ep_like_energy
 
 OBJECTIVES = ("elbo", "ep_like")
 
@@ -50,8 +47,8 @@ class TrainConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.e_iters < 0 or self.m_iters < 0 or self.outer_rounds < 1:
             raise ValueError("iteration counts out of range")
-        if self.m_lr <= 0 or self.outer_tol < 0:
-            raise ValueError("m_lr must be > 0 and outer_tol >= 0")
+        if not (0 < self.m_lr < np.inf and 0 <= self.outer_tol < np.inf):  # NaN fails too
+            raise ValueError("m_lr must be finite and > 0, and outer_tol finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,11 @@ def _start_key(cfg):
     return (cfg.theta0, cfg.e_iters, cfg.e_step_size, cfg.jitter)
 
 
-def _value(y, post, objective):
-    """The objective of post's sites under post's Gram matrix."""
+def learning_objective(post, y, objective):
+    """The learning objective ("elbo" or "ep_like") of post's sites under
+    post's Gram matrix."""
     if objective == "elbo":
-        return elbo(post, y)
+        return elbo(post, y)[0]
     return ep_like_energy(post)
 
 
@@ -108,10 +106,10 @@ def _value_and_weights(y, post, objective):
     """The objective and its gradient weights G wrt K at fixed sites.
 
     With B = diag(-2 lam2), Woodbury gives W = B^1/2 A^-1 B^1/2 = B - BSB and
-    Mt = (I + B K)^-1 = I - BS from the posterior covariance S, formed here
-    and not cached on post.  The energy has G = (alpha alpha' - W) / 2; the
-    ELBO chains dm = S K^-1 dK alpha and dS = S K^-1 dK K^-1 S through the
-    expectation derivatives (g_m, g_v) and the KL.  S, W and Mt are freed on
+    Mt = (I + B K)^-1 = I - BS from the posterior covariance S.  The energy
+    has G = (alpha alpha' - W) / 2; the ELBO chains dm = S K^-1 dK alpha and
+    dS = S K^-1 dK K^-1 S through the expectation derivatives (g_m, g_v)
+    and the KL.  S, W and Mt are freed on
     return, before the kernel derivatives are formed.  W, Mt and G are
     accumulated in place: each element sees the same floating-point
     operations as in the plain expressions, so the result is the same to
@@ -126,8 +124,7 @@ def _value_and_weights(y, post, objective):
     W -= bsb
     del bsb
     if objective == "elbo":
-        e, g_m, g_v = expectation_stats(y, post.m, post.var)
-        value = float(np.sum(e)) - prior_kl(post)
+        value, g_m, g_v = elbo(post, y)
         Mt = np.eye(b.size)
         Mt -= b[:, None] * S
         del S
@@ -151,14 +148,13 @@ def _m_step(dataset, theta, cfg, post):
     10 times per iteration; post.sites stay fixed throughout.
 
     post is the posterior at theta and serves the first probe.  Returns
-    (theta, value, post, stalled) at the last accepted point: the new theta,
-    the objective there, the posterior the probe built there, and whether
-    the gradient at theta was not finite, so that theta could not move.  A
-    step that overflows is a rejected probe.  With cfg.m_iters == 0 only the
-    value is computed.
+    (theta, value, post, accepted) at the last accepted point: the new
+    theta, the objective there, the posterior the probe built there, and
+    whether any probe was accepted.  A step that overflows is a rejected
+    probe.  With cfg.m_iters == 0 only the value is computed.
     """
     if cfg.m_iters == 0:
-        return theta, _value(dataset.y, post, cfg.objective), post, False
+        return theta, learning_objective(post, dataset.y, cfg.objective), post, False
     sites = post.sites
 
     def probe(vec):
@@ -172,7 +168,7 @@ def _m_step(dataset, theta, cfg, post):
 
     th = theta.as_array()
     current, grad = _value_and_grad(dataset, theta, post, cfg.objective, cfg.jitter)
-    stalled = not np.isfinite(grad).all()
+    accepted = False
     for _ in range(cfg.m_iters):
         if not np.isfinite(grad).all():
             break
@@ -187,12 +183,13 @@ def _m_step(dataset, theta, cfg, post):
             if probed is not None and np.isfinite(probed[0]) and probed[0] >= current:
                 th = cand
                 current, grad, post = probed
+                accepted = True
                 break
             probed = None  # free a rejected probe before the next one
             step *= 0.5
         else:
             break  # every probe failed; the next iteration would repeat them
-    return Hyperparams(float(th[0]), float(th[1])), current, post, stalled
+    return Hyperparams(float(th[0]), float(th[1])), current, post, accepted
 
 
 def fit_start(dataset, cfg):
@@ -216,7 +213,7 @@ def fit(dataset, cfg, start=None):
     Stops after cfg.outer_rounds rounds or when the max absolute change of
     log-theta over a round drops below cfg.outer_tol.  TrainResult.stopped
     says which: "round_cap", or "tolerance", or "stalled" when that round's
-    M-step met a non-finite gradient at theta and so could not move it.
+    M-step had iterations (cfg.m_iters > 0) but accepted no probe.
     The E-step after the last M-step refreshes the sites, and
     its posterior is TrainResult.posterior.  start is fit_start(dataset, cfg)
     or any start built for this dataset object with the same theta0, E-step
@@ -235,7 +232,7 @@ def fit(dataset, cfg, start=None):
     theta_trace = []
     stopped = "round_cap"
     for _ in range(cfg.outer_rounds):
-        new_theta, obj, post, stalled = _m_step(dataset, theta, cfg, post)
+        new_theta, obj, post, accepted = _m_step(dataset, theta, cfg, post)
         post, e_trace = e_step(post, dataset.y, step_size=cfg.e_step_size, iters=cfg.e_iters)
         objective_trace.append(obj)
         elbo_trace.append(e_trace[0])  # ELBO at the M-step's sites and new_theta
@@ -246,7 +243,7 @@ def fit(dataset, cfg, start=None):
         )
         theta = new_theta
         if delta < cfg.outer_tol:
-            stopped = "stalled" if stalled else "tolerance"
+            stopped = "stalled" if cfg.m_iters > 0 and not accepted else "tolerance"
             break
     return TrainResult(
         theta=theta,

@@ -35,7 +35,7 @@ from probitgp import (
 )
 from probitgp.data import _parse_float
 from probitgp.kernel import _matern
-from probitgp.likelihood import QUAD_ORDER, _check_labels, _phi_over_cdf
+from probitgp.likelihood import QUAD_ORDER, _phi_over_cdf, check_labels
 from probitgp.posterior import VAR_TOL
 
 DATA_DIR = Path(os.environ.get("PROBITGP_DATA", Path(__file__).resolve().parent.parent / "data"))
@@ -165,7 +165,7 @@ def objective_value(dataset, sites, theta, objective, jitter=None):
     fresh Gram matrix and posterior."""
     post = assemble(gram(dataset.X, theta, jitter, dataset.distances), sites)
     if objective == "elbo":
-        return elbo(post, dataset.y)
+        return elbo(post, dataset.y)[0]
     return ep_like_energy(post)
 
 
@@ -365,7 +365,7 @@ def expectation_stats_reference(y, mean, var, quad_order=QUAD_ORDER):
     """likelihood.expectation_stats as it was with two log_ndtr evaluations
     per quadrature node (one inside _phi_over_cdf), at any Gauss-Hermite
     order."""
-    y = _check_labels(np.atleast_1d(y))
+    y = check_labels(np.atleast_1d(y))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
     if not (y.shape == mean.shape == var.shape):

@@ -16,6 +16,7 @@ from scipy.special import ndtr
 import helpers
 from probitgp import NumericsError, load_model, paired_t_test
 from probitgp.cli import run
+from probitgp.model_io import number_text
 import probitgp
 import probitgp.cli as cli_module
 
@@ -134,7 +135,7 @@ class TestPredict:
 
     def test_rows_are_written_as_the_generic_csv_form(self, tmp_path):
         """Each predictions line is what _write_csv's generic form writes for
-        (row, p, label): _fmt of an int, a float and an int, comma-joined."""
+        (row, p, label): number_text of an int, a float and an int, comma-joined."""
         data, model, _ = self.fitted(tmp_path, seed=9)
         out = tmp_path / "pred.csv"
         assert run(["predict", "--model", str(model), "--data", str(data),
@@ -146,7 +147,7 @@ class TestPredict:
                                  artifact.sites)
         p = ndtr(probitgp.predictive_z(post, artifact.theta, artifact.features, Xs))
         expected = ["row,p_positive,label"] + [
-            ",".join(cli_module._fmt(v) for v in (i, p[i], 1 if p[i] >= 0.5 else -1))
+            ",".join(number_text(v) for v in (i, p[i], 1 if p[i] >= 0.5 else -1))
             for i in range(p.size)
         ]
         assert out.read_text().splitlines()[1:] == expected
@@ -457,6 +458,36 @@ class TestAis:
         assert csv_out.read_bytes() == before
 
 
+class TestSmallAndDegenerateData:
+    def test_cv_with_a_one_class_training_fold(self, tmp_path):
+        """Six rows with one positive: the fold that holds it out trains on
+        negatives alone, and every fold still scores finite numbers."""
+        data, out = tmp_path / "six.csv", tmp_path / "cv.csv"
+        data.write_text("a,b,c\n" + "".join(f"{0.5 * i},{(3 * i) % 4},{int(i == 2)}\n"
+                                            for i in range(6)))
+        assert run(["cv", "--data", str(data), "--out", str(out), "--rounds", "10"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 5 * 2
+        assert all(np.isfinite(float(v)) for row in rows for v in row[3:])
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_identical_feature_rows(self, tmp_path, command):
+        """Eight copies of one feature row: a rank-one kernel that only
+        jitter makes factorable."""
+        data = tmp_path / "same.csv"
+        data.write_text("a,b,c\n" + "".join(f"1.5,-2,{i % 2}\n" for i in range(8)))
+        out = tmp_path / "out"
+        assert run([command, "--data", str(data), "--out", str(out), "--rounds", "10"]) == 0
+
+    @pytest.mark.parametrize("command", ["grid", "cv"])
+    def test_fewer_rows_than_folds(self, tmp_path, capsys, command):
+        """The held-out protocol's 5 folds need 5 rows; the error says so."""
+        data = tmp_path / "two.csv"
+        data.write_text("a,b\n0.1,0\n0.7,1\n")
+        assert run([command, "--data", str(data), "--out", str(tmp_path / "out.csv")]) == 1
+        assert "need 2 <= k <= n: k=5 folds for n=2 rows" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 1
@@ -495,6 +526,20 @@ class TestExitCodes:
         code = run(["ais", "--data", "irrelevant.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--m-lr", "nan"], ["fit", "--m-lr", "inf"],
+        ["fit", "--tol", "nan"], ["fit", "--tol", "inf"], ["cv", "--m-lr", "nan"],
+    ])
+    def test_non_finite_training_settings_rejected(self, tmp_path, capsys, argv):
+        """A NaN rate would pass a bare m_lr > 0 and leave theta where it is,
+        and a NaN tolerance would switch the tolerance off."""
+        data, out = tmp_path / "d.csv", tmp_path / "out"
+        write_blobs_csv(data, n=10, seed=15)
+        command, *flags = argv
+        assert run([command, "--data", str(data), "--out", str(out), *flags]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_jitter_rejected(self, tmp_path):
         data = tmp_path / "d.csv"
         write_blobs_csv(data, n=10, seed=15)
@@ -517,7 +562,7 @@ EXTREME_RUNS = [
     (["fit", "--log-magnitude", "300"], 0, "stalled"),
     (["fit", "--log-lengthscale", "-800"], 2, None),
     (["fit", "--log-lengthscale", "800"], 0, "round_cap"),
-    (["fit", "--m-lr", "1.7e308", "--rounds", "3"], 0, None),
+    (["fit", "--m-lr", "1.7e308", "--rounds", "3"], 0, "stalled"),
     (["ais", "--log-magnitude", "800"], 2, None),
     (["ais", "--log-magnitude", "-400"], 2, None),
     (["cv", "--m-lr", "1e6", "--rounds", "2"], 0, None),

@@ -181,9 +181,9 @@ class TestFolds:
         assert sum(seen) == 11
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k=1 folds for n=4 rows"):
             make_folds(4, 1, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k=5 folds for n=4 rows"):
             make_folds(4, 5, seed=0)
         ds = Dataset("d", np.zeros((4, 1)), np.array([1.0, -1, 1, -1]))
         folds = make_folds(4, 2, seed=0)

@@ -50,8 +50,8 @@ class TestObjectiveValue:
         theta = Hyperparams(0.2, -0.1)
         sites = e_step(assemble(gram(ds.X, theta), Sites.zeros(ds.n)), ds.y, iters=15)[0].sites
         post = assemble(gram(ds.X, theta), sites)
-        for objective, direct in (("elbo", elbo(post, ds.y)), ("ep_like", ep_like_energy(post))):
-            assert trainer._value(ds.y, post, objective) == direct
+        for objective, direct in (("elbo", elbo(post, ds.y)[0]), ("ep_like", ep_like_energy(post))):
+            assert trainer.learning_objective(post, ds.y, objective) == direct
             assert helpers.objective_value(ds, sites, theta, objective) == direct
 
 
@@ -273,7 +273,8 @@ class TestFit:
     @pytest.mark.parametrize("objective", ["elbo", "ep_like"])
     def test_probe_with_a_negative_variance_is_rejected(self, monkeypatch, objective):
         """A probe whose posterior has a negative marginal variance fails like
-        a probe whose Gram matrix fails: with every probe so, theta stays."""
+        a probe whose Gram matrix fails: with every probe so, theta stays,
+        and the round that accepted no probe is reported as stalled."""
         ds = blob_dataset(n=12, seed=17)
         cfg = TrainConfig(objective=objective, e_iters=5, m_iters=3, outer_rounds=2)
         start = trainer.fit_start(ds, cfg)
@@ -281,7 +282,7 @@ class TestFit:
         monkeypatch.setattr(trainer, "assemble", lambda K, sites: dataclasses.replace(
             real(K, sites), var=np.full(sites.n, -1e-9)))
         res = fit(ds, cfg, start=start)
-        assert res.theta == cfg.theta0 and res.stopped == "tolerance"
+        assert res.theta == cfg.theta0 and res.stopped == "stalled"
 
     def test_pure_inference_round_computes_no_gradient(self, monkeypatch):
         """With m_iters 0 the M-step records objective_value, bit for bit,
@@ -355,3 +356,9 @@ class TestFit:
             TrainConfig(outer_rounds=0)
         with pytest.raises(ValueError):
             TrainConfig(m_lr=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                TrainConfig(m_lr=bad)
+            with pytest.raises(ValueError, match="must be finite"):
+                TrainConfig(outer_tol=bad)
+        TrainConfig(m_lr=1.7e308, outer_tol=0.0)  # finite extremes stay valid
