@@ -10,6 +10,16 @@ with prior factor diag(y) L, which for labels +-1 is the chain in f, bit
 for bit.  Repeats run independent chains on seeds seed, seed+1, ... and
 are combined by the mean of their log estimates.  Everything is a pure
 function of the config, so estimates are reproducible bit for bit.
+
+ess_step screens each proposal from its worst point.  Every term
+log Phi(g_i) of the log likelihood is <= 0, a float sum of non-positive
+terms is at most each of them, and multiplying by tau >= 0 keeps that
+order, so a proposal with tau * log Phi(min g) <= the slice threshold is
+rejected unevaluated, as the full sum would reject it (NaN and tau = 0 fail
+the test and take the full sum).  The random stream, the states and the
+estimates are those of evaluating every proposal, bit for bit.  A target
+whose terms can be positive, such as log Phi(g) - lam1 g - lam2 g^2 for a
+chain started from a site approximation, cannot keep the screen.
 """
 
 import math
@@ -37,6 +47,8 @@ class AisConfig:
             raise ValueError("steps must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -52,26 +64,31 @@ def temperature(t, steps):
     return float((t / steps) ** 4.0)
 
 
-def ess_step(f, loglik, prior_chol, rng, cur_loglik, tau):
-    """One elliptical slice transition, invariant for exp(tau * loglik(f)) * N(0, K).
+def ess_step(g, prior_chol, rng, cur_loglik, tau):
+    """One elliptical slice transition, invariant for exp(tau * loglik(g)) * N(0, L L^T).
 
-    prior_chol is a factor L of K = L L^T and cur_loglik is loglik(f), which
-    the caller has from the previous step.  Returns (state, loglik(state)),
-    the log likelihood untempered.  Proposals whose tempered log likelihood
-    is non-finite are rejected; a bracket that shrinks _MAX_SHRINK times
-    raises NumericsError.
+    loglik(g) = sum_i log Phi(g_i), prior_chol is L and cur_loglik is
+    loglik(g), which the caller has from the previous step.  Returns
+    (state, loglik(state)), the log likelihood untempered.  Proposals whose
+    tempered log likelihood is non-finite are rejected; a bracket that
+    shrinks _MAX_SHRINK times raises NumericsError.
     """
-    f = np.asarray(f, dtype=float)
-    nu = prior_chol @ rng.standard_normal(f.size)
+    g = np.asarray(g, dtype=float)
+    nu = prior_chol @ rng.standard_normal(g.size)
     threshold = tau * cur_loglik + np.log(rng.random())
     angle = _TWO_PI * rng.random()
     lo, hi = angle - _TWO_PI, angle
+    proposal = np.empty_like(nu)
+    terms = np.empty_like(nu)
     for _ in range(_MAX_SHRINK):
-        proposal = f * math.cos(angle) + nu * math.sin(angle)
-        value = loglik(proposal)
-        tempered = tau * value
-        if math.isfinite(tempered) and tempered > threshold:
-            return proposal, value
+        np.multiply(g, math.cos(angle), proposal)
+        np.add(proposal, np.multiply(nu, math.sin(angle), terms), proposal)
+        # the screen (module doc): loglik(proposal) <= log Phi(min(proposal))
+        if not tau * log_ndtr(proposal.item(proposal.argmin())) <= threshold:
+            value = float(np.add.reduce(log_ndtr(proposal, terms)))
+            tempered = tau * value
+            if math.isfinite(tempered) and tempered > threshold:
+                return proposal, value
         if angle < 0.0:
             lo = angle
         else:
@@ -87,19 +104,15 @@ def ais_lml(K, y, cfg):
     if K.n != n:
         raise ValueError("labels must match the Gram matrix")
     L = y[:, None] * cholesky(K.K, lower=True)  # prior factor of g = y * f
-
-    def loglik(g):
-        return float(np.add.reduce(log_ndtr(g)))  # np.sum's reduction, minus its wrapper
-
     taus = [temperature(t, cfg.steps) for t in range(cfg.steps + 1)]
     per_repeat = np.empty(cfg.repeats)
     for r in range(cfg.repeats):
         rng = np.random.default_rng(cfg.seed + r)
         g = L @ rng.standard_normal(n)
-        cur = loglik(g)
+        cur = float(np.add.reduce(log_ndtr(g)))  # np.sum's reduction, minus its wrapper
         total = 0.0
         for tau_prev, tau_now in zip(taus, taus[1:]):
-            g, cur = ess_step(g, loglik, L, rng, cur_loglik=cur, tau=tau_prev)
+            g, cur = ess_step(g, L, rng, cur_loglik=cur, tau=tau_prev)
             total += (tau_now - tau_prev) * cur
         per_repeat[r] = total
     if not np.isfinite(per_repeat).all():

@@ -244,6 +244,8 @@ def make_folds(n, k, seed):
     """Shuffled round-robin assignment of n rows to k folds (sizes differ <= 1)."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n: k={k} folds for n={n} rows")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=int)

@@ -1,22 +1,21 @@
-"""Classic expectation propagation with scaled Gaussian sites.
+"""Classic expectation propagation with scaled Gaussian sites (GPML Alg. 3.5).
 
 Sequential sweeps in index order, at most SWEEPS of them: form the cavity
 by natural-parameter subtraction, moment-match against the closed-form
-tilted distribution, damp the site move in natural parameters by the fixed
-DAMPING, rank-one-update the posterior, and re-factorize once per sweep to
-kill accumulated drift.  Only the convergence tolerance is an argument.
-Each site also keeps a log scale chosen so the scaled site integrates the
-tilted evidence against its cavity; summing those scales on top of the
-unnormalized-site energy recovers the standard EP marginal-likelihood
-approximation.  ep_inference returns the final posterior, which carries the
-sites' natural parameters, with the log scales beside it as one array, and
-ep_energy(post, log_scale) adds them up; a non-finite log scale is a
-NumericsError, so a grid cell records NaN for EP alone.
+tilted distribution, damp the site move in natural parameters by DAMPING
+and update the posterior by rank one, its covariance in place (BLAS dger)
+and its mean in O(n), so a site costs O(n^2).  Each sweep ends with a fresh
+assembly, which clears the drift the updates accumulate.  Each site also
+keeps a log scale chosen so the scaled site integrates the tilted evidence
+against its cavity; summing those scales on top of the unnormalized-site
+energy recovers the standard EP marginal-likelihood approximation.
 """
 
 import logging
+import math
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .errors import NumericsError
 from .likelihood import MarginalMoments, ep_tilted_moments
@@ -36,7 +35,7 @@ def _log_gauss_site_integral(mean, var, lam1, lam2):
     if rho_new <= 0:
         raise NumericsError("site integral does not exist")
     shift = mean * rho + lam1
-    return 0.5 * (np.log(rho) - np.log(rho_new)) - 0.5 * mean * mean * rho + 0.5 * shift * shift / rho_new
+    return 0.5 * (math.log(rho) - math.log(rho_new)) - 0.5 * mean * mean * rho + 0.5 * shift * shift / rho_new
 
 
 def ep_inference(K, y, tol=CONVERGENCE_TOL):
@@ -48,8 +47,8 @@ def ep_inference(K, y, tol=CONVERGENCE_TOL):
     cavity precision is not positive are skipped for that sweep (counted and
     logged).  A non-finite log scale raises NumericsError.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
+    labels = np.asarray(y, dtype=float).tolist()
+    n = len(labels)
 
     lam1 = np.zeros(n)
     lam2 = np.zeros(n)
@@ -59,21 +58,21 @@ def ep_inference(K, y, tol=CONVERGENCE_TOL):
     converged = False
     skipped_total = 0
     for _ in range(SWEEPS):
-        S = post.covariance()
+        S = post.covariance().T  # S is symmetric: its transpose is Fortran-ordered for dger
         m = post.m.copy()
         max_delta = 0.0
         skipped = 0
         for i in range(n):
-            s_ii = S[i, i]
-            tau = -2.0 * lam2[i]
-            nu = lam1[i]
+            s_ii = S.item(i, i)
+            tau = -2.0 * lam2.item(i)
+            nu = lam1.item(i)
             cav_rho = 1.0 / s_ii - tau
-            cav_gam = m[i] / s_ii - nu
-            if cav_rho <= 0 or not np.isfinite(cav_rho):
+            cav_gam = m.item(i) / s_ii - nu
+            if not 0.0 < cav_rho < math.inf:
                 skipped += 1
                 continue
             cav = MarginalMoments(mean=cav_gam / cav_rho, var=1.0 / cav_rho)
-            log_z, tilted = ep_tilted_moments(y[i], cav)
+            log_z, tilted = ep_tilted_moments(labels[i], cav)
             tau_new = 1.0 / tilted.var - cav_rho
             nu_new = tilted.mean / tilted.var - cav_gam
             tau_d = max((1.0 - DAMPING) * tau + DAMPING * tau_new, -2.0 * LAMBDA2_CEIL)
@@ -83,10 +82,12 @@ def ep_inference(K, y, tol=CONVERGENCE_TOL):
             lam1[i] = nu_d
             lam2[i] = -0.5 * tau_d
             log_scale[i] = log_z - _log_gauss_site_integral(cav.mean, cav.var, nu_d, -0.5 * tau_d)
-            # rank-one refresh: S' = (S^-1 + d_tau e_i e_i')^-1
-            s_col = S[:, i].copy()
-            S -= (d_tau / (1.0 + d_tau * s_ii)) * np.outer(s_col, s_col)
-            m = S @ lam1
+            # rank one: S' = (S^-1 + d_tau e_i e_i')^-1 = S - c s s' and
+            # m' = S' lam1' = m + d_nu s - c s (s' lam1'), with s = S e_i
+            s = S[:, i].copy()
+            c = d_tau / (1.0 + d_tau * s_ii)
+            S = dger(-c, s, s, a=S, overwrite_a=True)
+            m += (d_nu - c * float(s @ lam1)) * s
             max_delta = max(max_delta, abs(d_tau), abs(d_nu))
         post = assemble(K, Sites(lam1, lam2))
         skipped_total += skipped

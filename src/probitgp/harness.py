@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, stdtr
 
 from .ais import AisConfig, ais_lml
-from .cvi import e_step
+from .cvi import check_settings, e_step
 from .data import fold_datasets, make_folds, standardize
 from .ep import ep_energy, ep_inference
 from .errors import NumericsError
@@ -66,6 +66,9 @@ class SweepConfig:
     e_step_size: float = 0.1
     jitter: float | None = None
     ais: AisConfig = AisConfig()
+
+    def __post_init__(self):
+        check_settings(self.e_step_size, self.e_iters)
 
 
 @dataclass(frozen=True)

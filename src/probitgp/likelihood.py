@@ -6,6 +6,7 @@ used by EP.  All cumulative-normal work goes through log_ndtr so nothing
 underflows for |f| well past 30.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -90,13 +91,12 @@ def ep_tilted_moments(y, cavity):
     if y not in (-1.0, 1.0):
         raise ValueError("labels must lie in {-1, +1}")
     m, v = float(cavity.mean), float(cavity.var)
-    if not (np.isfinite(m) and np.isfinite(v)) or v <= 0:
+    if not (math.isfinite(m) and math.isfinite(v)) or v <= 0:
         raise ValueError("cavity must have finite mean and variance > 0")
-    denom = np.sqrt(1.0 + v)
+    denom = math.sqrt(1.0 + v)
     z = y * m / denom
     log_z = float(log_ndtr(z))
     ratio = float(_phi_over_cdf(z))
     mean = m + y * v * ratio / denom
     var = v - v * v * ratio * (z + ratio) / (1.0 + v)
-    var = float(np.clip(var, 1e-15 * v, v))
-    return log_z, MarginalMoments(mean=float(mean), var=var)
+    return log_z, MarginalMoments(mean=mean, var=min(max(var, 1e-15 * v), v))

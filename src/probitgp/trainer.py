@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cvi import e_step
+from .cvi import check_settings, e_step
 from .errors import NumericsError
 from .data import Dataset
 from .kernel import Hyperparams, gram, gram_grads
@@ -45,7 +45,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.e_iters < 0 or self.m_iters < 0 or self.outer_rounds < 1:
+        check_settings(self.e_step_size, self.e_iters)
+        if self.m_iters < 0 or self.outer_rounds < 1:
             raise ValueError("iteration counts out of range")
         if not (0 < self.m_lr < np.inf and 0 <= self.outer_tol < np.inf):  # NaN fails too
             raise ValueError("m_lr must be finite and > 0, and outer_tol finite and >= 0")

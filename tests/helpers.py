@@ -24,19 +24,22 @@ from probitgp import (
     Hyperparams,
     FactorizationError,
     NumericsError,
+    Sites,
     assemble,
     cross_gram,
     elbo,
     ep_like_energy,
+    ep_tilted_moments,
     expectation_stats,
     gram,
     latent_predict,
     temperature,
 )
+from probitgp import ep
 from probitgp.data import _parse_float
 from probitgp.kernel import _matern
 from probitgp.likelihood import QUAD_ORDER, _phi_over_cdf, check_labels
-from probitgp.posterior import VAR_TOL
+from probitgp.posterior import LAMBDA2_CEIL, VAR_TOL
 
 DATA_DIR = Path(os.environ.get("PROBITGP_DATA", Path(__file__).resolve().parent.parent / "data"))
 
@@ -290,6 +293,59 @@ def ais_lml_reference(K, y, cfg):
     if not np.isfinite(per_repeat).all():
         raise NumericsError("non-finite annealing estimate")
     return AisEstimate(log_ml=float(per_repeat.mean()), per_repeat=per_repeat)
+
+
+def ep_inference_reference(K, y, tol=ep.CONVERGENCE_TOL):
+    """ep_inference with a full refresh after every site, the library's former loop.
+
+    Each site update forms the rank-one correction as an outer product and
+    recomputes m = S lam1 in full, O(n^2) memory traffic and an O(n^2)
+    product per site.  Same sweeps, damping, skips and site integrals;
+    returns (post, log_scale, converged).
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    lam1 = np.zeros(n)
+    lam2 = np.zeros(n)
+    log_scale = np.zeros(n)
+    post = assemble(K, Sites(lam1, lam2))
+    converged = False
+    for _ in range(ep.SWEEPS):
+        S = post.covariance()
+        m = post.m.copy()
+        max_delta = 0.0
+        for i in range(n):
+            s_ii = S[i, i]
+            tau = -2.0 * lam2[i]
+            nu = lam1[i]
+            cav_rho = 1.0 / s_ii - tau
+            cav_gam = m[i] / s_ii - nu
+            if cav_rho <= 0 or not np.isfinite(cav_rho):
+                continue
+            cav = MarginalMoments(mean=cav_gam / cav_rho, var=1.0 / cav_rho)
+            log_z, tilted = ep_tilted_moments(y[i], cav)
+            tau_new = 1.0 / tilted.var - cav_rho
+            nu_new = tilted.mean / tilted.var - cav_gam
+            tau_d = max((1.0 - ep.DAMPING) * tau + ep.DAMPING * tau_new, -2.0 * LAMBDA2_CEIL)
+            nu_d = (1.0 - ep.DAMPING) * nu + ep.DAMPING * nu_new
+            d_tau = tau_d - tau
+            d_nu = nu_d - nu
+            lam1[i] = nu_d
+            lam2[i] = -0.5 * tau_d
+            log_scale[i] = log_z - ep._log_gauss_site_integral(
+                cav.mean, cav.var, nu_d, -0.5 * tau_d
+            )
+            s_col = S[:, i].copy()
+            S -= (d_tau / (1.0 + d_tau * s_ii)) * np.outer(s_col, s_col)
+            m = S @ lam1
+            max_delta = max(max_delta, abs(d_tau), abs(d_nu))
+        post = assemble(K, Sites(lam1, lam2))
+        if max_delta < tol:
+            converged = True
+            break
+    if not np.isfinite(log_scale).all():
+        raise NumericsError("EP site log scales are not finite")
+    return post, log_scale, converged
 
 
 def gram_reference(X, theta, jitter):

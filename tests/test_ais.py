@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.special import log_ndtr, ndtr
 
 import helpers
+from probitgp import ais
 from probitgp import (
     AisConfig,
     AisEstimate,
@@ -43,22 +47,41 @@ class TestSchedule:
             AisConfig(steps=0)
         with pytest.raises(ValueError):
             AisConfig(repeats=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            AisConfig(seed=-1)
+
+
+@pytest.fixture
+def log_ndtr_calls(monkeypatch):
+    """Record np.ndim of every argument ais passes to its log_ndtr binding:
+    0 for the screen's scalar, 1 for a full evaluation."""
+    calls = []
+
+    def counted(x, *args):
+        calls.append(np.ndim(x))
+        return log_ndtr(x, *args)
+
+    monkeypatch.setattr(ais, "log_ndtr", counted)
+    return calls
+
+
+def probit_loglik(g):
+    return float(np.sum(log_ndtr(g)))
 
 
 class TestSliceKernel:
-    def test_constant_loglik_accepts_first_proposal(self):
-        """A flat target can never reject, so exactly one evaluation happens."""
+    """ess_step's target is exp(tau * sum_i log Phi(g_i)) N(0, L L^T); a
+    target in f with labels y runs in g = y * f with prior factor diag(y) L."""
+
+    def test_constant_loglik_accepts_first_proposal(self, log_ndtr_calls):
+        """A flat target (tau = 0) can never reject, so exactly one full
+        evaluation happens."""
         rng = np.random.default_rng(0)
         L = np.linalg.cholesky(helpers.random_spd(3, rng))
-        calls = []
-
-        def flat(f):
-            calls.append(1)
-            return 0.0
-
         f = L @ rng.standard_normal(3)
-        ess_step(f, flat, L, rng, cur_loglik=0.0, tau=1.0)
-        assert len(calls) == 1
+        cur = probit_loglik(f)
+        ess_step(f, L, rng, cur_loglik=cur, tau=0.0)
+        assert log_ndtr_calls.count(1) == 1
 
     def test_flat_target_preserves_prior_exactly(self):
         """One transition of a flat target maps N(0,K) to N(0,K); MC check."""
@@ -69,7 +92,7 @@ class TestSliceKernel:
         out = np.empty((m, 2))
         for i in range(m):
             f = L @ rng.standard_normal(2)
-            out[i], _ = ess_step(f, lambda _: 0.0, L, rng, cur_loglik=0.0, tau=1.0)
+            out[i], _ = ess_step(f, L, rng, cur_loglik=probit_loglik(f), tau=0.0)
         se_mean = np.sqrt(np.diag(K) / m)
         assert np.all(np.abs(out.mean(axis=0)) < 4 * se_mean)
         emp_cov = np.cov(out.T)
@@ -78,96 +101,120 @@ class TestSliceKernel:
     def test_chain_matches_quadrature_cdf(self):
         """Long 1-d chain against the exact posterior CDF, sup gap < 0.02."""
         k, y = 1.5, 1.0
-        L = np.array([[np.sqrt(k)]])
+        L = np.array([[y * np.sqrt(k)]])
         rng = np.random.default_rng(2)
-
-        def loglik(f):
-            return float(log_ndtr(y * f[0]))
 
         grid = np.linspace(-7.0, 7.0, 14001)
         dens = np.exp(-0.5 * grid * grid / k) * ndtr(y * grid)
         cdf = np.cumsum(dens)
         cdf /= cdf[-1]
 
-        f = np.array([0.0])
-        cur = loglik(f)
+        g = np.array([0.0])
+        cur = probit_loglik(g)
         burn, keep = 2000, 30000
         samples = np.empty(keep)
         for i in range(burn + keep):
-            f, cur = ess_step(f, loglik, L, rng, cur_loglik=cur, tau=1.0)
+            g, cur = ess_step(g, L, rng, cur_loglik=cur, tau=1.0)
             if i >= burn:
-                samples[i - burn] = f[0]
+                samples[i - burn] = y * g[0]
         samples.sort()
         ecdf = (np.arange(keep) + 0.5) / keep
         gap = np.max(np.abs(ecdf - np.interp(samples, grid, cdf)))
         assert gap < 0.02
 
-    def test_zero_temperature_accepts_first_proposal(self):
+    def test_zero_temperature_accepts_first_proposal(self, log_ndtr_calls):
         """At tau=0 the target is the prior, so the first proposal is taken."""
         rng = np.random.default_rng(5)
         L = np.linalg.cholesky(helpers.random_spd(4, rng))
         y = np.array([1.0, -1.0, 1.0, 1.0])
-        calls = []
+        L_g = 20.0 * y[:, None] * L  # log_ndtr(20 y f), run in g = 20 y f
 
-        def loglik(f):
-            calls.append(1)
-            return float(np.sum(log_ndtr(20.0 * y * f)))
-
-        f = L @ rng.standard_normal(4)
-        cur = loglik(f)
+        g = L_g @ rng.standard_normal(4)
+        cur = probit_loglik(g)
         for _ in range(200):
-            calls.clear()
-            f, cur = ess_step(f, loglik, L, rng, cur_loglik=cur, tau=0.0)
-            assert len(calls) == 1
+            log_ndtr_calls.clear()
+            g, cur = ess_step(g, L_g, rng, cur_loglik=cur, tau=0.0)
+            assert log_ndtr_calls.count(1) == 1
 
     def test_returned_loglik_is_untempered_value_at_state(self):
         rng = np.random.default_rng(6)
         L = np.linalg.cholesky(helpers.random_spd(5, rng, scale=30.0))
         y = np.where(rng.random(5) < 0.5, -1.0, 1.0)
+        L_g = y[:, None] * L
 
-        def loglik(f):
-            return float(np.sum(log_ndtr(y * f)))
-
-        f = np.zeros(5)
+        g = np.zeros(5)
         for tau in (1.0, 0.3, 1e-4, 1.0):
             for _ in range(50):
-                f, value = ess_step(f, loglik, L, rng, cur_loglik=loglik(f), tau=tau)
-                assert value == loglik(f)
+                g, value = ess_step(g, L_g, rng, cur_loglik=probit_loglik(g), tau=tau)
+                assert value == probit_loglik(g)
 
     def test_tempered_chain_matches_quadrature_cdf(self):
         """1-d chain at tau=0.5 against the CDF of Phi(y f)^0.5 N(f; 0, k)."""
         k, y, tau = 1.5, -1.0, 0.5
-        L = np.array([[np.sqrt(k)]])
+        L = np.array([[y * np.sqrt(k)]])
         rng = np.random.default_rng(7)
-
-        def loglik(f):
-            return float(log_ndtr(y * f[0]))
 
         grid = np.linspace(-7.0, 7.0, 14001)
         dens = np.exp(-0.5 * grid * grid / k) * ndtr(y * grid) ** tau
         cdf = np.cumsum(dens)
         cdf /= cdf[-1]
 
-        f = np.array([0.0])
-        cur = loglik(f)
+        g = np.array([0.0])
+        cur = probit_loglik(g)
         burn, keep = 2000, 30000
         samples = np.empty(keep)
         for i in range(burn + keep):
-            f, cur = ess_step(f, loglik, L, rng, cur_loglik=cur, tau=tau)
+            g, cur = ess_step(g, L, rng, cur_loglik=cur, tau=tau)
             if i >= burn:
-                samples[i - burn] = f[0]
+                samples[i - burn] = y * g[0]
         samples.sort()
         ecdf = (np.arange(keep) + 0.5) / keep
         gap = np.max(np.abs(ecdf - np.interp(samples, grid, cdf)))
         assert gap < 0.02
 
     def test_bracket_collapse_raises(self):
+        """A state whose every proposal has a non-finite log likelihood (NaN
+        here) rejects them all until the bracket collapses."""
         from probitgp import NumericsError
 
         rng = np.random.default_rng(3)
         L = np.eye(1)
         with pytest.raises(NumericsError):
-            ess_step(np.array([0.0]), lambda _: -np.inf, L, rng, cur_loglik=0.0, tau=1.0)
+            ess_step(np.array([np.nan]), L, rng, cur_loglik=0.0, tau=1.0)
+
+
+class TestScreen:
+    """The worst-point screen: ais_lml gives the full evaluation's bits
+    whether the screen rejects most proposals or none."""
+
+    @pytest.mark.parametrize("log_s, screens", [(5.0, True), (-1.0, False)])
+    def test_per_repeat_matches_reference_bitwise(self, log_ndtr_calls, log_s, screens):
+        data = helpers.make_blobs(30, 3, seed=13)
+        K = gram(data.X, Hyperparams(2.0, log_s))
+        cfg = AisConfig(steps=150, repeats=2, seed=4)
+        est = ais_lml(K, data.y, cfg)
+        full, scalar = log_ndtr_calls.count(1), log_ndtr_calls.count(0)
+        screened = scalar - (full - cfg.repeats)  # one full call per chain starts it
+        assert (screened > scalar // 4) if screens else screened == 0, (screened, scalar)
+        ref = helpers.ais_lml_reference(K, data.y, cfg)
+        assert np.array_equal(est.per_repeat, ref.per_repeat)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(arrays(float, st.integers(1, 300),
+                  elements=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1e3, 1e3]))))
+    def test_scalar_log_ndtr_is_the_vector_element(self, x):
+        want = log_ndtr(x)
+        for got in (np.array([log_ndtr(x.item(i)) for i in range(x.size)]),
+                    np.array([log_ndtr(x[i]) for i in range(x.size)])):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(arrays(float, st.integers(1, 600), elements=st.floats(-5e5, 0.0)),
+           st.floats(0.0, 1.0))
+    def test_sum_of_non_positive_terms_is_at_most_their_minimum(self, terms, tau):
+        total = np.add.reduce(terms)
+        assert total <= terms.min()
+        assert tau * total <= tau * terms.min()
 
 
 class TestAisEstimates:

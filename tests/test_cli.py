@@ -540,6 +540,25 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, setting", [
+        (["grid", "--points", "2", "--ais-T", "20", "--seed", "-1"], "seed"),
+        (["cv", "--seed", "-1"], "seed"),
+        (["grid", "--e-step-size", "2"], "e_step_size"),
+    ])
+    def test_bad_sweep_settings_named_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                       argv, setting):
+        """A negative seed or an E-step size outside (0, 1] exits 1 with a
+        message naming the setting, before the first grid cell or CV fold."""
+        started = []
+        monkeypatch.setattr(probitgp.harness, "_sweep_cell", started.append)
+        monkeypatch.setattr(probitgp.harness, "_cv_task", started.append)
+        data, out = tmp_path / "d.csv", tmp_path / "out.csv"
+        write_blobs_csv(data, n=6, seed=16)
+        command, *flags = argv
+        assert run([command, "--data", str(data), "--out", str(out), *flags]) == 1
+        assert setting in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
     def test_invalid_jitter_rejected(self, tmp_path):
         data = tmp_path / "d.csv"
         write_blobs_csv(data, n=10, seed=15)

@@ -185,6 +185,8 @@ class TestFolds:
             make_folds(4, 1, seed=0)
         with pytest.raises(ValueError, match="k=5 folds for n=4 rows"):
             make_folds(4, 5, seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            make_folds(4, 2, seed=-1)
         ds = Dataset("d", np.zeros((4, 1)), np.array([1.0, -1, 1, -1]))
         folds = make_folds(4, 2, seed=0)
         with pytest.raises(ValueError):

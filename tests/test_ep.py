@@ -137,3 +137,22 @@ class TestEvidenceQuality:
             assert converged
             truth = helpers.probit_evidence_quadrature(K.K, y)
             assert abs(ep_energy(post, log_scale) - truth) < 1e-2
+
+
+class TestRankOneUpdate:
+    """ep_inference's O(n^2) site update against the full-refresh loop of
+    helpers.ep_inference_reference: the same sweeps up to rounding."""
+
+    @pytest.mark.parametrize("log_l, log_s", [(-1.0, -1.0), (0.3, 0.0), (2.0, 2.0),
+                                              (2.0, 5.0), (5.0, 5.0)])
+    def test_matches_full_refresh(self, log_l, log_s):
+        ds = helpers.make_blobs(60, 4, 36)
+        K = gram(ds.X, Hyperparams(log_l, log_s))
+        post, log_scale, converged = ep_inference(K, ds.y)
+        ref_post, ref_scale, ref_converged = helpers.ep_inference_reference(K, ds.y)
+        assert converged == ref_converged
+        energy, ref_energy = ep_energy(post, log_scale), ep_energy(ref_post, ref_scale)
+        assert abs(energy - ref_energy) <= 1e-9 * abs(ref_energy)
+        for got, want in ((post.sites.lam1, ref_post.sites.lam1),
+                          (post.sites.lam2, ref_post.sites.lam2), (log_scale, ref_scale)):
+            assert_allclose(got, want, rtol=0.0, atol=1e-8)

@@ -68,6 +68,16 @@ class TestGridSpec:
             GridSpec(methods=("vi", "vi"))
 
 
+class TestSweepConfig:
+    @pytest.mark.parametrize("fields, setting", [
+        (dict(e_iters=-1), "e_iters"), (dict(e_step_size=0.0), "e_step_size"),
+        (dict(e_step_size=2.0), "e_step_size"), (dict(e_step_size=np.nan), "e_step_size"),
+    ])
+    def test_e_step_settings_checked_at_construction(self, fields, setting):
+        with pytest.raises(ValueError, match=setting):
+            SweepConfig(**fields)
+
+
 class TestGridSweep:
     def test_record_layout_and_order(self):
         train, test = split_blobs()

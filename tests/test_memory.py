@@ -1,4 +1,4 @@
-"""Working sets of scoring, assembly, the Gram matrix and the row reader.
+"""Working sets of scoring, assembly, the Gram matrix, the row reader and fit.
 
 tracemalloc sees every numpy buffer, so its peak over a call is the most
 memory the call held at once (BLAS's own scratch aside).  The bounds:
@@ -7,8 +7,9 @@ with the number of blocks, and predict scores holding alpha and R only,
 so the posterior it assembled is freed first; assemble keeps at most three
 n x n arrays alive, its outputs V and chol_a included; gram forms no
 identity, so its peak is the three n x n buffers of the Matern evaluation;
-read_feature_rows keeps no label strings.  Where the code works in place,
-it must give the same bits as the former expressions.
+read_feature_rows keeps no label strings; fit holds one E-step posterior at
+a time.  Where the code works in place, it must give the same bits as the
+former expressions.
 """
 
 import tracemalloc
@@ -19,7 +20,9 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import helpers
-from probitgp import Hyperparams, Sites, assemble, gram, posterior, predictive_z, read_feature_rows
+from probitgp import (
+    Hyperparams, Sites, TrainConfig, assemble, fit, gram, posterior, predictive_z, read_feature_rows,
+)
 from probitgp.posterior import PREDICT_BLOCK, ScoringState
 import probitgp.cli as cli
 
@@ -100,6 +103,19 @@ def test_assemble_keeps_at_most_three_square_arrays():
     K, sites, _, _, _ = scoring_instance(N, 1)
     _, peak = peak_bytes(assemble, K, sites)
     assert peak <= 3 * NN_BYTES, peak / NN_BYTES
+
+
+def test_fit_keeps_one_e_step_posterior_alive():
+    """fit with the predict set-up's flags (one round, no M-step iterations,
+    10 E-step iterations at step 0.5): each E-step drops its posterior before
+    it assembles the next, so the peak is K, the posterior that fit holds
+    and one assembly; a second E-step posterior alive reads 8.45 n x n."""
+    ds = helpers.make_blobs(N, 8, seed=8)
+    ds.distances  # cached on the dataset before tracing, as cv and grid reuse it
+    cfg = TrainConfig(outer_rounds=1, m_iters=0, e_iters=10, e_step_size=0.5,
+                      theta0=Hyperparams(1.0, 1.0))
+    _, peak = peak_bytes(fit, ds, cfg)
+    assert peak <= 7 * NN_BYTES, peak / NN_BYTES
 
 
 @pytest.mark.parametrize("zero_sites", (False, True))
