@@ -80,9 +80,12 @@ def ess_step(g, prior_chol, rng, cur_loglik, tau):
     lo, hi = angle - _TWO_PI, angle
     proposal = np.empty_like(nu)
     terms = np.empty_like(nu)
+    cos, sin = np.empty(()), np.empty(())  # 0-d operands: no float conversion per ufunc call
     for _ in range(_MAX_SHRINK):
-        np.multiply(g, math.cos(angle), proposal)
-        np.add(proposal, np.multiply(nu, math.sin(angle), terms), proposal)
+        cos[()] = math.cos(angle)
+        sin[()] = math.sin(angle)
+        np.multiply(g, cos, proposal)
+        np.add(proposal, np.multiply(nu, sin, terms), proposal)
         # the screen (module doc): loglik(proposal) <= log Phi(min(proposal))
         if not tau * log_ndtr(proposal.item(proposal.argmin())) <= threshold:
             value = float(np.add.reduce(log_ndtr(proposal, terms)))
