@@ -78,9 +78,8 @@ class TestSliceKernel:
         evaluation happens."""
         rng = np.random.default_rng(0)
         L = np.linalg.cholesky(helpers.random_spd(3, rng))
-        f = L @ rng.standard_normal(3)
-        cur = probit_loglik(f)
-        ess_step(f, L, rng, cur_loglik=cur, tau=0.0)
+        g = L @ rng.standard_normal(3)
+        ess_step(g, L, rng, cur_loglik=probit_loglik(g), tau=0.0)
         assert log_ndtr_calls.count(1) == 1
 
     def test_flat_target_preserves_prior_exactly(self):
@@ -91,8 +90,8 @@ class TestSliceKernel:
         m = 20000
         out = np.empty((m, 2))
         for i in range(m):
-            f = L @ rng.standard_normal(2)
-            out[i], _ = ess_step(f, L, rng, cur_loglik=probit_loglik(f), tau=0.0)
+            g = L @ rng.standard_normal(2)
+            out[i], _ = ess_step(g, L, rng, cur_loglik=probit_loglik(g), tau=0.0)
         se_mean = np.sqrt(np.diag(K) / m)
         assert np.all(np.abs(out.mean(axis=0)) < 4 * se_mean)
         emp_cov = np.cov(out.T)
