@@ -73,6 +73,9 @@ class TestMechanics:
         post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, iters=10)
         assert trace == trace2
         assert np.array_equal(post.sites.lam1, post2.sites.lam1)
+        # assembled again from the last finite sites, bit for bit
+        for field in ("m", "var", "alpha", "chol_a", "V"):
+            assert np.array_equal(getattr(post, field), getattr(post2, field)), field
         assert "diverged at iteration 3" in caplog.text
 
     def test_invalid_arguments(self):
