@@ -50,16 +50,6 @@ def _none_or(parse):
     return lambda text: None if text == "none" else parse(text)
 
 
-def _jitter(text):
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid jitter {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("jitter must be >= 0")
-    return value
-
-
 _TRAIN = TrainConfig()
 _SWEEP = SweepConfig()
 _GRID = GridSpec()
@@ -91,7 +81,6 @@ _SPECS = {
         ("--out", dict(required=True, help="model artifact path (trace CSV beside it)")),
         ("--objective", dict(choices=OBJECTIVES, default=_TRAIN.objective)),
         *_TRAIN_FLAGS,
-        ("--jitter", dict(type=_none_or(_jitter), default=_TRAIN.jitter)),
     ],
     "predict": [
         ("--model", dict(required=True, help="model artifact from fit")),
@@ -113,7 +102,6 @@ _SPECS = {
         ("--e-step-size", dict(type=float, default=_SWEEP.e_step_size)),
         *_AIS_FLAGS,
         ("--jobs", dict(type=int, default=1)),
-        ("--jitter", dict(type=_none_or(_jitter), default=_SWEEP.jitter)),
     ],
     "cv": [
         ("--data", dict(required=True)),
@@ -123,7 +111,6 @@ _SPECS = {
         ("--methods", dict(default=",".join(TRAINABLE_METHODS))),
         *_TRAIN_FLAGS,
         ("--jobs", dict(type=int, default=1)),
-        ("--jitter", dict(type=_none_or(_jitter), default=_TRAIN.jitter)),
     ],
     "ais": [
         ("--data", dict(required=True)),
@@ -133,7 +120,6 @@ _SPECS = {
         ("--log-lengthscale", dict(type=float, default=Hyperparams().log_lengthscale)),
         ("--log-magnitude", dict(type=float, default=Hyperparams().log_magnitude)),
         *_AIS_FLAGS,
-        ("--jitter", dict(type=_none_or(_jitter), default=None)),
     ],
 }
 
@@ -182,7 +168,6 @@ def _train_config(args, **fields):
         m_lr=args.m_lr,
         outer_rounds=args.rounds,
         outer_tol=args.tol,
-        jitter=args.jitter,
     )
 
 
@@ -196,7 +181,7 @@ def _cmd_fit(args):
     result = train_fit(train, _train_config(args, objective=args.objective))
     mean, scale = feature_stats(dataset)
     artifact = ModelArtifact(
-        name=dataset.name, objective=args.objective, jitter=args.jitter,
+        name=dataset.name, objective=args.objective,
         theta=result.theta, sites=result.posterior.sites,
         feature_mean=mean, feature_scale=scale, features=train.X,
     )
@@ -239,7 +224,7 @@ def _cmd_predict(args):
     nonfinite = np.flatnonzero(~np.isfinite(Xs).all(axis=1))
     if nonfinite.size:
         raise ValueError(f"{args.data}: non-finite standardized feature in row {nonfinite[0]}")
-    post = assemble(gram(artifact.features, artifact.theta, artifact.jitter), artifact.sites)
+    post = assemble(gram(artifact.features, artifact.theta), artifact.sites)
     # scoring reads only alpha and R: keeping just those frees K, V and
     # chol_a before the first block
     post = ScoringState(post.alpha, post.R)
@@ -259,8 +244,7 @@ def _cmd_grid(args):
     dataset = load_csv(args.data, args.label)
     train, test = held_out_split(dataset, make_folds(dataset.n, FOLDS, args.seed), 0)
     cfg = SweepConfig(
-        e_iters=args.e_iters, e_step_size=args.e_step_size, jitter=args.jitter,
-        ais=_ais_config(args),
+        e_iters=args.e_iters, e_step_size=args.e_step_size, ais=_ais_config(args),
     )
     records = grid_sweep(train, test, spec, cfg, jobs=args.jobs)
     rows = [
@@ -322,7 +306,7 @@ def _cmd_ais(args):
     dataset = load_csv(args.data, args.label)
     train, _ = standardize(dataset)
     theta = Hyperparams(args.log_lengthscale, args.log_magnitude)
-    K = gram(train.X, theta, args.jitter)
+    K = gram(train.X, theta)
     est = ais_lml(K, train.y, _ais_config(args))
     per = ",".join(number_text(float(v)) for v in est.per_repeat)
     print(f"log_ml={number_text(est.log_ml)} per_repeat={per} n={dataset.n}")

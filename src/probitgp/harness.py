@@ -64,7 +64,6 @@ class SweepConfig:
 
     e_iters: int = 200
     e_step_size: float = 0.1
-    jitter: float | None = None
     ais: AisConfig = AisConfig()
 
     def __post_init__(self):
@@ -113,7 +112,7 @@ def _sweep_cell(args):
     n = y_train.size
     records = {}
     try:
-        K = gram(X_train, theta, cfg.jitter)
+        K = gram(X_train, theta)
     except NumericsError:
         logger.warning("cell (%g, %g): covariance factorization failed", ll, ls)
         return [

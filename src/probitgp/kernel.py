@@ -1,17 +1,17 @@
 """Isotropic Matern-5/2 covariance with log-space hyperparameters.
 
 The train-side Gram matrix carries the diagonal jitter that made it positive
-definite.  gram tries at most five rungs, 1e-6 to 1e-2 times magnitude^2, or
-an explicit jitter and the rungs above it, so it ends for every finite
-theta.  A magnitude^2 that is not finite and positive, or a kernel with a
-non-finite entry (a lengthscale so small that distance / lengthscale
-overflows), is a FactorizationError before any rung is tried.  gram tests
-each rung with a Cholesky factorization but does not keep the factor: the
-posterior assembly factors I + B^1/2 K B^1/2 instead, and only AIS, which
-needs a factor of K itself, computes one.  The rungs are tried in the base
-kernel's own memory, only its diagonal rewritten per rung, so gram forms no
-identity and no second n x n matrix beyond the factorization's scratch
-copy.
+definite, and gram alone picks it: it tries at most five rungs, 1e-6 to 1e-2
+times magnitude^2, so it ends for every finite theta and the jitter scales
+with magnitude^2.  A magnitude^2 that is not finite and positive, or a
+kernel with a non-finite entry (a lengthscale so small that distance /
+lengthscale overflows), is a FactorizationError before any rung is tried.
+gram tests each rung with a Cholesky factorization but does not keep the
+factor: the posterior assembly factors I + B^1/2 K B^1/2 instead, and only
+AIS, which needs a factor of K itself, computes one.  The rungs are tried in
+the base kernel's own memory, only its diagonal rewritten per rung, so gram
+forms no identity and no second n x n matrix beyond the factorization's
+scratch copy.
 
 The Matern evaluation takes optional caller-owned buffers, so prediction can
 reuse one workspace for every block of test rows (posterior.predictive_z).
@@ -108,13 +108,12 @@ def cross_gram(X, Z, theta, work=None):
     return _matern(cdist(X, Z, out=dist), theta, overwrite=True, quad=quad, out=out)
 
 
-def gram_grads(dist, theta, K, jitter=None):
-    """Derivatives of gram(X, theta, jitter) = K wrt (log lengthscale, log magnitude).
+def gram_grads(dist, theta, K):
+    """Derivatives of gram(X, theta) = K wrt (log lengthscale, log magnitude).
 
     dist = cdist(X, X).  With u = sqrt(5) r / ell, dK/dlog ell =
     sig^2 (u^2/3)(1 + u) exp(-u).  The jitter rung that K used scales with
-    sig^2 unless it is the explicit jitter, which stays fixed, so dK/dlog sig
-    is 2 K or 2 (K - jitter I) respectively.
+    sig^2 like the kernel, so dK/dlog sig = 2 K.
     """
     u = _SQRT5 * dist / theta.lengthscale
     # sig^2 (u*u/3) (1 + u) exp(-u), in that operation order, in place
@@ -124,29 +123,21 @@ def gram_grads(dist, theta, K, jitter=None):
     d_ell *= 1.0 + u
     np.negative(u, out=u)
     d_ell *= np.exp(u, out=u)
-    d_sig = 2.0 * K.K
-    if jitter is not None and K.jitter == float(jitter):
-        d_sig[np.diag_indices_from(d_sig)] -= 2.0 * K.jitter
-    return d_ell, d_sig
+    return d_ell, 2.0 * K.K
 
 
-def gram(X, theta, jitter=None, dist=None):
+def gram(X, theta, dist=None):
     """Train covariance with jitter escalation until Cholesky succeeds.
 
     dist may pass cdist(X, X) precomputed (Dataset.distances), bitwise alike.
-    jitter=None starts at the default 1e-6 * magnitude^2; an explicit value is
-    tried first as given.  On failure the jitter is raised tenfold per attempt
-    up to 1e-2 * magnitude^2, after which FactorizationError is raised.  So is
-    a magnitude^2 that is not finite and positive, or a kernel with a
-    non-finite entry, and neither warns.
+    The jitter starts at 1e-6 * magnitude^2 and is raised tenfold per failed
+    attempt up to 1e-2 * magnitude^2, after which FactorizationError is
+    raised.  So is a magnitude^2 that is not finite and positive, or a kernel
+    with a non-finite entry, and neither warns.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("expected a 2-d input matrix")
-    if jitter is not None:
-        jitter = float(jitter)
-        if not np.isfinite(jitter) or jitter < 0:
-            raise ValueError("jitter must be finite and >= 0")
     with np.errstate(over="ignore"):  # np.exp overflows to inf, rejected below
         try:
             sig2 = theta.magnitude ** 2
@@ -154,12 +145,9 @@ def gram(X, theta, jitter=None, dist=None):
             sig2 = np.inf
     if not 0.0 < sig2 < np.inf:
         raise FactorizationError(f"kernel magnitude^2 {sig2:g} is not finite and positive")
-    ladder = [] if jitter is None else [jitter]
-    rung = JITTER_DEFAULT * sig2
-    for _ in range(JITTER_RUNGS):
-        if not ladder or rung > ladder[-1]:
-            ladder.append(rung)
-        rung *= 10.0
+    ladder = [JITTER_DEFAULT * sig2]
+    while len(ladder) < JITTER_RUNGS:
+        ladder.append(ladder[-1] * 10.0)
 
     with np.errstate(all="ignore"):  # a non-finite kernel is rejected below
         K = _matern(cdist(X, X), theta, overwrite=True) if dist is None else _matern(dist, theta)

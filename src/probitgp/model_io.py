@@ -19,7 +19,7 @@ from .trainer import OBJECTIVES
 FORMAT_NAME = "probitgp-model"
 FORMAT_VERSION = 1
 
-_KEYS = ("name", "objective", "jitter", "log_lengthscale", "log_magnitude", "n", "d")
+_KEYS = ("name", "objective", "log_lengthscale", "log_magnitude", "n", "d")
 _BLOCKS = ("feature_mean", "feature_scale", "lambda1", "lambda2", "features")
 
 
@@ -27,7 +27,6 @@ _BLOCKS = ("feature_mean", "feature_scale", "lambda1", "lambda2", "features")
 class ModelArtifact:
     name: str
     objective: str
-    jitter: float | None
     theta: Hyperparams
     sites: Sites
     feature_mean: np.ndarray
@@ -73,8 +72,6 @@ def save_model(path, artifact):
         handle.write(f"version={FORMAT_VERSION}\n")
         handle.write(f"name={artifact.name}\n")
         handle.write(f"objective={artifact.objective}\n")
-        jit = "none" if artifact.jitter is None else number_text(artifact.jitter)
-        handle.write(f"jitter={jit}\n")
         handle.write(f"log_lengthscale={number_text(artifact.theta.log_lengthscale)}\n")
         handle.write(f"log_magnitude={number_text(artifact.theta.log_magnitude)}\n")
         handle.write(f"n={artifact.features.shape[0]}\n")
@@ -119,9 +116,8 @@ def load_model(path):
     objective = _value(path, "objective", keys["objective"], str, f"one of {OBJECTIVES}",
                        lambda v: v in OBJECTIVES)
     n, d = (_value(path, k, keys[k], int, "an integer >= 0", lambda v: v >= 0) for k in ("n", "d"))
-    jitter = None if keys["jitter"] == "none" else _value(
-        path, "jitter", keys["jitter"], float, "none or a finite number", np.isfinite
-    )
+    # older files carry jitter=none; gram cannot rebuild any fixed jitter's K
+    _value(path, "jitter", keys.get("jitter", "none"), str, "none", lambda v: v == "none")
     theta = Hyperparams(*(
         _value(path, k, keys[k], float, "a finite number", np.isfinite)
         for k in ("log_lengthscale", "log_magnitude")
@@ -159,7 +155,6 @@ def load_model(path):
     return ModelArtifact(
         name=keys["name"],
         objective=objective,
-        jitter=jitter,
         theta=theta,
         sites=Sites(blocks["lambda1"], blocks["lambda2"]),
         feature_mean=blocks["feature_mean"],

@@ -40,7 +40,6 @@ class TrainConfig:
     m_lr: float = 0.001
     outer_rounds: int = 50
     outer_tol: float = 1e-4
-    jitter: float | None = None
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -75,7 +74,7 @@ class FitStart:
 
 def _start_key(cfg):
     """What the opening E-step depends on; the objective is not part of it."""
-    return (cfg.theta0, cfg.e_iters, cfg.e_step_size, cfg.jitter)
+    return (cfg.theta0, cfg.e_iters, cfg.e_step_size)
 
 
 def learning_objective(post, y, objective):
@@ -86,18 +85,18 @@ def learning_objective(post, y, objective):
     return ep_like_energy(post)
 
 
-def _value_and_grad(dataset, theta, post, objective, jitter):
+def _value_and_grad(dataset, theta, post, objective):
     """The objective at post and its gradient wrt log-theta at fixed sites.
 
     post is the posterior of the sites under
-    gram(dataset.X, theta, jitter, dataset.distances).  Each gradient entry
+    gram(dataset.X, theta, dataset.distances).  Each gradient entry
     is sum(G * dK) over one kernel derivative (GPML eq. 5.9).  At extreme
     states either may come out non-finite, without a warning: _m_step
     rejects such a probe, and stops on such a gradient.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         value, G = _value_and_weights(dataset.y, post, objective)
-        d_ell, d_sig = gram_grads(dataset.distances, theta, post.K, jitter)
+        d_ell, d_sig = gram_grads(dataset.distances, theta, post.K)
         d_ell *= G
         d_sig *= G
         return value, np.array([np.sum(d_ell), np.sum(d_sig)])
@@ -162,13 +161,13 @@ def _m_step(dataset, theta, cfg, post):
         if not np.isfinite(vec).all():
             raise NumericsError("the step overflowed")
         th = Hyperparams(vec[0], vec[1])
-        post = assemble(gram(dataset.X, th, cfg.jitter, dataset.distances), sites)
+        post = assemble(gram(dataset.X, th, dataset.distances), sites)
         if not np.all(post.var >= 0.0):  # neither the ELBO nor the next E-step could read it
             raise NumericsError("probe posterior has a negative marginal variance")
-        return *_value_and_grad(dataset, th, post, cfg.objective, cfg.jitter), post
+        return *_value_and_grad(dataset, th, post, cfg.objective), post
 
     th = theta.as_array()
-    current, grad = _value_and_grad(dataset, theta, post, cfg.objective, cfg.jitter)
+    current, grad = _value_and_grad(dataset, theta, post, cfg.objective)
     accepted = False
     for _ in range(cfg.m_iters):
         if not np.isfinite(grad).all():
@@ -195,13 +194,13 @@ def _m_step(dataset, theta, cfg, post):
 
 def fit_start(dataset, cfg):
     """The opening E-step of fit(dataset, cfg): cfg.e_iters updates from zero
-    sites under gram(dataset.X, cfg.theta0, cfg.jitter).
+    sites under gram(dataset.X, cfg.theta0).
 
-    It depends on the dataset, theta0, the E-step budget (e_iters and
-    e_step_size) and jitter, not on the objective or the M-step settings,
-    so one start serves every fit that agrees on those.
+    It depends on the dataset, theta0 and the E-step budget (e_iters and
+    e_step_size), not on the objective or the M-step settings, so one start
+    serves every fit that agrees on those.
     """
-    K = gram(dataset.X, cfg.theta0, cfg.jitter, dataset.distances)
+    K = gram(dataset.X, cfg.theta0, dataset.distances)
     post, _ = e_step(
         assemble(K, Sites.zeros(dataset.n)), dataset.y, step_size=cfg.e_step_size, iters=cfg.e_iters
     )
@@ -217,8 +216,8 @@ def fit(dataset, cfg, start=None):
     M-step had iterations (cfg.m_iters > 0) but accepted no probe.
     The E-step after the last M-step refreshes the sites, and
     its posterior is TrainResult.posterior.  start is fit_start(dataset, cfg)
-    or any start built for this dataset object with the same theta0, E-step
-    budget and jitter (ValueError otherwise); None runs it here.
+    or any start built for this dataset object with the same theta0 and
+    E-step budget (ValueError otherwise); None runs it here.
     The result is bitwise the same either way.  Deterministic: no randomness
     anywhere.
     """

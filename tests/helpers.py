@@ -37,7 +37,7 @@ from probitgp import (
 )
 from probitgp import ep
 from probitgp.data import _parse_float
-from probitgp.kernel import _matern
+from probitgp.kernel import JITTER_DEFAULT, _matern
 from probitgp.likelihood import QUAD_ORDER, _phi_over_cdf, check_labels
 from probitgp.posterior import LAMBDA2_CEIL, VAR_TOL
 
@@ -63,6 +63,37 @@ def gram_from_matrix(K):
     K = np.asarray(K, dtype=float)
     cholesky(K, lower=True)  # raises LinAlgError unless K is positive definite
     return GramMatrix(K=K, jitter=0.0)
+
+
+def jitter_free_gram(X, theta):
+    """The Matern Gram matrix of X with no jitter, as a GramMatrix."""
+    return gram_from_matrix(cross_gram(X, X, theta))
+
+
+def rung(K, theta):
+    """Index k of the jitter rung JITTER_DEFAULT * 10^k * magnitude^2 that
+    gram(X, theta) = K took."""
+    return int(np.rint(np.log10(K.jitter / (JITTER_DEFAULT * theta.magnitude ** 2))))
+
+
+def failing_cholesky(fails, per_call=False):
+    """A stand-in for probitgp.kernel.cholesky whose first `fails` calls
+    factor the matrix and then raise LinAlgError, as on a matrix that is not
+    positive definite; later calls return the factor.  So gram climbs
+    `fails` rungs, or raises FactorizationError from 5 on.  With per_call
+    the count restarts after each success: every gram call climbs."""
+    failed = [0]
+
+    def stand_in(*args, **kwargs):
+        factor = cholesky(*args, **kwargs)  # the work, and the scratch, of a real attempt
+        if failed[0] < fails:
+            failed[0] += 1
+            raise np.linalg.LinAlgError("not positive definite")
+        if per_call:
+            failed[0] = 0
+        return factor
+
+    return stand_in
 
 
 def random_spd(n, rng, scale=1.0):
@@ -163,10 +194,12 @@ def gaussian_loglik_stats(noise_var, targets):
     return stats
 
 
-def objective_value(dataset, sites, theta, objective, jitter=None):
+def objective_value(dataset, sites, theta, objective, K=None):
     """Learning objective ("elbo" or "ep_like") at (sites, theta), from a
-    fresh Gram matrix and posterior."""
-    post = assemble(gram(dataset.X, theta, jitter, dataset.distances), sites)
+    fresh posterior under K, by default a fresh gram(dataset.X, theta)."""
+    if K is None:
+        K = gram(dataset.X, theta, dataset.distances)
+    post = assemble(K, sites)
     if objective == "elbo":
         return elbo(post, dataset.y)[0]
     return ep_like_energy(post)
@@ -197,7 +230,7 @@ def fd_m_step(dataset, sites, theta, cfg, h=1e-4):
     def value_at(vec):
         try:
             return objective_value(
-                dataset, sites, Hyperparams(vec[0], vec[1]), cfg.objective, cfg.jitter
+                dataset, sites, Hyperparams(vec[0], vec[1]), cfg.objective
             )
         except NumericsError:
             return -np.inf

@@ -16,6 +16,7 @@ from scipy.special import ndtr
 import helpers
 from probitgp import NumericsError, load_model, paired_t_test
 from probitgp.cli import run
+from probitgp.kernel import JITTER_RUNGS
 from probitgp.model_io import number_text
 import probitgp
 import probitgp.cli as cli_module
@@ -143,8 +144,7 @@ class TestPredict:
         artifact = load_model(model)
         X = probitgp.read_feature_rows(data, "last")
         Xs = (X - artifact.feature_mean) / artifact.feature_scale
-        post = probitgp.assemble(probitgp.gram(artifact.features, artifact.theta, artifact.jitter),
-                                 artifact.sites)
+        post = probitgp.assemble(probitgp.gram(artifact.features, artifact.theta), artifact.sites)
         p = ndtr(probitgp.predictive_z(post, artifact.theta, artifact.features, Xs))
         expected = ["row,p_positive,label"] + [
             ",".join(number_text(v) for v in (i, p[i], 1 if p[i] >= 0.5 else -1))
@@ -174,7 +174,7 @@ class TestPredict:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("key", [
-        "name", "objective", "jitter", "log_lengthscale", "log_magnitude", "n", "d",
+        "name", "objective", "log_lengthscale", "log_magnitude", "n", "d",
     ])
     def test_model_without_a_required_key_is_usage_error(self, tmp_path, capsys, key):
         """A model file missing a key= line exits 1, naming the file and the
@@ -191,14 +191,18 @@ class TestPredict:
         assert str(model) in err and f"missing keys ['{key}']" in err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("line", ["jitter=x", "n=x", "objective=zzz"])
+    @pytest.mark.parametrize("line", ["jitter=x", "jitter=1e-4", "n=x", "objective=zzz"])
     def test_model_with_a_bad_key_value_is_usage_error(self, tmp_path, capsys, line):
         """A key= line whose value does not parse, or an objective the trainer
-        does not know, exits 1 naming the file and the key, with no output."""
+        does not know, exits 1 naming the file and the key, with no output.
+        So does any jitter but none: gram picks the jitter, and predicting
+        from another K than the model's would be silently wrong."""
         data, model, _ = self.fitted(tmp_path, seed=6)
         key = line.partition("=")[0]
-        lines = [line if old.startswith(f"{key}=") else old
-                 for old in model.read_text().splitlines()]
+        lines = model.read_text().splitlines()
+        if key == "jitter":  # no longer written: put it where older files had it
+            lines.insert(lines.index("objective=elbo") + 1, "jitter=")
+        lines = [line if old.startswith(f"{key}=") else old for old in lines]
         model.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         code = run(["predict", "--model", str(model), "--data", str(data),
@@ -223,6 +227,22 @@ class TestPredict:
         lines.insert(lines.index("objective=elbo") + 1, "seed=0")
         model.write_text("\n".join(lines) + "\n")
         assert load_model(model).objective == "elbo"
+        assert run(argv) == 0
+        assert out.read_bytes() == without
+
+    def test_model_with_a_jitter_none_line_predicts_the_same_bytes(self, tmp_path):
+        """Model files of fits before gram alone picked the jitter carry
+        jitter=none after objective=, and predict reads them as before."""
+        data, model, _ = self.fitted(tmp_path, seed=6)
+        out = tmp_path / "pred.csv"
+        argv = ["predict", "--model", str(model), "--data", str(data),
+                "--label", "last", "--out", str(out)]
+        assert run(argv) == 0
+        without = out.read_bytes()
+        lines = model.read_text().splitlines()
+        assert not any(line.startswith("jitter=") for line in lines)
+        lines.insert(lines.index("objective=elbo") + 1, "jitter=none")
+        model.write_text("\n".join(lines) + "\n")
         assert run(argv) == 0
         assert out.read_bytes() == without
 
@@ -559,13 +579,54 @@ class TestExitCodes:
         assert setting in capsys.readouterr().err
         assert started == [] and not out.exists()
 
-    def test_invalid_jitter_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command", list(cli_module._SPECS))
+    @pytest.mark.parametrize("flag", ["--jitter", "--no-such-flag"])
+    def test_unknown_flag_is_usage_error(self, tmp_path, capsys, flag, command):
+        """Every subcommand answers a flag it does not have, the --jitter that
+        gram's ladder made redundant among them, with exit 1 and the program's
+        usage on stderr."""
         data = tmp_path / "d.csv"
         write_blobs_csv(data, n=10, seed=15)
-        assert run(["fit", "--data", str(data), "--out", str(tmp_path / "m.model"),
-                    "--jitter", "-1"]) == 1
-        assert run(["fit", "--data", str(data), "--out", str(tmp_path / "m.model"),
-                    "--jitter", "soft"]) == 1
+        required = [arg for name, kwargs in cli_module._SPECS[command]
+                    if kwargs.get("required") for arg in (name, str(data))]
+        assert run([command, *required, flag, "1e-4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: probitgp ")
+        assert f"unrecognized arguments: {flag} 1e-4" in err
+
+
+class TestJitterLadderEnd:
+    """A Gram matrix that no jitter rung makes factorable, forced by a
+    Cholesky whose first five calls fail: no kernel of a test's size needs
+    more than the first rung."""
+
+    @pytest.mark.parametrize("command", ["fit", "ais"])
+    def test_fit_and_ais_exit_two(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(probitgp.kernel, "cholesky", helpers.failing_cholesky(JITTER_RUNGS))
+        data, out = tmp_path / "d.csv", tmp_path / "out"
+        write_blobs_csv(data, n=10, seed=17)
+        assert run([command, "--data", str(data), "--out", str(out)]) == 2
+        assert "jitter escalation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_writes_nan_for_that_cell_only(self, tmp_path, monkeypatch):
+        """Only the first cell's Gram matrix meets the five failures."""
+        monkeypatch.setattr(probitgp.kernel, "cholesky", helpers.failing_cholesky(JITTER_RUNGS))
+        data, out = tmp_path / "d.csv", tmp_path / "g.csv"
+        write_blobs_csv(data, n=15, seed=18)
+        assert run(["grid", "--data", str(data), "--out", str(out), "--points", "2",
+                    "--e-iters", "10", "--ais-T", "40", "--ais-repeats", "1"]) == 0
+        cells = {}
+        for row in out.read_text().splitlines()[2:]:
+            ll, ls, method, lml, lpd = row.split(",")
+            # the mcmc rows hold no held-out density
+            values = [float(lml)] if method == "mcmc" else [float(lml), float(lpd)]
+            cells.setdefault((ll, ls), []).extend(values)
+        assert len(cells) == 4
+        nan_cells = [cell for cell, values in cells.items() if np.isnan(values).all()]
+        assert len(nan_cells) == 1
+        assert all(np.isfinite(values).all() for cell, values in cells.items()
+                   if cell not in nan_cells)
 
 
 TEN_ROWS = "a,b,c\n" + "".join(f"{0.3 * i},{(7 * i) % 5},{i % 2}\n" for i in range(10))

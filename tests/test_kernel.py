@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cholesky
 
+import helpers
 from helpers import matern52
-from probitgp import FactorizationError, Hyperparams, cross_gram, gram
-from probitgp.kernel import JITTER_CAP, JITTER_DEFAULT
+from probitgp import FactorizationError, Hyperparams, cross_gram, gram, kernel
+from probitgp.kernel import JITTER_CAP, JITTER_DEFAULT, JITTER_RUNGS
 
 RNG = np.random.default_rng(42)
 
@@ -85,26 +86,36 @@ class TestGram:
         base = cross_gram(X, X, Hyperparams())
         assert np.linalg.matrix_rank(base, tol=1e-10) == 6
 
-    def test_jitter_escalation_on_duplicates(self):
-        X = np.zeros((4, 2))  # all rows identical: worst case
-        K = gram(X, Hyperparams(), jitter=0.0)
-        assert K.jitter > 0  # escalated off the explicit zero
-        assert K.jitter <= JITTER_CAP * 1.0 + 1e-18
-
-    def test_explicit_jitter_respected_when_feasible(self):
-        X = RNG.standard_normal((8, 2))
-        K = gram(X, Hyperparams(), jitter=3e-4)
-        assert K.jitter == 3e-4
-
     def test_escalated_jitter_never_exceeds_cap(self):
         """The ladder tops out at the cap; on PSD kernels it always lands."""
         for seed in range(5):
             rng = np.random.default_rng(seed)
             X = np.repeat(rng.standard_normal((5, 2)), 3, axis=0)
             theta = Hyperparams(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            K = gram(X, theta, jitter=0.0)
+            K = gram(X, theta)
             assert 0 <= K.jitter <= JITTER_CAP * theta.magnitude ** 2 * (1 + 1e-12)
 
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            gram(RNG.standard_normal((3, 1)), Hyperparams(), jitter=-1e-6)
+
+class TestJitterLadder:
+    """The ladder's climb and its end, reached by a Cholesky that fails k
+    times: no kernel of a test's size needs more than the first rung."""
+
+    X = RNG.standard_normal((12, 3))
+    THETA = Hyperparams(0.3, 0.4)
+
+    @pytest.mark.parametrize("fails", [1, 2, 3, 4])
+    def test_each_failure_climbs_one_rung(self, monkeypatch, fails):
+        monkeypatch.setattr(kernel, "cholesky", helpers.failing_cholesky(fails))
+        K = gram(self.X, self.THETA)
+        rung = JITTER_DEFAULT * self.THETA.magnitude ** 2
+        for _ in range(fails):
+            rung *= 10.0
+        assert K.jitter == rung
+        assert np.array_equal(K.K, helpers.gram_reference(self.X, self.THETA, rung))
+        if fails == JITTER_RUNGS - 1:
+            assert K.jitter == pytest.approx(JITTER_CAP * self.THETA.magnitude ** 2, rel=1e-12)
+
+    def test_five_failures_exhaust_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(kernel, "cholesky", helpers.failing_cholesky(JITTER_RUNGS))
+        with pytest.raises(FactorizationError, match="jitter escalation"):
+            gram(self.X, self.THETA)

@@ -23,8 +23,10 @@ from probitgp import (
     e_step,
     expectation_stats,
     gram,
+    kernel,
     prior_kl,
 )
+from probitgp.kernel import JITTER_RUNGS
 from probitgp.posterior import LAMBDA2_CEIL
 
 RTOL = 1e-10
@@ -116,15 +118,20 @@ class TestExpectationStatsReference:
 
 
 class TestSharedDistances:
-    @pytest.mark.parametrize("jitter", [None, 0.0, 0.05])
-    def test_gram_from_distances_is_bitwise_the_gram_of_x(self, jitter):
+    @pytest.mark.parametrize("fails", [None, JITTER_RUNGS - 1])
+    def test_gram_from_distances_is_bitwise_the_gram_of_x(self, fails, monkeypatch):
+        """At the first rung, with the real Cholesky, and at the top one, with
+        a Cholesky that fails four times per gram call."""
+        if fails is not None:
+            monkeypatch.setattr(kernel, "cholesky", helpers.failing_cholesky(fails, per_call=True))
         rng = np.random.default_rng(24)
         for n in (1, 5, 30):
             X = rng.standard_normal((n, 3))
             ds = Dataset("d", X, np.ones(n))
             for theta in (Hyperparams(-1.0, 0.5), Hyperparams(0.7, -0.3)):
-                K = gram(X, theta, jitter, ds.distances)
-                assert np.array_equal(K.K, gram(X, theta, jitter).K)
+                K = gram(X, theta, ds.distances)
+                assert helpers.rung(K, theta) == (fails or 0)
+                assert np.array_equal(K.K, gram(X, theta).K)
                 assert np.array_equal(K.K, cross_gram(X, X, theta) + K.jitter * np.eye(n))
                 assert np.array_equal(K.K, helpers.gram_reference(X, theta, K.jitter))
         assert ds.distances is ds.distances

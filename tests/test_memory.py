@@ -21,7 +21,8 @@ from scipy.spatial.distance import cdist
 
 import helpers
 from probitgp import (
-    Hyperparams, Sites, TrainConfig, assemble, fit, gram, posterior, predictive_z, read_feature_rows,
+    Hyperparams, Sites, TrainConfig, assemble, fit, gram, kernel, posterior, predictive_z,
+    read_feature_rows,
 )
 from probitgp.posterior import PREDICT_BLOCK, ScoringState
 import probitgp.cli as cli
@@ -137,22 +138,21 @@ def test_assemble_in_place_is_bitwise_the_former_assembly(zero_sites):
 
 
 @pytest.mark.parametrize("given_distances", (False, True))
-@pytest.mark.parametrize("duplicates", (False, True))
-def test_gram_forms_no_identity(given_distances, duplicates):
+@pytest.mark.parametrize("first_rungs_fail", (False, True))
+def test_gram_forms_no_identity(given_distances, first_rungs_fail, monkeypatch):
     """The peak is the Matern evaluation's three n x n buffers; trying the
     jitter rungs adds no identity and no second copy of the kernel, also
-    when the first rungs fail (duplicate rows at jitter 0)."""
+    when the first rungs fail (a Cholesky that fails three times, each
+    failure with a real attempt's scratch)."""
+    if first_rungs_fail:
+        monkeypatch.setattr(kernel, "cholesky", helpers.failing_cholesky(3))
     rng = np.random.default_rng(6)
-    X = rng.standard_normal((N // 2 if duplicates else N, 4))
-    if duplicates:
-        X = np.repeat(X, 2, axis=0)
+    X = rng.standard_normal((N, 4))
     theta = Hyperparams(0.3, 0.2)
-    jitter = 0.0 if duplicates else None
-    args = (X, theta, jitter, cdist(X, X)) if given_distances else (X, theta, jitter)
+    args = (X, theta, cdist(X, X)) if given_distances else (X, theta)
     K, peak = peak_bytes(gram, *args)
     assert peak <= 3.05 * NN_BYTES, peak / NN_BYTES
-    if duplicates:
-        assert K.jitter > 0.0  # the explicit 0 failed and the ladder climbed
+    assert helpers.rung(K, theta) == (3 if first_rungs_fail else 0)
     assert np.array_equal(K.K, helpers.gram_reference(X, theta, K.jitter))
 
 

@@ -17,7 +17,6 @@ def awkward_artifact():
     return ModelArtifact(
         name="toy",
         objective="ep_like",
-        jitter=None,
         theta=Hyperparams(0.1234567890123456, -1.0 / 7.0),
         sites=Sites(rng.standard_normal(n), -np.exp(rng.standard_normal(n))),
         feature_mean=rng.standard_normal(d),
@@ -34,7 +33,6 @@ class TestRoundTrip:
         back = load_model(p)
         assert back.name == art.name
         assert back.objective == art.objective
-        assert back.jitter is None
         assert back.theta == art.theta
         assert np.array_equal(back.sites.lam1, art.sites.lam1)
         assert np.array_equal(back.sites.lam2, art.sites.lam2)
@@ -49,17 +47,6 @@ class TestRoundTrip:
         save_model(p1, art)
         save_model(p2, art)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_explicit_jitter_round_trips(self, tmp_path):
-        art = awkward_artifact()
-        art = ModelArtifact(
-            name=art.name, objective=art.objective, jitter=3.5e-7, theta=art.theta, sites=art.sites,
-            feature_mean=art.feature_mean, feature_scale=art.feature_scale,
-            features=art.features,
-        )
-        p = tmp_path / "j.model"
-        save_model(p, art)
-        assert load_model(p).jitter == 3.5e-7
 
     def test_six_values_per_block_line(self, tmp_path):
         art = awkward_artifact()  # features block has 15 values -> 3 lines
@@ -112,14 +99,14 @@ class TestValidation:
         art = awkward_artifact()
         with pytest.raises(ValueError):
             ModelArtifact(
-                name="x", objective="elbo", jitter=None,
+                name="x", objective="elbo",
                 theta=Hyperparams(), sites=Sites.zeros(4),
                 feature_mean=np.zeros(3), feature_scale=np.ones(3),
                 features=art.features,  # 5 rows vs 4 sites
             )
         with pytest.raises(ValueError):
             ModelArtifact(
-                name="x", objective="elbo", jitter=None,
+                name="x", objective="elbo",
                 theta=Hyperparams(), sites=Sites.zeros(5),
                 feature_mean=np.zeros(2), feature_scale=np.ones(2),
                 features=art.features,  # 3 columns vs 2 stats

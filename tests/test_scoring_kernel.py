@@ -165,4 +165,4 @@ def test_fit_leaves_dataset_distances_unchanged():
     cfg = TrainConfig(e_iters=5, m_iters=3, m_lr=0.01, outer_rounds=2, outer_tol=0.0)
     fit(ds, cfg)
     assert np.array_equal(ds.distances, before)
-    assert np.array_equal(gram(ds.X, cfg.theta0, None, ds.distances).K, gram(ds.X, cfg.theta0).K)
+    assert np.array_equal(gram(ds.X, cfg.theta0, ds.distances).K, gram(ds.X, cfg.theta0).K)

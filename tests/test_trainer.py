@@ -18,8 +18,10 @@ from probitgp import (
     ep_like_energy,
     fit,
     gram,
+    kernel,
     trainer,
 )
+from probitgp.kernel import JITTER_RUNGS
 from probitgp.posterior import LAMBDA2_CEIL
 
 
@@ -82,8 +84,10 @@ class TestGradientOracle:
                 up = Hyperparams(theta.log_lengthscale + dv[0], theta.log_magnitude + dv[1])
                 dn = Hyperparams(theta.log_lengthscale - dv[0], theta.log_magnitude - dv[1])
                 grad_fd[j] = (
-                    helpers.objective_value(ds, sites, up, "ep_like", jitter=0.0)
-                    - helpers.objective_value(ds, sites, dn, "ep_like", jitter=0.0)
+                    helpers.objective_value(ds, sites, up, "ep_like",
+                                            helpers.jitter_free_gram(X, up))
+                    - helpers.objective_value(ds, sites, dn, "ep_like",
+                                              helpers.jitter_free_gram(X, dn))
                 ) / (2.0 * h)
             assert_allclose(grad_fd, grad_analytic, rtol=1e-5, atol=1e-7)
 
@@ -105,7 +109,7 @@ class TestGradientOracle:
         # identity d elbo = 1/2 (lam1 - alpha)' dK (lam1 - alpha) + ... via FD
         # of each assembled piece instead of one opaque number
         def elbo_at(th):
-            return helpers.objective_value(ds, sites, th, "elbo", jitter=0.0)
+            return helpers.objective_value(ds, sites, th, "elbo", helpers.jitter_free_gram(X, th))
 
         for j, dv in enumerate([(h, 0.0), (0.0, h)]):
             up = Hyperparams(theta.log_lengthscale + dv[0], theta.log_magnitude + dv[1])
@@ -120,17 +124,23 @@ class TestGradientOracle:
             assert abs(fd - fd_half) < 1e-6 * max(1.0, abs(fd))
 
 
-def fd_gradient(ds, sites, theta, objective, jitter, h=1e-5):
+def fd_gradient(ds, sites, theta, objective, h=1e-5):
+    """Central differences of the objective at fixed sites.  Both probes take
+    theta's jitter rung: within a rung the jitter scales with magnitude^2, as
+    the analytic gradient assumes, and a change of rung would pass for a
+    gradient error."""
+    rung = helpers.rung(gram(ds.X, theta, ds.distances), theta)
     grad = np.empty(2)
     for j in range(2):
         offset = np.zeros(2)
         offset[j] = h
-        up = Hyperparams(*(theta.as_array() + offset))
-        dn = Hyperparams(*(theta.as_array() - offset))
-        grad[j] = (
-            helpers.objective_value(ds, sites, up, objective, jitter)
-            - helpers.objective_value(ds, sites, dn, objective, jitter)
-        ) / (2.0 * h)
+        values = []
+        for th in (Hyperparams(*(theta.as_array() + offset)),
+                   Hyperparams(*(theta.as_array() - offset))):
+            K = gram(ds.X, th, ds.distances)
+            assert helpers.rung(K, th) == rung
+            values.append(helpers.objective_value(ds, sites, th, objective, K))
+        grad[j] = (values[0] - values[1]) / (2.0 * h)
     return grad
 
 
@@ -162,13 +172,19 @@ def probit_instances(count=24, seed=77):
 
 class TestAnalyticGradient:
     @pytest.mark.parametrize("objective", ["elbo", "ep_like"])
-    @pytest.mark.parametrize("jitter", [None, 0.0, 0.05])  # 0.05: fixed, not scaled by sig^2
-    def test_matches_central_differences(self, objective, jitter):
+    @pytest.mark.parametrize("fails", [None, JITTER_RUNGS - 1])
+    def test_matches_central_differences(self, objective, fails, monkeypatch):
+        """With the real Cholesky every Gram matrix here takes the first rung;
+        with one that fails four times per gram call, the top rung, whose
+        jitter, 1e-2 * magnitude^2, the magnitude gradient must carry."""
+        if fails is not None:
+            monkeypatch.setattr(kernel, "cholesky", helpers.failing_cholesky(fails, per_call=True))
         for ds, sites, theta in probit_instances():
-            post = assemble(gram(ds.X, theta, jitter, ds.distances), sites)
-            value, grad = trainer._value_and_grad(ds, theta, post, objective, jitter)
-            assert value == helpers.objective_value(ds, sites, theta, objective, jitter)
-            fd = fd_gradient(ds, sites, theta, objective, jitter)
+            post = assemble(gram(ds.X, theta, ds.distances), sites)
+            assert helpers.rung(post.K, theta) == (fails or 0)
+            value, grad = trainer._value_and_grad(ds, theta, post, objective)
+            assert value == helpers.objective_value(ds, sites, theta, objective)
+            fd = fd_gradient(ds, sites, theta, objective)
             scale = np.max(np.abs(fd))
             assert np.all(np.abs(grad - fd) <= 1e-6 * scale + 1e-9), (grad, fd)
 
@@ -189,9 +205,9 @@ class TestObjectivesMeetAtConvergence:
 
     @staticmethod
     def gradients(ds, sites, theta):
-        post = assemble(gram(ds.X, theta, None, ds.distances), sites)
+        post = assemble(gram(ds.X, theta, ds.distances), sites)
         return [
-            trainer._value_and_grad(ds, theta, post, objective, None)[1]
+            trainer._value_and_grad(ds, theta, post, objective)[1]
             for objective in ("elbo", "ep_like")
         ]
 
@@ -222,8 +238,8 @@ class TestFdEquivalence:
         def m_step(dataset, theta, cfg, post):
             sites = post.sites
             new = helpers.fd_m_step(dataset, sites, theta, cfg)
-            K = gram(dataset.X, new, cfg.jitter, dataset.distances)
-            value = helpers.objective_value(dataset, sites, new, cfg.objective, cfg.jitter)
+            K = gram(dataset.X, new, dataset.distances)
+            value = helpers.objective_value(dataset, sites, new, cfg.objective)
             return new, value, assemble(K, sites), False
 
         with monkeypatch.context() as patch:

@@ -17,7 +17,14 @@ Every output file lands in OUTDIR, and NAME.stdout holds the standard output
 of command NAME.  Paths are relative to OUTDIR, so the resolved-command
 headers of two OUTDIRs agree.  probitgp comes from PYTHONPATH, so one copy of
 this script serves two trees: run it once per tree's src and compare the two
-OUTDIRs with `diff -r`.  The script exits 1 if any command exits non-zero.
+OUTDIRs with `diff -r`.  When a change drops a flag, every header drops it
+too; compare with
+
+    diff -r -I '^# probitgp ' A B
+
+which ignores the header lines.  Then only the help_*.stdout files should
+differ, and the model files if the flag also had a model-file key.  The
+script exits 1 if any command exits non-zero.
 Nothing under bench/ is written to.
 """
 
