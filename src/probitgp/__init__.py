@@ -13,7 +13,6 @@ from .ais import AisConfig, AisEstimate, ais_lml, ess_step, temperature
 from .cvi import e_step
 from .data import (
     Dataset,
-    FoldSplit,
     encode_labels,
     feature_stats,
     fold_datasets,
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AisConfig", "AisEstimate", "ais_lml", "ess_step", "temperature",
     "e_step",
-    "Dataset", "FoldSplit", "encode_labels", "feature_stats", "fold_datasets",
+    "Dataset", "encode_labels", "feature_stats", "fold_datasets",
     "load_csv", "make_folds", "read_feature_rows", "standardize",
     "ep_energy", "ep_inference",
     "FactorizationError", "NumericsError",

@@ -3,9 +3,11 @@
 Exit codes: 0 on success, 1 on usage errors, 2 on numeric failures.  Every
 output CSV starts with a comment line holding the fully resolved command
 (all defaults materialized); re-running that command reproduces the file
-bit for bit.  A flag's default is read from the library type that owns the
-setting (TrainConfig, SweepConfig, GridSpec, AisConfig), and --methods is
-checked where the library checks a method list: GridSpec, cross_validate.
+bit for bit at the same BLAS thread count (predict's p_positive moves by
+~1e-14 across OpenBLAS thread counts).  A flag's default is read from the
+library type that owns the setting (TrainConfig, SweepConfig, GridSpec,
+AisConfig), and --methods is checked where the library checks a method
+list: GridSpec, cross_validate.
 """
 
 import argparse
@@ -13,11 +15,13 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
 from scipy.special import ndtr
 
 from .ais import AisConfig, ais_lml
-from .data import feature_stats, load_csv, make_folds, read_feature_rows, standardize
+from .data import (
+    apply_standardization, feature_stats, load_csv, make_folds, read_feature_rows, standardize,
+    standardize_rows,
+)
 from .errors import NumericsError
 from .harness import (
     FOLDS, TRAINABLE_METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep, held_out_split,
@@ -43,6 +47,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's parser is a _Parser too, so it rejects the flags it
+        # does not know itself, and their error carries its usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _none_or(parse):
@@ -137,11 +149,8 @@ def build_parser():
 def _resolved_command(args):
     parts = [f"probitgp {args.command}"]
     for flag, _ in _SPECS[args.command]:
-        dest = flag.lstrip("-").replace("-", "_")
-        value = getattr(args, dest)
-        if value is None:
-            value = "none"
-        parts.append(f"{flag} {number_text(value)}")
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        parts.append(f"{flag} {number_text('none' if value is None else value)}")
     return " ".join(parts)
 
 
@@ -177,9 +186,9 @@ def _ais_config(args):
 
 def _cmd_fit(args):
     dataset = load_csv(args.data, args.label)
-    train, _ = standardize(dataset)
-    result = train_fit(train, _train_config(args, objective=args.objective))
     mean, scale = feature_stats(dataset)
+    train = apply_standardization(dataset, mean, scale)
+    result = train_fit(train, _train_config(args, objective=args.objective))
     artifact = ModelArtifact(
         name=dataset.name, objective=args.objective,
         theta=result.theta, sites=result.posterior.sites,
@@ -187,16 +196,8 @@ def _cmd_fit(args):
     )
     save_model(args.out, artifact)
     rounds = result.objective_trace.size
-    trace_rows = [
-        (
-            r,
-            result.objective_trace[r],
-            result.elbo_trace[r],
-            result.theta_trace[r, 0],
-            result.theta_trace[r, 1],
-        )
-        for r in range(rounds)
-    ]
+    trace_rows = zip(range(rounds), result.objective_trace, result.elbo_trace,
+                     *result.theta_trace.T)
     _write_csv(
         str(args.out) + ".trace.csv", _resolved_command(args),
         ("round", "objective", "elbo", "log_lengthscale", "log_magnitude"),
@@ -219,11 +220,7 @@ def _cmd_predict(args):
         raise _UsageError(
             f"feature count {X.shape[1]} does not match the model ({artifact.features.shape[1]})"
         )
-    with np.errstate(over="ignore"):  # overflow is reported below, by row
-        Xs = (X - artifact.feature_mean) / artifact.feature_scale
-    nonfinite = np.flatnonzero(~np.isfinite(Xs).all(axis=1))
-    if nonfinite.size:
-        raise ValueError(f"{args.data}: non-finite standardized feature in row {nonfinite[0]}")
+    Xs = standardize_rows(X, artifact.feature_mean, artifact.feature_scale, args.data)
     post = assemble(gram(artifact.features, artifact.theta), artifact.sites)
     # scoring reads only alpha and R: keeping just those frees K, V and
     # chol_a before the first block
@@ -242,7 +239,7 @@ def _cmd_predict(args):
 def _cmd_grid(args):
     spec = GridSpec(lo=args.lo, hi=args.hi, points=args.points, methods=_methods(args.methods))
     dataset = load_csv(args.data, args.label)
-    train, test = held_out_split(dataset, make_folds(dataset.n, FOLDS, args.seed), 0)
+    train, test = held_out_split(dataset, make_folds(dataset.n, args.seed), 0)
     cfg = SweepConfig(
         e_iters=args.e_iters, e_step_size=args.e_step_size, ais=_ais_config(args),
     )
@@ -263,12 +260,12 @@ def _cmd_grid(args):
 def _cmd_cv(args):
     dataset = load_csv(args.data, args.label)
     report = cross_validate(
-        dataset, FOLDS, _methods(args.methods), _train_config(args), args.seed, jobs=args.jobs
+        dataset, _methods(args.methods), _train_config(args), args.seed, jobs=args.jobs
     )
     methods = report.methods
     fold_rows = [
         (dataset.name, fold, method, report.accuracy[method][fold], report.lpd[method][fold])
-        for fold in range(report.k)
+        for fold in range(FOLDS)
         for method in methods
     ]
     _write_csv(

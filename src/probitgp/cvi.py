@@ -38,7 +38,7 @@ def check_settings(step_size, iters):
         raise ValueError(f"e_iters must be >= 0, got {iters}")
 
 
-def e_step(post, y, step_size=0.1, iters=20):
+def e_step(post, y, step_size, iters):
     """Run `iters` synchronous natural-gradient updates from post.sites under post.K.
 
     Returns (post, trace): post is the posterior of the sites the loop ends

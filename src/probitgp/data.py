@@ -18,6 +18,8 @@ from scipy.spatial.distance import cdist
 
 from .likelihood import check_labels
 
+FOLDS = 5  # folds of the held-out protocol: cv runs all of them, grid holds out the first
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -57,14 +59,6 @@ class Dataset:
         dist = cdist(self.X, self.X)
         dist.setflags(write=False)
         return dist
-
-
-@dataclass(frozen=True)
-class FoldSplit:
-    """Deterministic fold assignment: assignment[i] is the fold of row i."""
-
-    k: int
-    assignment: np.ndarray
 
 
 def _parse_float(cell):
@@ -197,14 +191,14 @@ def _read_table(path, label_column, labelled, keep_labels=True):
     return X, labels
 
 
-def load_csv(path, label_column="last", name=None):
-    """Load a two-class CSV into a Dataset.
+def load_csv(path, label_column="last"):
+    """Load a two-class CSV into a Dataset named by the file's stem.
 
     label_column is a column name, an integer position, or "last".  Features
     must parse as finite floats; labels are encoded via encode_labels.
     """
     X, labels = _read_table(path, label_column, labelled=True)
-    return Dataset(name=name or Path(path).stem, X=X, y=encode_labels(labels))
+    return Dataset(name=Path(path).stem, X=X, y=encode_labels(labels))
 
 
 def read_feature_rows(path, label_column=None):
@@ -224,12 +218,23 @@ def feature_stats(train):
     return mean, scale
 
 
+def standardize_rows(X, mean, scale, source):
+    """(X - mean) / scale; a row that comes out non-finite is a ValueError
+    naming source and the first such row."""
+    with np.errstate(over="ignore"):  # overflow is reported below, by row
+        Z = (X - mean) / scale
+    nonfinite = np.flatnonzero(~np.isfinite(Z).all(axis=1))
+    if nonfinite.size:
+        raise ValueError(f"{source}: non-finite standardized feature in row {nonfinite[0]}")
+    return Z
+
+
 def apply_standardization(ds, mean, scale):
     if np.any(scale <= 0) or not (np.isfinite(mean).all() and np.isfinite(scale).all()):
         raise ValueError("invalid standardization stats")
     if mean.shape != (ds.d,) or scale.shape != (ds.d,):
         raise ValueError("standardization stats must match the column count")
-    return Dataset(name=ds.name, X=(ds.X - mean) / scale, y=ds.y)
+    return Dataset(name=ds.name, X=standardize_rows(ds.X, mean, scale, ds.name), y=ds.y)
 
 
 def standardize(train, others=()):
@@ -240,25 +245,26 @@ def standardize(train, others=()):
     return out_train, out_others
 
 
-def make_folds(n, k, seed):
-    """Shuffled round-robin assignment of n rows to k folds (sizes differ <= 1)."""
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n: k={k} folds for n={n} rows")
+def make_folds(n, seed):
+    """Shuffled round-robin assignment of n rows to the FOLDS folds (sizes
+    differ <= 1): a read-only array whose entry i is the fold of row i."""
+    if n < FOLDS:
+        raise ValueError(f"{FOLDS} folds need n >= {FOLDS} rows, got n={n}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=int)
-    assignment[perm] = np.arange(n) % k
+    assignment[perm] = np.arange(n) % FOLDS
     assignment.setflags(write=False)
-    return FoldSplit(k=k, assignment=assignment)
+    return assignment
 
 
 def fold_datasets(ds, folds, fold):
-    """(train, test) Datasets for one held-out fold."""
-    if not 0 <= fold < folds.k:
+    """(train, test) Datasets for one held-out fold of make_folds' folds."""
+    if not 0 <= fold < FOLDS:
         raise ValueError("fold index out of range")
-    mask = folds.assignment == fold
+    mask = folds == fold
     train = Dataset(name=f"{ds.name}-fold{fold}-train", X=ds.X[~mask], y=ds.y[~mask])
     test = Dataset(name=f"{ds.name}-fold{fold}-test", X=ds.X[mask], y=ds.y[mask])
     return train, test

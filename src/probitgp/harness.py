@@ -1,4 +1,4 @@
-"""Experiment harness: hyperparameter surface sweeps, k-fold CV, the paired t-test.
+"""Experiment harness: hyperparameter surface sweeps, FOLDS-fold CV, the paired t-test.
 
 Grid cells and CV folds are independent pure functions of their inputs, so
 they run under an optional process pool; results are reduced in a canonical
@@ -7,6 +7,7 @@ rows out the same way (held_out_split) and score them by the same mean log
 predictive density.
 """
 
+import itertools
 import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +18,7 @@ from scipy.special import log_ndtr, ndtr, stdtr
 
 from .ais import AisConfig, ais_lml
 from .cvi import check_settings, e_step
-from .data import fold_datasets, make_folds, standardize
+from .data import FOLDS, fold_datasets, make_folds, standardize
 from .ep import ep_energy, ep_inference
 from .errors import NumericsError
 from .kernel import Hyperparams, gram
@@ -29,7 +30,6 @@ logger = logging.getLogger(__name__)
 METHODS = ("vi", "ours", "ep", "mcmc")
 OBJECTIVE_OF = {"vi": "elbo", "ours": "ep_like"}  # each trainable method's learning objective
 TRAINABLE_METHODS = tuple(OBJECTIVE_OF)
-FOLDS = 5  # folds of the held-out protocol: cv runs all of them, grid holds out the first
 
 
 def _check_methods(methods, allowed):
@@ -47,8 +47,8 @@ class GridSpec:
     methods: tuple = METHODS
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
+        if not (np.isfinite(self.hi - self.lo) and self.lo < self.hi):
+            raise ValueError("need finite lo < hi")
         if self.points < 2:
             raise ValueError("need at least 2 points per axis")
         _check_methods(self.methods, METHODS)
@@ -81,10 +81,9 @@ class SurfaceRecord:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Per-fold metrics by method: accuracy[m] and lpd[m] hold k values."""
+    """Per-fold metrics by method: accuracy[m] and lpd[m] hold FOLDS values."""
 
     dataset: str
-    k: int
     methods: tuple
     accuracy: dict
     lpd: dict
@@ -111,20 +110,21 @@ def _sweep_cell(args):
     theta = Hyperparams(ll, ls)
     n = y_train.size
     records = {}
+    nan = float("nan")
     try:
         K = gram(X_train, theta)
     except NumericsError:
         logger.warning("cell (%g, %g): covariance factorization failed", ll, ls)
-        return [
-            SurfaceRecord(ll, ls, m, float("nan"), float("nan")) for m in methods
-        ]
+        return [SurfaceRecord(ll, ls, m, nan, nan) for m in methods]
 
     shared = [m for m in TRAINABLE_METHODS if m in methods]
+    bound = None  # the shared posterior's ELBO, a lower bound on log p(y)
     if shared:
         try:
-            post, _ = e_step(
+            post, trace = e_step(
                 assemble(K, Sites.zeros(n)), y_train, step_size=cfg.e_step_size, iters=cfg.e_iters
             )
+            bound = trace[-1]
             lpd = _mean_lpd(y_test, predictive_z(post, theta, X_train, X_test))
             for method in shared:
                 value = learning_objective(post, y_train, OBJECTIVE_OF[method])
@@ -143,15 +143,15 @@ def _sweep_cell(args):
     if "mcmc" in methods:
         try:
             est = ais_lml(K, y_train, replace(cfg.ais, seed=cell_seed))
-            records["mcmc"] = (est.log_ml / n, float("nan"))
+            records["mcmc"] = (est.log_ml / n, nan)
+            if bound is not None and est.log_ml < bound:
+                logger.warning("cell (%g, %g): AIS log_ml lies %.6g nats below the E-step's ELBO",
+                               ll, ls, bound - est.log_ml)
         except NumericsError as exc:
             logger.warning("cell (%g, %g): annealing failed: %s", ll, ls, exc)
 
     logger.info("cell (%g, %g) done", ll, ls)
-    nan = float("nan")
-    return [
-        SurfaceRecord(ll, ls, m, *records.get(m, (nan, nan))) for m in methods
-    ]
+    return [SurfaceRecord(ll, ls, m, *records.get(m, (nan, nan))) for m in methods]
 
 
 def _pmap(fn, items, jobs):
@@ -172,16 +172,11 @@ def grid_sweep(train, test, spec, cfg, jobs=1):
     linear cell index, keeping results independent of worker scheduling.
     Records are sorted by (log lengthscale, log magnitude, method).
     """
-    axis = spec.axis()
-    args = []
-    for i, ll in enumerate(axis):
-        for j, ls in enumerate(axis):
-            cell_index = i * spec.points + j
-            args.append((
-                train.X, train.y, test.X, test.y,
-                float(ll), float(ls), tuple(spec.methods), cfg,
-                cfg.ais.seed + cell_index * cfg.ais.repeats,
-            ))
+    args = [
+        (train.X, train.y, test.X, test.y, float(ll), float(ls), tuple(spec.methods), cfg,
+         cfg.ais.seed + cell_index * cfg.ais.repeats)
+        for cell_index, (ll, ls) in enumerate(itertools.product(spec.axis(), repeat=2))
+    ]
     cell_lists = _pmap(_sweep_cell, args, jobs)
     records = [rec for cell in cell_lists for rec in cell]
     records.sort(key=lambda r: (r.log_lengthscale, r.log_magnitude, r.method))
@@ -206,26 +201,26 @@ def _cv_task(args):
     return scores
 
 
-def cross_validate(dataset, k, methods, cfg, seed, jobs=1):
-    """k-fold CV of the trainable methods; standardization per train fold.
+def cross_validate(dataset, methods, cfg, seed, jobs=1):
+    """FOLDS-fold CV of the trainable methods; standardization per train fold.
 
     methods must come from {"vi", "ours"} (the two learning objectives).
     Each fold is one task: one opening E-step (trainer.fit_start), shared by
     the fold's fits of every method, since the methods differ only in the
     M-step's objective.  Folds are independent and may run in parallel, so
-    at most k workers are busy.
+    at most FOLDS workers are busy.
     """
     methods = tuple(methods)
     _check_methods(methods, TRAINABLE_METHODS)
-    folds = make_folds(dataset.n, k, seed)
-    args = [(dataset, folds, fold, methods, cfg) for fold in range(k)]
+    folds = make_folds(dataset.n, seed)
+    args = [(dataset, folds, fold, methods, cfg) for fold in range(FOLDS)]
     results = _pmap(_cv_task, args, jobs)
-    accuracy = {m: np.empty(k) for m in methods}
-    lpd = {m: np.empty(k) for m in methods}
+    accuracy = {m: np.empty(FOLDS) for m in methods}
+    lpd = {m: np.empty(FOLDS) for m in methods}
     for fold, method, acc, lp in (score for scores in results for score in scores):
         accuracy[method][fold] = acc
         lpd[method][fold] = lp
-    return CvReport(dataset=dataset.name, k=k, methods=methods, accuracy=accuracy, lpd=lpd)
+    return CvReport(dataset=dataset.name, methods=methods, accuracy=accuracy, lpd=lpd)
 
 
 def paired_t_test(a, b):

@@ -194,8 +194,8 @@ def test_criterion_6_benchmark_cross_validation():
     lines = []
     measured = {}
     for name in ("sonar", "ionosphere", "diabetes"):
-        ds = load_csv(helpers.dataset_path(name), name=name)
-        rep = cross_validate(ds, 5, ("vi", "ours"), cfg, seed=0, jobs=5)
+        ds = load_csv(helpers.dataset_path(name))
+        rep = cross_validate(ds, ("vi", "ours"), cfg, seed=0, jobs=5)
         vi_acc = float(rep.accuracy["vi"].mean())
         ours_acc = float(rep.accuracy["ours"].mean())
         vi_lpd = float(rep.lpd["vi"].mean())
@@ -223,8 +223,8 @@ def test_criterion_7_surface_argmax_against_annealing():
         pytest.skip(f"criterion 7: SKIP, missing ['sonar']; {MISSING_DATA_HINT}")
     from probitgp import fold_datasets, make_folds, standardize
 
-    ds = load_csv(helpers.dataset_path("sonar"), name="sonar")
-    folds = make_folds(ds.n, 5, seed=0)
+    ds = load_csv(helpers.dataset_path("sonar"))
+    folds = make_folds(ds.n, seed=0)
     train_raw, test_raw = fold_datasets(ds, folds, 0)
     train, (test,) = standardize(train_raw, [test_raw])
     spec = GridSpec(lo=-1.0, hi=5.0, points=7, methods=("vi", "ours", "mcmc"))

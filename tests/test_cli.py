@@ -505,7 +505,7 @@ class TestSmallAndDegenerateData:
         data = tmp_path / "two.csv"
         data.write_text("a,b\n0.1,0\n0.7,1\n")
         assert run([command, "--data", str(data), "--out", str(tmp_path / "out.csv")]) == 1
-        assert "need 2 <= k <= n: k=5 folds for n=2 rows" in capsys.readouterr().err
+        assert "5 folds need n >= 5 rows, got n=2" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -583,16 +583,24 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", ["--jitter", "--no-such-flag"])
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys, flag, command):
         """Every subcommand answers a flag it does not have, the --jitter that
-        gram's ladder made redundant among them, with exit 1 and the program's
-        usage on stderr."""
+        gram's ladder made redundant among them, with exit 1 and its own usage
+        on stderr."""
         data = tmp_path / "d.csv"
         write_blobs_csv(data, n=10, seed=15)
         required = [arg for name, kwargs in cli_module._SPECS[command]
                     if kwargs.get("required") for arg in (name, str(data))]
         assert run([command, *required, flag, "1e-4"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: probitgp ")
+        assert err.startswith(f"usage: probitgp {command} ")
         assert f"unrecognized arguments: {flag} 1e-4" in err
+
+    def test_unknown_flag_before_the_subcommand_gets_the_program_usage(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_blobs_csv(data, n=10, seed=15)
+        assert run(["--no-such-flag", "ais", "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: probitgp [-h] {fit,")
+        assert "unrecognized arguments: --no-such-flag" in err
 
 
 class TestJitterLadderEnd:
@@ -697,6 +705,51 @@ def test_extreme_hyperparameters_exit_cleanly_in_time(tmp_path, capsys, argv, ex
         rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
         assert len(rows) == 16
         assert all(not np.isinf(float(v)) for row in rows for v in row[3:])
+
+
+SMALL_BUDGETS = {"--points": "2", "--ais-T": "20", "--e-iters": "2", "--rounds": "1",
+                 "--m-iters": "1"}
+TYPED_FLAGS = [(command, flag) for command, flags in cli_module._SPECS.items()
+               for flag, kwargs in flags if "type" in kwargs]
+
+
+def small_budgets(command):
+    """SMALL_BUDGETS' flags that command has, as argv."""
+    flags = dict(cli_module._SPECS[command])
+    return [arg for name, value in SMALL_BUDGETS.items() if name in flags for arg in (name, value)]
+
+
+@pytest.fixture(scope="module")
+def ten_rows_and_model(tmp_path_factory):
+    """TEN_ROWS as a CSV and a model fit on it, for predict's cases."""
+    folder = tmp_path_factory.mktemp("bad_values")
+    data, model = folder / "ten.csv", folder / "m.model"
+    data.write_text(TEN_ROWS)
+    assert run(["fit", "--data", str(data), "--out", str(model), *small_budgets("fit")]) == 0
+    return data, model
+
+
+@pytest.mark.parametrize("value", ["x", "nan", "inf", "-1"])
+@pytest.mark.parametrize("command, flag", TYPED_FLAGS, ids=[" ".join(cf) for cf in TYPED_FLAGS])
+def test_bad_flag_value_exits_cleanly(ten_rows_and_model, tmp_path, monkeypatch, capsys,
+                                      command, flag, value):
+    """Every typed flag, given a word, NaN, infinity or -1, ends with 0, 1 or
+    2 and no traceback; a value its type cannot parse exits 1 with the
+    subcommand's usage.  The bad value comes after the small budgets, so it
+    overrides a budget flag's own."""
+    monkeypatch.chdir(tmp_path)  # ais --out x writes the file x
+    data, model = ten_rows_and_model
+    argv = [command, "--data", str(data), "--out", str(tmp_path / "out"), *small_budgets(command)]
+    if command == "predict":
+        argv += ["--model", str(model)]
+    capsys.readouterr()
+    code = run([*argv, flag, value])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    try:
+        dict(cli_module._SPECS[command])[flag]["type"](value)
+    except ValueError:
+        assert code == 1 and err.startswith(f"usage: probitgp {command} ")
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -30,14 +30,14 @@ class TestMechanics:
     def test_zero_iters_returns_start_and_single_trace_entry(self):
         K, y = toy_problem()
         start = Sites.zeros(len(y))
-        post, trace = e_step(assemble(K, start), y, iters=0)
+        post, trace = e_step(assemble(K, start), y, step_size=0.1, iters=0)
         assert post.sites is start
         assert len(trace) == 1
         assert_allclose(trace[0], elbo(assemble(K, start), y)[0], rtol=0)
 
     def test_trace_length_and_final_value(self):
         K, y = toy_problem()
-        post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, iters=15)
+        post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.1, iters=15)
         assert len(trace) == 16
         # the reported trace end is exactly the ELBO of the returned sites
         assert trace[-1] == elbo(assemble(K, post.sites), y)[0]
@@ -48,7 +48,7 @@ class TestMechanics:
         variance in its posterior, is a divergence: the E-step returns the
         state after two updates, as iters=2 does, and logs a warning."""
         K, y = toy_problem()
-        post2, trace2 = e_step(assemble(K, Sites.zeros(len(y))), y, iters=2)
+        post2, trace2 = e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.1, iters=2)
         calls = []
         if breakdown == "non_finite_update":
             real = posterior.expectation_stats
@@ -70,7 +70,7 @@ class TestMechanics:
                 return post
 
             monkeypatch.setattr(cvi, "assemble", assemble_with_a_negative_variance)
-        post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, iters=10)
+        post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.1, iters=10)
         assert trace == trace2
         assert np.array_equal(post.sites.lam1, post2.sites.lam1)
         # assembled again from the last finite sites, bit for bit
@@ -81,33 +81,33 @@ class TestMechanics:
     def test_invalid_arguments(self):
         K, y = toy_problem()
         with pytest.raises(ValueError):
-            e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.0)
+            e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.0, iters=20)
         with pytest.raises(ValueError):
-            e_step(assemble(K, Sites.zeros(len(y))), y, step_size=1.5)
+            e_step(assemble(K, Sites.zeros(len(y))), y, step_size=1.5, iters=20)
         with pytest.raises(ValueError):
-            e_step(assemble(K, Sites.zeros(len(y))), y, iters=-1)
+            e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.1, iters=-1)
 
 
 class TestConvergence:
     def test_elbo_nondecreasing_from_zero_start(self):
         for seed in range(4):
             K, y = toy_problem(seed=seed)
-            _, trace = e_step(assemble(K, Sites.zeros(len(y))), y, iters=60)
+            _, trace = e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.1, iters=60)
             diffs = np.diff(trace)
             assert diffs.min() > -1e-9
 
     def test_fixed_point_is_stationary(self):
         """At convergence another update leaves sites essentially unchanged."""
         K, y = toy_problem()
-        sites = e_step(assemble(K, Sites.zeros(len(y))), y, iters=400)[0].sites
-        moved = e_step(assemble(K, sites), y, iters=1)[0].sites
+        sites = e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.1, iters=400)[0].sites
+        moved = e_step(assemble(K, sites), y, step_size=0.1, iters=1)[0].sites
         assert np.max(np.abs(moved.lam1 - sites.lam1)) < 1e-9
         assert np.max(np.abs(moved.lam2 - sites.lam2)) < 1e-9
 
     def test_fixed_point_satisfies_stationarity_equations(self):
         """lam1 = g_m - 2 g_v m and lam2 = g_v at the converged posterior."""
         K, y = toy_problem(seed=3)
-        sites = e_step(assemble(K, Sites.zeros(len(y))), y, iters=500)[0].sites
+        sites = e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.1, iters=500)[0].sites
         post = assemble(K, sites)
         _, g_m, g_v = expectation_stats(y, post.m, np.diag(post.covariance()))
         assert_allclose(sites.lam1, g_m - 2.0 * g_v * post.m, atol=1e-8)
@@ -116,7 +116,7 @@ class TestConvergence:
     def test_beats_hand_perturbed_sites(self):
         """Converged ELBO dominates nearby site settings (local optimality)."""
         K, y = toy_problem(seed=1)
-        post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, iters=400)
+        post, trace = e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.1, iters=400)
         sites = post.sites
         best = trace[-1]
         rng = np.random.default_rng(7)
@@ -166,28 +166,28 @@ class TestStructure:
         X = helpers.make_blobs(10, 2, 5).X
         perm = np.random.default_rng(9).permutation(10)
         Kp = gram(X[perm], Hyperparams(0.3, 0.0))
-        s1 = e_step(assemble(K, Sites.zeros(10)), y, iters=50)[0].sites
-        s2 = e_step(assemble(Kp, Sites.zeros(10)), y[perm], iters=50)[0].sites
+        s1 = e_step(assemble(K, Sites.zeros(10)), y, step_size=0.1, iters=50)[0].sites
+        s2 = e_step(assemble(Kp, Sites.zeros(10)), y[perm], step_size=0.1, iters=50)[0].sites
         assert_allclose(s2.lam1, s1.lam1[perm], atol=1e-10)
         assert_allclose(s2.lam2, s1.lam2[perm], atol=1e-10)
 
     def test_label_flip_flips_lam1(self):
         """Negating every label negates the site means and keeps curvatures."""
         K, y = toy_problem(n=8, seed=6)
-        s1 = e_step(assemble(K, Sites.zeros(8)), y, iters=40)[0].sites
-        s2 = e_step(assemble(K, Sites.zeros(8)), -y, iters=40)[0].sites
+        s1 = e_step(assemble(K, Sites.zeros(8)), y, step_size=0.1, iters=40)[0].sites
+        s2 = e_step(assemble(K, Sites.zeros(8)), -y, step_size=0.1, iters=40)[0].sites
         assert_allclose(s2.lam1, -s1.lam1, atol=1e-12)
         assert_allclose(s2.lam2, s1.lam2, atol=1e-12)
 
     def test_lam2_stays_strictly_negative(self):
         K, y = toy_problem(n=14, seed=7)
-        sites = e_step(assemble(K, Sites.zeros(14)), y, iters=30)[0].sites
+        sites = e_step(assemble(K, Sites.zeros(14)), y, step_size=0.1, iters=30)[0].sites
         assert np.all(sites.lam2 <= -1e-10)
 
     def test_deterministic(self):
         K, y = toy_problem(n=9, seed=8)
-        post_a, ta = e_step(assemble(K, Sites.zeros(9)), y, iters=25)
-        post_b, tb = e_step(assemble(K, Sites.zeros(9)), y, iters=25)
+        post_a, ta = e_step(assemble(K, Sites.zeros(9)), y, step_size=0.1, iters=25)
+        post_b, tb = e_step(assemble(K, Sites.zeros(9)), y, step_size=0.1, iters=25)
         a, b = post_a.sites, post_b.sites
         assert np.array_equal(a.lam1, b.lam1) and np.array_equal(a.lam2, b.lam2)
         assert ta == tb

@@ -14,6 +14,7 @@ from probitgp import (
     read_feature_rows,
     standardize,
 )
+from probitgp.data import FOLDS, apply_standardization, standardize_rows
 
 
 class TestEncodeLabels:
@@ -143,6 +144,16 @@ class TestStandardize:
         assert_allclose(out.X[:, 0], [0.0, 0.0])  # scale 1, centered
         assert_allclose(out.X[:, 1], [-1.0, 1.0])
 
+    def test_apply_standardization_is_standardize_bitwise(self):
+        train = Dataset("t", np.array([[0.1, 7.0], [0.4, -3.0], [2.9, 1.0]]), np.array([1, -1, 1.0]))
+        out = apply_standardization(train, *feature_stats(train))
+        assert np.array_equal(out.X, standardize(train)[0].X) and out.name == "t"
+
+    def test_first_non_finite_row_is_named(self):
+        X = np.array([[0.0, 1.0], [1e308, 1.0], [0.0, 1e308]])
+        with pytest.raises(ValueError, match="src.csv: non-finite standardized feature in row 1"):
+            standardize_rows(X, np.zeros(2), np.array([1e-10, 1e-10]), "src.csv")
+
     def test_stats_shapes(self):
         train = Dataset("t", np.arange(12.0).reshape(4, 3), np.array([1, -1, 1, -1.0]))
         mean, scale = feature_stats(train)
@@ -152,17 +163,18 @@ class TestStandardize:
 
 class TestFolds:
     def test_partition_and_balance(self):
-        folds = make_folds(23, 5, seed=3)
-        counts = np.bincount(folds.assignment, minlength=5)
-        assert counts.sum() == 23
+        folds = make_folds(23, seed=3)
+        counts = np.bincount(folds, minlength=FOLDS)
+        assert counts.size == FOLDS and counts.sum() == 23
         assert counts.max() - counts.min() <= 1
 
     def test_deterministic_in_seed(self):
-        a = make_folds(40, 5, seed=11)
-        b = make_folds(40, 5, seed=11)
-        c = make_folds(40, 5, seed=12)
-        assert np.array_equal(a.assignment, b.assignment)
-        assert not np.array_equal(a.assignment, c.assignment)
+        a = make_folds(40, seed=11)
+        b = make_folds(40, seed=11)
+        c = make_folds(40, seed=12)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert not a.flags.writeable
 
     def test_fold_datasets_split(self):
         rng = np.random.default_rng(0)
@@ -170,9 +182,9 @@ class TestFolds:
         y = np.where(rng.uniform(size=11) < 0.5, -1.0, 1.0)
         y[0], y[1] = 1.0, -1.0
         ds = Dataset("d", X, y)
-        folds = make_folds(11, 3, seed=0)
+        folds = make_folds(11, seed=0)
         seen = []
-        for fold in range(3):
+        for fold in range(FOLDS):
             train, test = fold_datasets(ds, folds, fold)
             assert train.n + test.n == 11
             rows = {tuple(r) for r in train.X} | {tuple(r) for r in test.X}
@@ -181,13 +193,12 @@ class TestFolds:
         assert sum(seen) == 11
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError, match="k=1 folds for n=4 rows"):
-            make_folds(4, 1, seed=0)
-        with pytest.raises(ValueError, match="k=5 folds for n=4 rows"):
-            make_folds(4, 5, seed=0)
+        with pytest.raises(ValueError, match="5 folds need n >= 5 rows, got n=4"):
+            make_folds(4, seed=0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            make_folds(4, 2, seed=-1)
-        ds = Dataset("d", np.zeros((4, 1)), np.array([1.0, -1, 1, -1]))
-        folds = make_folds(4, 2, seed=0)
-        with pytest.raises(ValueError):
-            fold_datasets(ds, folds, 2)
+            make_folds(5, seed=-1)
+        ds = Dataset("d", np.zeros((5, 1)), np.array([1.0, -1, 1, -1, 1]))
+        folds = make_folds(5, seed=0)
+        for fold in (-1, FOLDS):
+            with pytest.raises(ValueError, match="fold index out of range"):
+                fold_datasets(ds, folds, fold)

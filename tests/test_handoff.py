@@ -22,6 +22,7 @@ from probitgp import (
 )
 from probitgp import cvi, ep, posterior
 from probitgp.trainer import fit_start
+from probitgp.data import FOLDS
 
 CFG = TrainConfig(e_iters=6, m_iters=3, m_lr=0.01, outer_rounds=3, outer_tol=0.0)
 
@@ -75,8 +76,8 @@ class TestOneFactorizationPerPosterior:
             return out
 
         monkeypatch.setattr(harness, "_cv_task", task)
-        cross_validate(ds, 4, ("vi", "ours"), CFG, seed=0)
-        assert len(per_fold) == 4
+        cross_validate(ds, ("vi", "ours"), CFG, seed=0)
+        assert len(per_fold) == FOLDS
         for keys in per_fold:
             assert keys and recorder.repeats(keys) == 0
 
@@ -91,9 +92,8 @@ class TestOneFactorizationPerPosterior:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "e_step", counted)
-        k = 4
-        cross_validate(ds, k, methods, replace(CFG, outer_rounds=1), seed=1)
-        assert len(calls) == k * (1 + len(methods))
+        cross_validate(ds, methods, replace(CFG, outer_rounds=1), seed=1)
+        assert len(calls) == FOLDS * (1 + len(methods))
 
 
 class TestHandedPosterior:
@@ -101,7 +101,7 @@ class TestHandedPosterior:
         ds = helpers.make_blobs(10, 2, 24)
         self.y = ds.y
         self.K = gram(ds.X, Hyperparams(0.3, -0.2))
-        self.post, _ = e_step(assemble(self.K, Sites.zeros(ds.n)), ds.y, iters=4)
+        self.post, _ = e_step(assemble(self.K, Sites.zeros(ds.n)), ds.y, step_size=0.1, iters=4)
         self.sites = self.post.sites
 
     def test_returned_posterior_is_that_of_the_returned_sites(self):
@@ -111,14 +111,14 @@ class TestHandedPosterior:
             assert np.array_equal(getattr(self.post, name), getattr(ref, name))
 
     def test_handed_posterior_gives_the_same_e_step(self):
-        a, a_trace = e_step(assemble(self.K, self.sites), self.y, iters=3)
-        b, b_trace = e_step(self.post, self.y, iters=3)
+        a, a_trace = e_step(assemble(self.K, self.sites), self.y, step_size=0.1, iters=3)
+        b, b_trace = e_step(self.post, self.y, step_size=0.1, iters=3)
         assert a_trace == b_trace
         assert np.array_equal(a.sites.lam1, b.sites.lam1)
         assert np.array_equal(a.sites.lam2, b.sites.lam2)
 
     def test_zero_iterations_hand_the_posterior_back(self):
-        post, trace = e_step(self.post, self.y, iters=0)
+        post, trace = e_step(self.post, self.y, step_size=0.1, iters=0)
         assert post is self.post and len(trace) == 1
 
 

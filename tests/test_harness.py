@@ -1,5 +1,7 @@
 """Surface sweeps, cross-validation, and the paired test."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +16,12 @@ from probitgp import (
     grid_sweep,
     paired_t_test,
 )
-from probitgp import ep
+from probitgp import ep, harness
+from probitgp.ais import ais_lml
+from probitgp.cvi import e_step
+from probitgp.kernel import Hyperparams, gram
+from probitgp.posterior import Sites, assemble
+from probitgp.data import FOLDS
 
 DESK_CFG = SweepConfig(e_iters=40, ais=AisConfig(steps=60, repeats=1))
 
@@ -56,6 +63,9 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(lo=2.0, hi=1.0)
+        for lo, hi in ((0.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)):  # axis() would warn
+            with pytest.raises(ValueError, match="need finite lo < hi"):
+                GridSpec(lo=lo, hi=hi)
         with pytest.raises(ValueError):
             GridSpec(points=1)
         with pytest.raises(ValueError):
@@ -145,30 +155,60 @@ class TestGridSweep:
         assert same_records(a, b)
 
 
+class TestEvidenceBelowTheBound:
+    """A cell logs its AIS estimate when it lies below the ELBO of the cell's
+    own E-step posterior, a lower bound on the evidence it estimates."""
+
+    LL, LS, SEED = 0.5, 1.0, 3
+
+    def cell(self, methods, cfg):
+        train, test = split_blobs(seed=6)
+        args = (train.X, train.y, test.X, test.y, self.LL, self.LS, methods, cfg, self.SEED)
+        return train, harness._sweep_cell(args)
+
+    def test_one_step_annealing_below_the_elbo_is_logged_with_its_gap(self, caplog):
+        """One annealing step is importance sampling from the prior."""
+        cfg = SweepConfig(e_iters=40, ais=AisConfig(steps=1, repeats=2))
+        train, records = self.cell(("vi", "mcmc"), cfg)
+        K = gram(train.X, Hyperparams(self.LL, self.LS))
+        start = assemble(K, Sites.zeros(train.n))
+        bound = e_step(start, train.y, step_size=cfg.e_step_size, iters=cfg.e_iters)[1][-1]
+        log_ml = ais_lml(K, train.y, replace(cfg.ais, seed=self.SEED)).log_ml
+        assert log_ml < bound and records[1].lml_per_n == log_ml / train.n
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            f"cell (0.5, 1): AIS log_ml lies {bound - log_ml:.6g} nats below the E-step's ELBO"
+        ]
+
+    def test_no_e_step_no_comparison(self, caplog):
+        self.cell(("mcmc",), SweepConfig(ais=AisConfig(steps=1, repeats=2)))
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
 class TestCrossValidate:
     CFG = TrainConfig(e_iters=15, m_iters=2, outer_rounds=2)
 
     def test_report_shape_and_determinism(self):
         ds = helpers.make_blobs(20, 2, 10)
-        rep = cross_validate(ds, 4, ("vi", "ours"), self.CFG, seed=0)
-        assert rep.k == 4 and rep.methods == ("vi", "ours")
+        rep = cross_validate(ds, ("vi", "ours"), self.CFG, seed=0)
+        assert rep.methods == ("vi", "ours")
         for m in ("vi", "ours"):
-            assert rep.accuracy[m].shape == (4,)
-            assert rep.lpd[m].shape == (4,)
+            assert rep.accuracy[m].shape == (FOLDS,)
+            assert rep.lpd[m].shape == (FOLDS,)
             assert np.all(rep.lpd[m] < 0)
-        rep2 = cross_validate(ds, 4, ("vi", "ours"), self.CFG, seed=0)
+        rep2 = cross_validate(ds, ("vi", "ours"), self.CFG, seed=0)
         assert np.array_equal(rep.accuracy["vi"], rep2.accuracy["vi"])
         assert np.array_equal(rep.lpd["ours"], rep2.lpd["ours"])
 
     def test_easy_separation_is_learnable(self):
         ds = helpers.make_blobs(24, 2, 11, spread=2.5)
-        rep = cross_validate(ds, 3, ("vi",), self.CFG, seed=1)
+        rep = cross_validate(ds, ("vi",), self.CFG, seed=1)
         assert rep.accuracy["vi"].mean() > 0.9
 
     def test_parallel_equals_serial(self):
         ds = helpers.make_blobs(18, 2, 12)
-        a = cross_validate(ds, 3, ("vi", "ours"), self.CFG, seed=2, jobs=1)
-        b = cross_validate(ds, 3, ("vi", "ours"), self.CFG, seed=2, jobs=3)
+        a = cross_validate(ds, ("vi", "ours"), self.CFG, seed=2, jobs=1)
+        b = cross_validate(ds, ("vi", "ours"), self.CFG, seed=2, jobs=3)
         for m in ("vi", "ours"):
             assert np.array_equal(a.accuracy[m], b.accuracy[m])
             assert np.array_equal(a.lpd[m], b.lpd[m])
@@ -177,11 +217,11 @@ class TestCrossValidate:
         ds = helpers.make_blobs(12, 2, 13)
         for bad in (("ep",), ("mcmc",), ("vi", "ep"), (), ("vi", "vi")):
             with pytest.raises(ValueError):
-                cross_validate(ds, 3, bad, self.CFG, seed=0)
+                cross_validate(ds, bad, self.CFG, seed=0)
 
     def test_mean_sd_accessor(self):
         ds = helpers.make_blobs(16, 2, 14)
-        rep = cross_validate(ds, 4, ("vi",), self.CFG, seed=3)
+        rep = cross_validate(ds, ("vi",), self.CFG, seed=3)
         mean, sd = rep.mean_sd("vi", "accuracy")
         assert mean == pytest.approx(float(rep.accuracy["vi"].mean()))
         assert sd == pytest.approx(float(np.std(rep.accuracy["vi"], ddof=1)))

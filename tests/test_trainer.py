@@ -50,7 +50,9 @@ class TestObjectiveValue:
         elbo and ep_like_energy."""
         ds = blob_dataset()
         theta = Hyperparams(0.2, -0.1)
-        sites = e_step(assemble(gram(ds.X, theta), Sites.zeros(ds.n)), ds.y, iters=15)[0].sites
+        sites = e_step(
+            assemble(gram(ds.X, theta), Sites.zeros(ds.n)), ds.y, step_size=0.1, iters=15
+        )[0].sites
         post = assemble(gram(ds.X, theta), sites)
         for objective, direct in (("elbo", elbo(post, ds.y)[0]), ("ep_like", ep_like_energy(post))):
             assert trainer.learning_objective(post, ds.y, objective) == direct
@@ -159,7 +161,8 @@ def probit_instances(count=24, seed=77):
         kind = i % 3
         if kind == 0:
             sites = e_step(
-                assemble(gram(X, theta), Sites.zeros(n)), y, iters=int(rng.integers(1, 6))
+                assemble(gram(X, theta), Sites.zeros(n)), y,
+                step_size=0.1, iters=int(rng.integers(1, 6)),
             )[0].sites
         elif kind == 1:
             sites = Sites.zeros(n)
@@ -265,7 +268,9 @@ class TestFdEquivalence:
         for objective in ("elbo", "ep_like"):
             cfg = TrainConfig(objective=objective, e_iters=8, m_iters=4, outer_rounds=1)
             res = fit(ds, cfg)
-            sites = e_step(assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, iters=8)[0].sites
+            sites = e_step(
+                assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, step_size=0.1, iters=8
+            )[0].sites
             assert res.objective_trace[0] == helpers.objective_value(ds, sites, res.theta, objective)
 
     def test_round_traces_are_objective_values_at_each_theta(self):
@@ -279,7 +284,9 @@ class TestFdEquivalence:
             assert len(res.theta_trace) == 3
             sites, theta = Sites.zeros(ds.n), cfg.theta0
             for r, row in enumerate(res.theta_trace):
-                sites = e_step(assemble(gram(ds.X, theta), sites), ds.y, iters=8)[0].sites
+                sites = e_step(
+                    assemble(gram(ds.X, theta), sites), ds.y, step_size=0.1, iters=8
+                )[0].sites
                 theta = Hyperparams(*row)
                 assert res.objective_trace[r] == helpers.objective_value(ds, sites, theta, objective)
                 assert res.elbo_trace[r] == helpers.objective_value(ds, sites, theta, "elbo")
@@ -314,7 +321,9 @@ class TestFit:
         for objective in ("elbo", "ep_like"):
             cfg = TrainConfig(objective=objective, e_iters=6, m_iters=0, outer_rounds=1)
             res = fit(ds, cfg)
-            sites = e_step(assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, iters=6)[0].sites
+            sites = e_step(
+                assemble(gram(ds.X, cfg.theta0), Sites.zeros(ds.n)), ds.y, step_size=0.1, iters=6
+            )[0].sites
             assert res.objective_trace[0] == helpers.objective_value(ds, sites, cfg.theta0, objective)
 
     def test_pure_inference_round_keeps_theta(self):
@@ -324,8 +333,8 @@ class TestFit:
         assert res.theta == cfg.theta0
         # composition: one round plus the final refresh, both from zero sites
         K = gram(ds.X, cfg.theta0)
-        s1 = e_step(assemble(K, Sites.zeros(ds.n)), ds.y, iters=12)[0].sites
-        s2 = e_step(assemble(K, s1), ds.y, iters=12)[0].sites
+        s1 = e_step(assemble(K, Sites.zeros(ds.n)), ds.y, step_size=0.1, iters=12)[0].sites
+        s2 = e_step(assemble(K, s1), ds.y, step_size=0.1, iters=12)[0].sites
         assert np.array_equal(res.posterior.sites.lam1, s2.lam1)
         assert np.array_equal(res.posterior.sites.lam2, s2.lam2)
 
