@@ -29,7 +29,7 @@ from .harness import (
 )
 from .kernel import Hyperparams, gram
 from .model_io import ModelArtifact, load_model, number_text, save_model
-from .posterior import ScoringState, assemble, predictive_z
+from .posterior import assemble, predictive_z
 from .trainer import OBJECTIVES, TrainConfig, fit as train_fit
 
 EXIT_OK = 0
@@ -221,11 +221,9 @@ def _cmd_predict(args):
             f"feature count {X.shape[1]} does not match the model ({artifact.features.shape[1]})"
         )
     Xs = standardize_rows(X, artifact.feature_mean, artifact.feature_scale, args.data)
-    post = assemble(gram(artifact.features, artifact.theta), artifact.sites)
-    # scoring reads only alpha and R: keeping just those frees K, V and
-    # chol_a before the first block
-    post = ScoringState(post.alpha, post.R)
-    p_pos = ndtr(predictive_z(post, artifact.theta, artifact.features, Xs))
+    # keeping only the scoring state frees K, V and chol_a before the first block
+    state = assemble(gram(artifact.features, artifact.theta), artifact.sites).scoring()
+    p_pos = ndtr(predictive_z(state, Xs))
     with open(args.out, "w") as handle:
         handle.write(f"# {_resolved_command(args)}\n")
         handle.write("row,p_positive,label\n")

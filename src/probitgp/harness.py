@@ -107,12 +107,11 @@ def _mean_lpd(y, z):
 
 def _sweep_cell(args):
     (X_train, y_train, X_test, y_test, ll, ls, methods, cfg, cell_seed) = args
-    theta = Hyperparams(ll, ls)
     n = y_train.size
     records = {}
     nan = float("nan")
     try:
-        K = gram(X_train, theta)
+        K = gram(X_train, Hyperparams(ll, ls))
     except NumericsError:
         logger.warning("cell (%g, %g): covariance factorization failed", ll, ls)
         return [SurfaceRecord(ll, ls, m, nan, nan) for m in methods]
@@ -125,7 +124,7 @@ def _sweep_cell(args):
                 assemble(K, Sites.zeros(n)), y_train, step_size=cfg.e_step_size, iters=cfg.e_iters
             )
             bound = trace[-1]
-            lpd = _mean_lpd(y_test, predictive_z(post, theta, X_train, X_test))
+            lpd = _mean_lpd(y_test, predictive_z(post.scoring(), X_test))
             for method in shared:
                 value = learning_objective(post, y_train, OBJECTIVE_OF[method])
                 records[method] = (value / n, lpd)
@@ -135,7 +134,7 @@ def _sweep_cell(args):
     if "ep" in methods:
         try:
             ep_post, log_scale, _ = ep_inference(K, y_train)
-            lpd = _mean_lpd(y_test, predictive_z(ep_post, theta, X_train, X_test))
+            lpd = _mean_lpd(y_test, predictive_z(ep_post.scoring(), X_test))
             records["ep"] = (ep_energy(ep_post, log_scale) / n, lpd)
         except NumericsError as exc:
             logger.warning("cell (%g, %g): EP failed: %s", ll, ls, exc)
@@ -155,6 +154,8 @@ def _sweep_cell(args):
 
 
 def _pmap(fn, items, jobs):
+    if jobs < 1:  # more likely a typo than a request for serial work
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -191,7 +192,7 @@ def _cv_task(args):
     scores = []
     for method in methods:
         result = fit(train, replace(cfg, objective=OBJECTIVE_OF[method]), start=start)
-        z = predictive_z(result.posterior, result.theta, train.X, test.X)
+        z = predictive_z(result.posterior.scoring(), test.X)
         del result  # its posterior need not outlive scoring into the next fit
         predicted = np.where(ndtr(z) >= 0.5, 1.0, -1.0)
         accuracy = float(np.mean(predicted == test.y))

@@ -1,17 +1,12 @@
 """Isotropic Matern-5/2 covariance with log-space hyperparameters.
 
-The train-side Gram matrix carries the diagonal jitter that made it positive
-definite, and gram alone picks it: it tries at most five rungs, 1e-6 to 1e-2
-times magnitude^2, so it ends for every finite theta and the jitter scales
-with magnitude^2.  A magnitude^2 that is not finite and positive, or a
-kernel with a non-finite entry (a lengthscale so small that distance /
-lengthscale overflows), is a FactorizationError before any rung is tried.
-gram tests each rung with a Cholesky factorization but does not keep the
-factor: the posterior assembly factors I + B^1/2 K B^1/2 instead, and only
-AIS, which needs a factor of K itself, computes one.  The rungs are tried in
-the base kernel's own memory, only its diagonal rewritten per rung, so gram
-forms no identity and no second n x n matrix beyond the factorization's
-scratch copy.
+gram alone picks the diagonal jitter that makes the train Gram matrix
+positive definite, from at most JITTER_RUNGS rungs that scale with
+magnitude^2, so it ends for every finite theta.  Its GramMatrix records the
+jitter and the rows and theta it was built from, so a posterior of it
+carries them too.  gram keeps no Cholesky factor (only AIS computes one of
+K) and forms no identity and no second n x n matrix beyond the
+factorization's scratch copy.
 
 The Matern evaluation takes optional caller-owned buffers, so prediction can
 reuse one workspace for every block of test rows (posterior.predictive_z).
@@ -59,10 +54,13 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Jittered train covariance: K = base kernel + jitter * I."""
+    """Jittered train covariance: K = base kernel of the rows X under theta
+    + jitter * I."""
 
     K: np.ndarray
     jitter: float
+    X: np.ndarray
+    theta: Hyperparams
 
     @property
     def n(self):
@@ -108,13 +106,14 @@ def cross_gram(X, Z, theta, work=None):
     return _matern(cdist(X, Z, out=dist), theta, overwrite=True, quad=quad, out=out)
 
 
-def gram_grads(dist, theta, K):
-    """Derivatives of gram(X, theta) = K wrt (log lengthscale, log magnitude).
+def gram_grads(dist, K):
+    """Derivatives of K = gram(K.X, K.theta) wrt (log lengthscale, log magnitude).
 
-    dist = cdist(X, X).  With u = sqrt(5) r / ell, dK/dlog ell =
+    dist = cdist(K.X, K.X).  With u = sqrt(5) r / ell, dK/dlog ell =
     sig^2 (u^2/3)(1 + u) exp(-u).  The jitter rung that K used scales with
     sig^2 like the kernel, so dK/dlog sig = 2 K.
     """
+    theta = K.theta
     u = _SQRT5 * dist / theta.lengthscale
     # sig^2 (u*u/3) (1 + u) exp(-u), in that operation order, in place
     d_ell = u * u
@@ -129,7 +128,9 @@ def gram_grads(dist, theta, K):
 def gram(X, theta, dist=None):
     """Train covariance with jitter escalation until Cholesky succeeds.
 
-    dist may pass cdist(X, X) precomputed (Dataset.distances), bitwise alike.
+    The GramMatrix keeps X itself (an array of floats is not copied) and
+    theta.  dist may pass cdist(X, X) precomputed (Dataset.distances),
+    bitwise alike.
     The jitter starts at 1e-6 * magnitude^2 and is raised tenfold per failed
     attempt up to 1e-2 * magnitude^2, after which FactorizationError is
     raised.  So is a magnitude^2 that is not finite and positive, or a kernel
@@ -164,7 +165,7 @@ def gram(X, theta, dist=None):
         except np.linalg.LinAlgError:
             continue
         K.setflags(write=False)
-        return GramMatrix(K=K, jitter=j)
+        return GramMatrix(K=K, jitter=j, X=X, theta=theta)
     raise FactorizationError(
         "covariance not positive definite after jitter escalation to "
         f"{ladder[-1]:.3e} (n={X.shape[0]})"

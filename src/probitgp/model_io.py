@@ -115,7 +115,7 @@ def load_model(path):
         raise ValueError(f"{path}: missing keys {missing}")
     objective = _value(path, "objective", keys["objective"], str, f"one of {OBJECTIVES}",
                        lambda v: v in OBJECTIVES)
-    n, d = (_value(path, k, keys[k], int, "an integer >= 0", lambda v: v >= 0) for k in ("n", "d"))
+    n, d = (_value(path, k, keys[k], int, "an integer >= 1", lambda v: v >= 1) for k in ("n", "d"))
     # older files carry jitter=none; gram cannot rebuild any fixed jitter's K
     _value(path, "jitter", keys.get("jitter", "none"), str, "none", lambda v: v == "none")
     theta = Hyperparams(*(

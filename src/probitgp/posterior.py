@@ -14,21 +14,22 @@ A^-1 = I - B^1/2 S B^1/2, so tr(K^-1 S) - n = tr(A^-1) - n = -sum_i b_i S_ii.
 All of it stays well conditioned even when some sites are exactly zero.
 
 A GaussianPosterior carries the Gram matrix and the sites it was assembled
-from, so it is the one value the energies, the E-step, the M-step and
-prediction take: none of them is handed K or sites beside it.  Assembly
-keeps at most three n x n arrays alive, its outputs included.
+from, and the Gram matrix its rows and theta, so it is the one value the
+energies, the E-step and the M-step take: none of them is handed K, sites
+or theta beside it.  Assembly keeps at most three n x n arrays alive, its
+outputs included.
 
-predictive_z, the one prediction path (GPML Alg. 3.2), scores test rows in
-blocks of PREDICT_BLOCK in one workspace allocated per call, so its memory
-grows with neither the row count nor the block count.  The variance needs
-V = L^-1 B^1/2 k* per block.  Rather than one triangular solve per block,
-each posterior keeps R = L^-1 B^1/2, so a block costs one triangular
-matrix product V' = k*' R' (BLAS trmm) on the transpose of the C-ordered
-block, which is Fortran-contiguous.
+predictive_z, the one prediction path (GPML Alg. 3.2), takes a posterior's
+ScoringState and scores test rows in blocks of PREDICT_BLOCK in one
+workspace allocated per call, so its memory grows with neither the row
+count nor the block count.  The variance needs V = L^-1 B^1/2 k* per block.
+Rather than one triangular solve per block, the state holds
+R = L^-1 B^1/2, so a block costs one triangular matrix product
+V' = k*' R' (BLAS trmm) on the transpose of the C-ordered block, which is
+Fortran-contiguous.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -36,7 +37,7 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from .errors import FactorizationError, NumericsError
-from .kernel import GramMatrix, cross_gram
+from .kernel import GramMatrix, Hyperparams, cross_gram
 from .likelihood import MarginalMoments, expectation_stats
 
 # updaters clamp lam2 at or below this (keeps B positive, sites proper)
@@ -87,8 +88,8 @@ class GaussianPosterior:
     factorization behind them, and the GramMatrix K and Sites it came from.
 
     sqrt_b, chol_a (lower factor of I + B^1/2 K B^1/2), alpha = K^-1 m and
-    log_det_ikb = log|I + K B| serve the energies and prediction;
-    V = chol_a^-1 B^1/2 K serves covariance(), and R predictive variances.
+    log_det_ikb = log|I + K B| serve the energies and scoring();
+    V = chol_a^-1 B^1/2 K serves covariance().
     """
 
     m: np.ndarray
@@ -109,14 +110,14 @@ class GaussianPosterior:
             raise NumericsError("posterior covariance has non-finite values")
         return S
 
-    @cached_property
-    def R(self):
-        """Lower triangular chol_a^-1 B^1/2, built once on first prediction."""
+    def scoring(self):
+        """The ScoringState of this posterior, with the lower triangular
+        R = chol_a^-1 B^1/2 from one LAPACK triangular inverse per call."""
         R, info = dtrtri(self.chol_a, lower=1)
         if info != 0:
             raise NumericsError("posterior factor could not be inverted")
         R *= self.sqrt_b[None, :]
-        return R
+        return ScoringState(self.alpha, R, self.K.X, self.K.theta)
 
 
 def assemble(K, sites):
@@ -171,34 +172,36 @@ def elbo(post, y):
 
 @dataclass(frozen=True)
 class ScoringState:
-    """What prediction reads of a GaussianPosterior: alpha and R.
+    """What prediction reads of a GaussianPosterior (its scoring()): alpha,
+    R and the training rows X and theta of its Gram matrix.
 
-    A caller that keeps only these, and not the posterior, lets K, V and
+    A caller that keeps only this, and not the posterior, lets K, V and
     chol_a be freed while it scores.
     """
 
     alpha: np.ndarray
     R: np.ndarray
+    X: np.ndarray
+    theta: Hyperparams
 
 
-def latent_predict(post, k_star, k_star_star_diag):
-    """Latent predictive moments at test points.
+def latent_predict(state, k_star, k_star_star_diag):
+    """Latent predictive moments at test points of a ScoringState.
 
     k_star[i, j] = k(train_i, test_j); k_star_star_diag[j] = k(test_j, test_j).
-    post is a GaussianPosterior or its ScoringState.
     Returns MarginalMoments with aligned mean/var arrays; variances are clamped
     at zero, and one that is NaN or below -1e-10 beforehand raises (trmm does
     not check its input, so a non-finite k_star shows up here).
     """
     k_star = np.asarray(k_star, dtype=float)
     k_ss = np.asarray(k_star_star_diag, dtype=float)
-    if k_star.ndim != 2 or k_star.shape[0] != post.alpha.size:
+    if k_star.ndim != 2 or k_star.shape[0] != state.alpha.size:
         raise ValueError("k_star must be (n_train, n_test)")
     if k_ss.shape != (k_star.shape[1],):
         raise ValueError("k_star_star_diag must align with k_star columns")
-    mean = k_star.T @ post.alpha
+    mean = k_star.T @ state.alpha
     # overwrite_b would write even into a read-only k_star, so trmm copies it
-    Vt = dtrmm(1.0, post.R, k_star.T, side=1, lower=1, trans_a=1)
+    Vt = dtrmm(1.0, state.R, k_star.T, side=1, lower=1, trans_a=1)
     var = k_ss - np.einsum("ij,ij->i", Vt, Vt)
     if not np.all(var >= VAR_TOL):  # NaN fails this too
         raise NumericsError("predictive variance is not finite or fell below tolerance")
@@ -206,13 +209,14 @@ def latent_predict(post, k_star, k_star_star_diag):
     return MarginalMoments(mean=mean, var=var)
 
 
-def predictive_z(post, theta, X_train, X_test):
+def predictive_z(state, X_test):
     """z = E[f*] / sqrt(1 + Var[f*]) per test row, so p(y* | x*) = Phi(y* z).
 
-    post is the posterior at the training rows X_train under theta, or its
-    ScoringState.  A row whose kernel values are not finite (a squared
-    distance that overflows) is a ValueError that names it.
+    state is a posterior's ScoringState, which holds its training rows and
+    theta.  A row whose kernel values are not finite (a squared distance
+    that overflows) is a ValueError that names it.
     """
+    X_train, theta = state.X, state.theta
     n, rows = X_train.shape[0], X_test.shape[0]
     z = np.empty(rows)
     width = min(PREDICT_BLOCK, rows)
@@ -229,6 +233,6 @@ def predictive_z(post, theta, X_train, X_test):
         bad = np.flatnonzero(~ok)
         if bad.size:
             raise ValueError(f"test row {start + bad[0]}: kernel values are not finite")
-        mm = latent_predict(post, k_star, k_ss[:w])
+        mm = latent_predict(state, k_star, k_ss[:w])
         z[start:start + w] = mm.mean / np.sqrt(1.0 + mm.var)
     return z

@@ -9,10 +9,11 @@ hyperparameters through the posterior is honored.  The Gram matrices of a
 fit share one distance matrix.  The E-step after each M-step gives the
 round's ELBO; the last leaves the sites consistent with the final theta.
 
-Each posterior is assembled once and handed on, and it carries its Gram
-matrix and sites, so it is the one value passed between the steps: the
-E-step's last posterior serves the M-step's first probe, and the last
-accepted probe's posterior serves the next E-step's first iteration.
+Each posterior is assembled once and handed on, and it carries its sites
+and its Gram matrix, which carries theta, so it is the one value passed
+between the steps: the E-step's last posterior serves the M-step's first
+probe, and the last accepted probe's posterior serves the next E-step's
+first iteration.
 fit_start runs the opening E-step on its own, so fits that differ only in
 the objective (the two methods of one CV fold) can share it.
 """
@@ -53,12 +54,16 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    theta: Hyperparams
     objective_trace: np.ndarray   # objective after each outer round
     elbo_trace: np.ndarray        # ELBO after each outer round
     theta_trace: np.ndarray       # hyperparameters after each outer round
     posterior: GaussianPosterior  # of the final sites under theta, from the last E-step
     stopped: str                  # "tolerance", "stalled" or "round_cap"; see fit
+
+    @property
+    def theta(self):
+        """The final hyperparameters, those of the posterior's Gram matrix."""
+        return self.posterior.K.theta
 
 
 @dataclass(frozen=True)
@@ -85,89 +90,68 @@ def learning_objective(post, y, objective):
     return ep_like_energy(post)
 
 
-def _value_and_grad(dataset, theta, post, objective):
+def _value_and_grad(dataset, post, objective):
     """The objective at post and its gradient wrt log-theta at fixed sites.
 
     post is the posterior of the sites under
-    gram(dataset.X, theta, dataset.distances).  Each gradient entry
-    is sum(G * dK) over one kernel derivative (GPML eq. 5.9).  At extreme
-    states either may come out non-finite, without a warning: _m_step
-    rejects such a probe, and stops on such a gradient.
+    gram(dataset.X, theta, dataset.distances) for the theta post.K carries.
+    With B = diag(-2 lam2), Woodbury gives W = B^1/2 A^-1 B^1/2 = B - BSB and
+    Mt = (I + B K)^-1 = I - BS from the posterior covariance S.  The energy
+    has weights G = (alpha alpha' - W) / 2 wrt K; the ELBO chains
+    dm = S K^-1 dK alpha and dS = S K^-1 dK K^-1 S through the expectation
+    derivatives (g_m, g_v) and the KL.  Each gradient entry is sum(G * dK)
+    over one kernel derivative (GPML eq. 5.9), formed after S, W and Mt are
+    freed.  At extreme states either may come out non-finite, without a
+    warning: _m_step rejects such a probe, and stops on such a gradient.
     """
+    alpha = post.alpha
+    b = -2.0 * post.sites.lam2
     with np.errstate(over="ignore", invalid="ignore"):
-        value, G = _value_and_weights(dataset.y, post, objective)
-        d_ell, d_sig = gram_grads(dataset.distances, theta, post.K)
+        S = post.covariance()
+        W = np.diag(b) - b[:, None] * S * b[None, :]
+        if objective == "elbo":
+            value, g_m, g_v = elbo(post, dataset.y)
+            Mt = np.eye(b.size) - b[:, None] * S
+            del S
+            c = Mt @ (g_m + b * post.m) - 0.5 * alpha
+            G = Mt @ ((g_v + 0.5 * b)[:, None] * Mt.T) + np.outer(alpha, c) - 0.5 * W
+            del Mt
+        else:
+            del S
+            value = ep_like_energy(post)
+            G = 0.5 * (np.outer(alpha, alpha) - W)
+        del W
+        d_ell, d_sig = gram_grads(dataset.distances, post.K)
         d_ell *= G
         d_sig *= G
         return value, np.array([np.sum(d_ell), np.sum(d_sig)])
 
 
-def _value_and_weights(y, post, objective):
-    """The objective and its gradient weights G wrt K at fixed sites.
+def _m_step(dataset, cfg, post):
+    """cfg.m_iters exact-gradient ascent steps on log-theta from post.K.theta;
+    step halving up to 10 times per iteration; post.sites stay fixed throughout.
 
-    With B = diag(-2 lam2), Woodbury gives W = B^1/2 A^-1 B^1/2 = B - BSB and
-    Mt = (I + B K)^-1 = I - BS from the posterior covariance S.  The energy
-    has G = (alpha alpha' - W) / 2; the ELBO chains dm = S K^-1 dK alpha and
-    dS = S K^-1 dK K^-1 S through the expectation derivatives (g_m, g_v)
-    and the KL.  S, W and Mt are freed on
-    return, before the kernel derivatives are formed.  W, Mt and G are
-    accumulated in place: each element sees the same floating-point
-    operations as in the plain expressions, so the result is the same to
-    the bit with fewer n x n blocks alive at once.
-    """
-    S = post.covariance()
-    alpha = post.alpha
-    b = -2.0 * post.sites.lam2
-    bsb = b[:, None] * S
-    bsb *= b[None, :]
-    W = np.diag(b)
-    W -= bsb
-    del bsb
-    if objective == "elbo":
-        value, g_m, g_v = elbo(post, y)
-        Mt = np.eye(b.size)
-        Mt -= b[:, None] * S
-        del S
-        c = Mt @ (g_m + b * post.m) - 0.5 * alpha
-        # G = outer(alpha, c) + Mt diag(g_v + b/2) Mt' - W/2
-        G = Mt @ ((g_v + 0.5 * b)[:, None] * Mt.T)
-        del Mt
-        G += np.outer(alpha, c)
-        G -= 0.5 * W
-    else:
-        del S
-        value = ep_like_energy(post)
-        G = np.outer(alpha, alpha)
-        G -= W
-        G *= 0.5
-    return value, G
-
-
-def _m_step(dataset, theta, cfg, post):
-    """cfg.m_iters exact-gradient ascent steps on log-theta; step halving up to
-    10 times per iteration; post.sites stay fixed throughout.
-
-    post is the posterior at theta and serves the first probe.  Returns
-    (theta, value, post, accepted) at the last accepted point: the new
-    theta, the objective there, the posterior the probe built there, and
-    whether any probe was accepted.  A step that overflows is a rejected
-    probe.  With cfg.m_iters == 0 only the value is computed.
+    post serves the first probe.  Returns (value, post, accepted) at the
+    last accepted point: the objective there, the posterior the probe built
+    there (its Gram matrix carries the new theta), and whether any probe
+    was accepted.  A step that overflows is a rejected probe.  With
+    cfg.m_iters == 0 only the value is computed.
     """
     if cfg.m_iters == 0:
-        return theta, learning_objective(post, dataset.y, cfg.objective), post, False
+        return learning_objective(post, dataset.y, cfg.objective), post, False
     sites = post.sites
 
     def probe(vec):
         if not np.isfinite(vec).all():
             raise NumericsError("the step overflowed")
-        th = Hyperparams(vec[0], vec[1])
+        th = Hyperparams(float(vec[0]), float(vec[1]))
         post = assemble(gram(dataset.X, th, dataset.distances), sites)
         if not np.all(post.var >= 0.0):  # neither the ELBO nor the next E-step could read it
             raise NumericsError("probe posterior has a negative marginal variance")
-        return *_value_and_grad(dataset, th, post, cfg.objective), post
+        return *_value_and_grad(dataset, post, cfg.objective), post
 
-    th = theta.as_array()
-    current, grad = _value_and_grad(dataset, theta, post, cfg.objective)
+    th = post.K.theta.as_array()
+    current, grad = _value_and_grad(dataset, post, cfg.objective)
     accepted = False
     for _ in range(cfg.m_iters):
         if not np.isfinite(grad).all():
@@ -189,7 +173,7 @@ def _m_step(dataset, theta, cfg, post):
             step *= 0.5
         else:
             break  # every probe failed; the next iteration would repeat them
-    return Hyperparams(float(th[0]), float(th[1])), current, post, accepted
+    return current, post, accepted
 
 
 def fit_start(dataset, cfg):
@@ -225,15 +209,17 @@ def fit(dataset, cfg, start=None):
         start = fit_start(dataset, cfg)
     elif start.dataset is not dataset or start.key != _start_key(cfg):
         raise ValueError("start was built for another dataset or configuration")
-    theta, post = cfg.theta0, start.post
+    post = start.post
     del start
     objective_trace = []
     elbo_trace = []
     theta_trace = []
     stopped = "round_cap"
     for _ in range(cfg.outer_rounds):
-        new_theta, obj, post, accepted = _m_step(dataset, theta, cfg, post)
+        theta = post.K.theta
+        obj, post, accepted = _m_step(dataset, cfg, post)
         post, e_trace = e_step(post, dataset.y, step_size=cfg.e_step_size, iters=cfg.e_iters)
+        new_theta = post.K.theta
         objective_trace.append(obj)
         elbo_trace.append(e_trace[0])  # ELBO at the M-step's sites and new_theta
         theta_trace.append([new_theta.log_lengthscale, new_theta.log_magnitude])
@@ -241,12 +227,10 @@ def fit(dataset, cfg, start=None):
             abs(new_theta.log_lengthscale - theta.log_lengthscale),
             abs(new_theta.log_magnitude - theta.log_magnitude),
         )
-        theta = new_theta
         if delta < cfg.outer_tol:
             stopped = "stalled" if cfg.m_iters > 0 and not accepted else "tolerance"
             break
     return TrainResult(
-        theta=theta,
         objective_trace=np.array(objective_trace),
         elbo_trace=np.array(elbo_trace),
         theta_trace=np.array(theta_trace),

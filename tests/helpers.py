@@ -62,7 +62,7 @@ def gram_from_matrix(K):
     """Wrap an explicit SPD matrix as a GramMatrix (no jitter added)."""
     K = np.asarray(K, dtype=float)
     cholesky(K, lower=True)  # raises LinAlgError unless K is positive definite
-    return GramMatrix(K=K, jitter=0.0)
+    return GramMatrix(K=K, jitter=0.0, X=None, theta=None)
 
 
 def jitter_free_gram(X, theta):
@@ -518,10 +518,11 @@ def predictive_prob(y, moments):
 def predict_reference(post, theta, X_train, X_test):
     """Probit predictive z for all test rows at once, as grid cells, CV folds
     and predict computed it before prediction was blocked: one cross_gram,
-    one latent_predict, mean / sqrt(1 + var)."""
+    one latent_predict, mean / sqrt(1 + var).  theta and X_train are given
+    here, not read from the posterior."""
     k_star = cross_gram(X_train, X_test, theta)
     k_ss = np.full(X_test.shape[0], theta.magnitude ** 2)
-    mm = latent_predict(post, k_star, k_ss)
+    mm = latent_predict(post.scoring(), k_star, k_ss)
     return mm.mean / np.sqrt(1.0 + mm.var)
 
 

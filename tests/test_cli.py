@@ -145,7 +145,7 @@ class TestPredict:
         X = probitgp.read_feature_rows(data, "last")
         Xs = (X - artifact.feature_mean) / artifact.feature_scale
         post = probitgp.assemble(probitgp.gram(artifact.features, artifact.theta), artifact.sites)
-        p = ndtr(probitgp.predictive_z(post, artifact.theta, artifact.features, Xs))
+        p = ndtr(probitgp.predictive_z(post.scoring(), Xs))
         expected = ["row,p_positive,label"] + [
             ",".join(number_text(v) for v in (i, p[i], 1 if p[i] >= 0.5 else -1))
             for i in range(p.size)
@@ -191,10 +191,12 @@ class TestPredict:
         assert str(model) in err and f"missing keys ['{key}']" in err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("line", ["jitter=x", "jitter=1e-4", "n=x", "objective=zzz"])
+    @pytest.mark.parametrize("line", ["jitter=x", "jitter=1e-4", "n=x", "objective=zzz",
+                                      "n=0", "d=0"])
     def test_model_with_a_bad_key_value_is_usage_error(self, tmp_path, capsys, line):
-        """A key= line whose value does not parse, or an objective the trainer
-        does not know, exits 1 naming the file and the key, with no output.
+        """A key= line whose value does not parse, a model with no rows or no
+        columns, or an objective the trainer does not know, exits 1 naming
+        the file and the key, with no output.
         So does any jitter but none: gram picks the jitter, and predicting
         from another K than the model's would be silently wrong."""
         data, model, _ = self.fitted(tmp_path, seed=6)
@@ -564,11 +566,16 @@ class TestExitCodes:
         (["grid", "--points", "2", "--ais-T", "20", "--seed", "-1"], "seed"),
         (["cv", "--seed", "-1"], "seed"),
         (["grid", "--e-step-size", "2"], "e_step_size"),
+        (["grid", "--jobs", "0"], "jobs must be >= 1"),
+        (["grid", "--jobs", "-1"], "jobs must be >= 1"),
+        (["cv", "--jobs", "0"], "jobs must be >= 1"),
+        (["cv", "--jobs", "-1"], "jobs must be >= 1"),
     ])
     def test_bad_sweep_settings_named_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                        argv, setting):
-        """A negative seed or an E-step size outside (0, 1] exits 1 with a
-        message naming the setting, before the first grid cell or CV fold."""
+        """A negative seed, an E-step size outside (0, 1] or a worker count
+        below 1 exits 1 with a message naming the setting, before the first
+        grid cell or CV fold."""
         started = []
         monkeypatch.setattr(probitgp.harness, "_sweep_cell", started.append)
         monkeypatch.setattr(probitgp.harness, "_cv_task", started.append)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cholesky
+from scipy.spatial.distance import cdist
 
 import helpers
 from helpers import matern52
@@ -78,6 +79,15 @@ class TestGram:
         assert_allclose(K.K, K.K.T, atol=0)
         assert np.all(np.linalg.eigvalsh(K.K) > 0)
         cholesky(K.K, lower=True)  # raises LinAlgError unless K is positive definite
+
+    @pytest.mark.parametrize("given_distances", (False, True))
+    def test_gram_records_its_rows_and_theta(self, given_distances):
+        """K.X is the very array gram was given and K.theta its theta, so a
+        posterior of K carries both."""
+        X = RNG.standard_normal((9, 3))
+        theta = Hyperparams(0.2, -0.4)
+        K = gram(X, theta, cdist(X, X)) if given_distances else gram(X, theta)
+        assert K.X is X and K.theta == theta
 
     def test_duplicate_rows_make_base_kernel_singular(self):
         """Degeneracy witness: without jitter a duplicated input kills rank."""

@@ -3,12 +3,12 @@
 tracemalloc sees every numpy buffer, so its peak over a call is the most
 memory the call held at once (BLAS's own scratch aside).  The bounds:
 predictive_z scores in one workspace per call, so its peak does not grow
-with the number of blocks, and predict scores holding alpha and R only,
-so the posterior it assembled is freed first; assemble keeps at most three
-n x n arrays alive, its outputs V and chol_a included; gram forms no
-identity, so its peak is the three n x n buffers of the Matern evaluation;
-read_feature_rows keeps no label strings; fit holds one E-step posterior at
-a time.  Where the code works in place, it must give the same bits as the
+with the number of blocks, and predict scores holding the posterior's
+ScoringState only, so the posterior it assembled is freed first; assemble
+keeps at most three n x n arrays alive, its outputs V and chol_a included;
+gram forms no identity, so its peak is the three n x n buffers of the
+Matern evaluation; read_feature_rows keeps no label strings; fit holds one
+E-step posterior at a time.  Where the code works in place, it must give the same bits as the
 former expressions.
 """
 
@@ -21,10 +21,10 @@ from scipy.spatial.distance import cdist
 
 import helpers
 from probitgp import (
-    Hyperparams, Sites, TrainConfig, assemble, fit, gram, kernel, posterior, predictive_z,
-    read_feature_rows,
+    GramMatrix, Hyperparams, Sites, TrainConfig, assemble, fit, gram, kernel, posterior,
+    predictive_z, read_feature_rows,
 )
-from probitgp.posterior import PREDICT_BLOCK, ScoringState
+from probitgp.posterior import PREDICT_BLOCK
 import probitgp.cli as cli
 
 N = 300
@@ -52,10 +52,9 @@ def scoring_instance(n, rows, seed=0):
 
 def test_scoring_peak_does_not_grow_with_the_block_count():
     K, sites, theta, X, X_test = scoring_instance(N, 8 * PREDICT_BLOCK)
-    post = assemble(K, sites)
-    post.R  # the cached factor is built once per posterior, not per call
-    z_one, one = peak_bytes(predictive_z, post, theta, X, X_test[:PREDICT_BLOCK])
-    z_all, eight = peak_bytes(predictive_z, post, theta, X, X_test)
+    state = assemble(K, sites).scoring()  # its factor R is built once, not per call
+    z_one, one = peak_bytes(predictive_z, state, X_test[:PREDICT_BLOCK])
+    z_all, eight = peak_bytes(predictive_z, state, X_test)
     assert eight <= 1.1 * one, (one, eight)
     # three kernel buffers, a mask and trmm's copy of the kernel values
     assert one <= 4.25 * N * PREDICT_BLOCK * 8, one / (N * PREDICT_BLOCK * 8)
@@ -63,15 +62,22 @@ def test_scoring_peak_does_not_grow_with_the_block_count():
 
 
 def test_scoring_state_scores_as_the_posterior():
+    """A scoring state holds the posterior's rows and theta but no Gram
+    matrix, and scores the same bits once its posterior is freed."""
     K, sites, theta, X, X_test = scoring_instance(40, PREDICT_BLOCK + 3, seed=1)
     post = assemble(K, sites)
-    z = predictive_z(ScoringState(post.alpha, post.R), theta, X, X_test)
-    assert np.array_equal(z, predictive_z(post, theta, X, X_test))
+    z = predictive_z(post.scoring(), X_test)
+    state, freed = post.scoring(), weakref.ref(post)
+    del post
+    assert freed() is None
+    assert state.X is X and state.theta is theta
+    assert not any(isinstance(v, GramMatrix) for v in vars(state).values())
+    assert np.array_equal(predictive_z(state, X_test), z)
 
 
 def test_predict_frees_the_posterior_before_scoring(tmp_path, monkeypatch):
     """The posterior predict assembles, and its Gram matrix, are gone before
-    the first block's kernel is computed: scoring holds alpha and R only."""
+    the first block's kernel is computed: scoring holds its ScoringState only."""
     ds = helpers.make_blobs(18, 2, 0)
     train, score, model = tmp_path / "train.csv", tmp_path / "score.csv", tmp_path / "m.model"
     train.write_text("".join(f"{a!r},{b!r},{int(y)}\n" for (a, b), y in zip(ds.X.tolist(), ds.y)))

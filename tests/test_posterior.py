@@ -170,7 +170,8 @@ class TestLatentPredict:
         theta = Hyperparams(0.1, 0.3)
         K = gram(X, theta)
         mm = latent_predict(
-            assemble(K, Sites.zeros(6)), cross_gram(X, Z, theta), np.full(3, theta.magnitude ** 2)
+            assemble(K, Sites.zeros(6)).scoring(), cross_gram(X, Z, theta),
+            np.full(3, theta.magnitude ** 2),
         )
         assert_allclose(mm.mean, np.zeros(3), atol=1e-14)
         assert_allclose(mm.var, np.full(3, theta.magnitude ** 2), rtol=1e-12)
@@ -180,7 +181,7 @@ class TestLatentPredict:
         rng = np.random.default_rng(11)
         K, sites = random_instance(8, rng)
         post = assemble(K, sites)
-        mm = latent_predict(post, K.K, np.diag(K.K))
+        mm = latent_predict(post.scoring(), K.K, np.diag(K.K))
         assert_allclose(mm.mean, post.m, rtol=1e-10, atol=1e-12)
         assert_allclose(mm.var, np.diag(post.covariance()), rtol=1e-9, atol=1e-12)
 
@@ -193,7 +194,8 @@ class TestLatentPredict:
         lam2[2] = -5e5  # near-delta site
         sites = Sites(np.zeros(5), lam2)
         mm = latent_predict(
-            assemble(K, sites), cross_gram(X, X[2:3], theta), np.array([theta.magnitude ** 2])
+            assemble(K, sites).scoring(), cross_gram(X, X[2:3], theta),
+            np.array([theta.magnitude ** 2]),
         )
         assert mm.var[0] == pytest.approx(0.0, abs=1e-5)
 
@@ -203,7 +205,7 @@ class TestLatentPredict:
         X = rng.standard_normal((30, 2))
         theta = Hyperparams()
         Kg = gram(X, theta)
-        mm = latent_predict(assemble(Kg, Sites(sites.lam1, sites.lam2)), Kg.K, np.diag(Kg.K))
+        mm = latent_predict(assemble(Kg, Sites(sites.lam1, sites.lam2)).scoring(), Kg.K, np.diag(Kg.K))
         assert np.all(mm.var >= 0)
 
     def test_against_gaussian_conditioning_oracle(self):
@@ -223,7 +225,7 @@ class TestLatentPredict:
         t = B_inv @ lam1
         k_star = cross_gram(X, Z, theta)
         k_ss = np.full(n_test, theta.magnitude ** 2)
-        mm = latent_predict(assemble(K, sites), k_star, k_ss)
+        mm = latent_predict(assemble(K, sites).scoring(), k_star, k_ss)
         A = K.K + B_inv
         mean_oracle = k_star.T @ np.linalg.solve(A, t)
         var_oracle = k_ss - np.einsum("ij,ji->i", k_star.T, np.linalg.solve(A, k_star))
@@ -233,6 +235,6 @@ class TestLatentPredict:
     def test_shape_validation(self):
         K = helpers.gram_from_matrix(np.eye(3))
         with pytest.raises(ValueError):
-            latent_predict(assemble(K, Sites.zeros(3)), np.zeros((2, 4)), np.zeros(4))
+            latent_predict(assemble(K, Sites.zeros(3)).scoring(), np.zeros((2, 4)), np.zeros(4))
         with pytest.raises(ValueError):
-            latent_predict(assemble(K, Sites.zeros(3)), np.zeros((3, 4)), np.zeros(5))
+            latent_predict(assemble(K, Sites.zeros(3)).scoring(), np.zeros((3, 4)), np.zeros(5))

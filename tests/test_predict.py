@@ -45,7 +45,7 @@ def instance(n_rows, kind, seed):
 def test_blocked_path_matches_one_shot_formula(n_rows, kind):
     for seed in range(3):
         post, theta, X_train, X_test = instance(n_rows, kind, seed)
-        z = predictive_z(post, theta, X_train, X_test)
+        z = predictive_z(post.scoring(), X_test)
         ref = helpers.predict_reference(post, theta, X_train, X_test)
         assert z.shape == (n_rows,)
         if n_rows <= PREDICT_BLOCK:

@@ -1,6 +1,6 @@
 """The scoring kernel against its former form.
 
-latent_predict multiplies each block by the posterior's cached factor
+latent_predict multiplies each block by the scoring state's factor
 R = chol_a^-1 B^1/2 (one triangular matrix product) where it used to solve
 with chol_a; helpers.latent_predict_reference is the former solve.  The
 mean is the same expression and must agree to the bit.  The variance rounds
@@ -67,7 +67,9 @@ def test_latent_predict_matches_the_triangular_solve(kind):
     for seed in range(12):
         post, k_star, k_ss = scoring_instance(kind, seed)
         kept = k_star.copy()
-        mm = latent_predict(post, k_star, k_ss)
+        state = post.scoring()
+        assert not np.triu(state.R, 1).any()  # R is lower triangular
+        mm = latent_predict(state, k_star, k_ss)
         ref = helpers.latent_predict_reference(None, k_star, k_ss, None, post=post)
         assert np.array_equal(k_star, kept)  # the caller's block is not overwritten
         assert np.array_equal(mm.mean, ref.mean)
@@ -78,22 +80,17 @@ def test_latent_predict_matches_the_triangular_solve(kind):
 
 def test_zero_sites_give_the_prior_variance_exactly():
     post, k_star, k_ss = scoring_instance("zero", 3)
-    mm = latent_predict(post, k_star, k_ss)
+    state = post.scoring()
+    mm = latent_predict(state, k_star, k_ss)
     assert np.array_equal(mm.var, k_ss)
-    assert not post.R.any()
-
-
-def test_factor_is_cached_per_posterior():
-    post, k_star, k_ss = scoring_instance("e_step", 4)
-    assert post.R is post.R
-    assert np.array_equal(np.triu(post.R, 1), np.zeros_like(post.R))
+    assert not state.R.any()
 
 
 def test_read_only_block_is_scored_and_left_alone():
     post, k_star, k_ss = scoring_instance("strong", 5)
     k_star.setflags(write=False)
     kept = k_star.copy()
-    mm = latent_predict(post, k_star, k_ss)
+    mm = latent_predict(post.scoring(), k_star, k_ss)
     assert np.array_equal(k_star, kept)
     assert mm.var.shape == k_ss.shape
 
@@ -104,11 +101,12 @@ def test_non_finite_block_is_rejected(kind):
     """trmm does not check its input, so a NaN or inf kernel value must
     still trip the variance check (NaN fails var >= VAR_TOL)."""
     post, k_star, k_ss = scoring_instance(kind, 6)
+    state = post.scoring()
     for value in (np.nan, np.inf):
         bad = k_star.copy()
         bad[:, -1] = value
         with pytest.raises(NumericsError, match="not finite"):
-            latent_predict(post, bad, k_ss)
+            latent_predict(state, bad, k_ss)
 
 
 def test_predictive_z_names_a_row_whose_kernel_overflows():
@@ -123,7 +121,7 @@ def test_predictive_z_names_a_row_whose_kernel_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"test row {PREDICT_BLOCK + 3}:"):
-            predictive_z(post, theta, X, X_test)
+            predictive_z(post.scoring(), X_test)
 
 
 class TestMaternInPlace:

@@ -185,7 +185,7 @@ class TestAnalyticGradient:
         for ds, sites, theta in probit_instances():
             post = assemble(gram(ds.X, theta, ds.distances), sites)
             assert helpers.rung(post.K, theta) == (fails or 0)
-            value, grad = trainer._value_and_grad(ds, theta, post, objective)
+            value, grad = trainer._value_and_grad(ds, post, objective)
             assert value == helpers.objective_value(ds, sites, theta, objective)
             fd = fd_gradient(ds, sites, theta, objective)
             scale = np.max(np.abs(fd))
@@ -210,7 +210,7 @@ class TestObjectivesMeetAtConvergence:
     def gradients(ds, sites, theta):
         post = assemble(gram(ds.X, theta, ds.distances), sites)
         return [
-            trainer._value_and_grad(ds, theta, post, objective)[1]
+            trainer._value_and_grad(ds, post, objective)[1]
             for objective in ("elbo", "ep_like")
         ]
 
@@ -238,12 +238,12 @@ class TestFdEquivalence:
 
     @staticmethod
     def fd_fit(ds, cfg, monkeypatch):
-        def m_step(dataset, theta, cfg, post):
+        def m_step(dataset, cfg, post):
             sites = post.sites
-            new = helpers.fd_m_step(dataset, sites, theta, cfg)
+            new = helpers.fd_m_step(dataset, sites, post.K.theta, cfg)
             K = gram(dataset.X, new, dataset.distances)
             value = helpers.objective_value(dataset, sites, new, cfg.objective)
-            return new, value, assemble(K, sites), False
+            return value, assemble(K, sites), False
 
         with monkeypatch.context() as patch:
             patch.setattr(trainer, "_m_step", m_step)
@@ -307,6 +307,23 @@ class TestFit:
         res = fit(ds, cfg, start=start)
         assert res.theta == cfg.theta0 and res.stopped == "stalled"
 
+    @pytest.mark.parametrize("kind, m_iters, m_lr", [
+        ("accepted", 3, 0.01), ("stalled", 3, 1.7e308), ("no_m_step", 0, 0.01),
+    ])
+    def test_theta_is_the_final_posteriors(self, kind, m_iters, m_lr):
+        """result.theta is the theta of the final posterior's Gram matrix,
+        which is gram(dataset.X, theta) to the bit, for a fit whose M-step
+        moved theta, one whose every step overflowed, and one with none."""
+        ds = blob_dataset(n=12, seed=18)
+        cfg = TrainConfig(e_iters=5, m_iters=m_iters, m_lr=m_lr, outer_rounds=2)
+        res = fit(ds, cfg)
+        K = res.posterior.K
+        assert res.theta == K.theta and K.X is ds.X
+        assert list(res.theta_trace[-1]) == [K.theta.log_lengthscale, K.theta.log_magnitude]
+        assert np.array_equal(K.K, gram(ds.X, res.theta).K)
+        assert (res.theta != cfg.theta0) == (kind == "accepted")
+        assert (res.stopped == "stalled") == (kind == "stalled")
+
     def test_pure_inference_round_computes_no_gradient(self, monkeypatch):
         """With m_iters 0 the M-step records objective_value, bit for bit,
         without forming any gradient."""
@@ -316,7 +333,7 @@ class TestFit:
             raise AssertionError("gradient formed at m_iters 0")
 
         monkeypatch.setattr(trainer_module, "gram_grads", no_gradient)
-        monkeypatch.setattr(trainer_module, "_value_and_weights", no_gradient)
+        monkeypatch.setattr(trainer_module, "_value_and_grad", no_gradient)
         ds = blob_dataset(n=14, seed=16)
         for objective in ("elbo", "ep_like"):
             cfg = TrainConfig(objective=objective, e_iters=6, m_iters=0, outer_rounds=1)

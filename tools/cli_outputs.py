@@ -11,7 +11,9 @@ benchmark's synthetic stand-ins (bench/gen.py, seed 1):
 - predict over the benchmark's 20 000 rows with that model;
 - fit at its defaults for 5 rounds, once per objective;
 - ais at its defaults, with --out;
-- --help of the program and of every subcommand.
+- --help of the program and of every subcommand;
+- the benchmark's toy-size grid and cv (bench/reference.py), in OUTDIR/toy,
+  at --jobs 1 and then --jobs 2, whose output bodies must be byte-identical.
 
 Every output file lands in OUTDIR, and NAME.stdout holds the standard output
 of command NAME.  Paths are relative to OUTDIR, so the resolved-command
@@ -24,7 +26,9 @@ too; compare with
 
 which ignores the header lines.  Then only the help_*.stdout files should
 differ, and the model files if the flag also had a model-file key.  The
-script exits 1 if any command exits non-zero.
+script exits 1 if any command exits non-zero, or if a toy command's bodies
+(its CSVs without their header line) differ between --jobs 1 and --jobs 2;
+OUTDIR/toy keeps the --jobs 2 outputs.
 Nothing under bench/ is written to.
 """
 
@@ -41,6 +45,7 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import reference  # noqa: E402
 import workloads  # noqa: E402  (imports gen, which draws the inputs)
 from probitgp.cli import _SPECS, run  # noqa: E402
 from probitgp.trainer import OBJECTIVES  # noqa: E402
@@ -77,6 +82,18 @@ def main(argv):
         call(f"fit_{objective}", ["fit", "--data", "sonar.csv", "--out", f"fit_{objective}.model",
                                   "--objective", objective, "--rounds", FIT_ROUNDS])
     call("ais", ["ais", "--data", "sonar.csv", "--out", "ais.csv"])
+    toy = Path("toy")
+    toy.mkdir(exist_ok=True)
+    for name, command in (("surface_grid", "grid"), ("train_cv", "cv")):
+        sizes, extra, outputs, _ = reference.TOYS[name]
+        workload = workloads.WORKLOADS[name]
+        workload.setup(toy, reference.TOY_SEED, run, **sizes)
+        bodies = []
+        for jobs in ("1", "2"):
+            call(f"toy_{command}_jobs{jobs}", workload.argv(toy, (*extra, "--jobs", jobs)))
+            bodies.append([workloads.read_csv(toy / f)[0] for f in outputs])
+        if bodies[0] != bodies[1]:
+            failures.append(f"toy {command}: --jobs 2 wrote other bodies than --jobs 1")
     call("help", ["--help"])
     for command in _SPECS:
         call(f"help_{command}", [command, "--help"])
