@@ -1,12 +1,9 @@
-"""Gaussian process binary classification toolkit.
+"""Gaussian process binary classification with a probit likelihood.
 
-Probit-likelihood GP classification with three inference routes sharing one
-site parameterization: natural-gradient variational inference, classic
-expectation propagation, and an annealed-importance-sampling evidence
-estimate for calibration.  Training alternates natural-gradient E-steps with
-exact-gradient M-steps on either the evidence lower bound or the
-unnormalized-site free-energy objective.  Grid cells, CV folds and predict
-all score held-out rows with predictive_z, in blocks of fixed size.
+Natural-gradient variational inference (cvi), expectation propagation (ep)
+and an annealed-importance-sampling evidence estimate (ais) share one site
+parameterization (posterior.Sites); trainer.fit learns the hyperparameters
+and harness runs the evidence-surface sweeps and cross-validation.
 """
 
 from .ais import AisConfig, AisEstimate, ais_lml, ess_step, temperature
@@ -27,7 +24,6 @@ from .harness import (
     CvReport,
     GridSpec,
     SurfaceRecord,
-    SweepConfig,
     cross_validate,
     grid_sweep,
     paired_t_test,
@@ -56,7 +52,7 @@ __all__ = [
     "load_csv", "make_folds", "read_feature_rows", "standardize",
     "ep_energy", "ep_inference",
     "FactorizationError", "NumericsError",
-    "CvReport", "GridSpec", "SurfaceRecord", "SweepConfig",
+    "CvReport", "GridSpec", "SurfaceRecord",
     "cross_validate", "grid_sweep", "paired_t_test",
     "GramMatrix", "Hyperparams", "cross_gram", "gram",
     "MarginalMoments", "ep_tilted_moments", "expectation_stats",

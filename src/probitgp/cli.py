@@ -5,9 +5,9 @@ output CSV starts with a comment line holding the fully resolved command
 (all defaults materialized); re-running that command reproduces the file
 bit for bit at the same BLAS thread count (predict's p_positive moves by
 ~1e-14 across OpenBLAS thread counts).  A flag's default is read from the
-library type that owns the setting (TrainConfig, SweepConfig, GridSpec,
-AisConfig), and --methods is checked where the library checks a method
-list: GridSpec, cross_validate.
+library type that owns the setting: TrainConfig for fit and cv, GridSpec
+for grid, AisConfig for ais.  --methods is checked where the library checks
+a method list: GridSpec, cross_validate.
 """
 
 import argparse
@@ -24,8 +24,7 @@ from .data import (
 )
 from .errors import NumericsError
 from .harness import (
-    FOLDS, TRAINABLE_METHODS, GridSpec, SweepConfig, cross_validate, grid_sweep, held_out_split,
-    paired_t_test,
+    FOLDS, TRAINABLE_METHODS, GridSpec, cross_validate, grid_sweep, held_out_split, paired_t_test,
 )
 from .kernel import Hyperparams, gram
 from .model_io import ModelArtifact, load_model, number_text, save_model
@@ -63,7 +62,6 @@ def _none_or(parse):
 
 
 _TRAIN = TrainConfig()
-_SWEEP = SweepConfig()
 _GRID = GridSpec()
 _AIS = AisConfig()
 
@@ -110,8 +108,7 @@ _SPECS = {
         ("--hi", dict(type=float, default=_GRID.hi)),
         ("--points", dict(type=int, default=_GRID.points)),
         ("--methods", dict(default=",".join(_GRID.methods))),
-        ("--e-iters", dict(type=int, default=_SWEEP.e_iters)),
-        ("--e-step-size", dict(type=float, default=_SWEEP.e_step_size)),
+        ("--e-iters", dict(type=int, default=_GRID.e_iters)),
         *_AIS_FLAGS,
         ("--jobs", dict(type=int, default=1)),
     ],
@@ -217,9 +214,8 @@ def _cmd_predict(args):
     artifact = load_model(args.model)
     X = read_feature_rows(args.data, args.label)
     if X.shape[1] != artifact.features.shape[1]:
-        raise _UsageError(
-            f"feature count {X.shape[1]} does not match the model ({artifact.features.shape[1]})"
-        )
+        raise _UsageError(f"{args.data}: feature count {X.shape[1]} does not match the model "
+                          f"({artifact.features.shape[1]})")
     Xs = standardize_rows(X, artifact.feature_mean, artifact.feature_scale, args.data)
     # keeping only the scoring state frees K, V and chol_a before the first block
     state = assemble(gram(artifact.features, artifact.theta), artifact.sites).scoring()
@@ -235,13 +231,11 @@ def _cmd_predict(args):
 
 
 def _cmd_grid(args):
-    spec = GridSpec(lo=args.lo, hi=args.hi, points=args.points, methods=_methods(args.methods))
+    spec = GridSpec(lo=args.lo, hi=args.hi, points=args.points, methods=_methods(args.methods),
+                    e_iters=args.e_iters, ais=_ais_config(args))
     dataset = load_csv(args.data, args.label)
     train, test = held_out_split(dataset, make_folds(dataset.n, args.seed), 0)
-    cfg = SweepConfig(
-        e_iters=args.e_iters, e_step_size=args.e_step_size, ais=_ais_config(args),
-    )
-    records = grid_sweep(train, test, spec, cfg, jobs=args.jobs)
+    records = grid_sweep(train, test, spec, jobs=args.jobs)
     rows = [
         (r.log_lengthscale, r.log_magnitude, r.method, r.lml_per_n, r.lpd_per_n)
         for r in records

@@ -28,6 +28,8 @@ from .posterior import LAMBDA2_CEIL, Sites, assemble, elbo
 
 logger = logging.getLogger(__name__)
 
+STEP_SIZE = 0.1  # beta of the grid's E-steps and TrainConfig's default
+
 
 def check_settings(step_size, iters):
     """ValueError naming e_step_size or e_iters unless 0 < step_size <= 1 and

@@ -128,10 +128,13 @@ def _label_index(path, first, label_column, labelled):
 
 
 def _csv_rows(path):
-    """csv.reader's rows of path; a file csv cannot split is a ValueError."""
-    with open(path, newline="") as handle:
+    """csv.reader's rows of path; a file that is not UTF-8 text or that csv
+    cannot split is a ValueError naming path."""
+    with open(path, newline="", encoding="utf-8") as handle:
         try:
             yield from csv.reader(handle)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except csv.Error as exc:  # say, a field over csv's size limit
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -211,9 +214,16 @@ def read_feature_rows(path, label_column=None):
 
 
 def feature_stats(train):
-    """Per-column mean and scale of a training set; constant columns scale 1."""
-    mean = train.X.mean(axis=0)
-    sd = train.X.std(axis=0)  # population sd: a two-point column maps to +/-1
+    """Per-column mean and scale of a training set; constant columns scale 1.
+    A column whose mean or sd overflows float64 is a ValueError naming train
+    and the first such column."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        mean = train.X.mean(axis=0)
+        sd = train.X.std(axis=0)  # population sd: a two-point column maps to +/-1
+    overflow = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+    if overflow.size:
+        raise ValueError(f"{train.name}: feature column {overflow[0]} is too large to "
+                         "standardize (its mean or sd overflows float64)")
     scale = np.where(sd == 0.0, 1.0, sd)
     return mean, scale
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, stdtr
 
 from .ais import AisConfig, ais_lml
-from .cvi import check_settings, e_step
+from .cvi import STEP_SIZE, check_settings, e_step
 from .data import FOLDS, fold_datasets, make_folds, standardize
 from .ep import ep_energy, ep_inference
 from .errors import NumericsError
@@ -39,12 +39,16 @@ def _check_methods(methods, allowed):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square sweep grid over (log lengthscale, log magnitude)."""
+    """Square sweep grid over (log lengthscale, log magnitude) and each
+    cell's budgets: e_iters E-step updates at cvi.STEP_SIZE, and AIS under
+    ais, cell i annealing with ais.seed + i * ais.repeats."""
 
     lo: float = -1.0
     hi: float = 5.0
     points: int = 21
     methods: tuple = METHODS
+    e_iters: int = 200
+    ais: AisConfig = AisConfig()
 
     def __post_init__(self):
         if not (np.isfinite(self.hi - self.lo) and self.lo < self.hi):
@@ -52,22 +56,10 @@ class GridSpec:
         if self.points < 2:
             raise ValueError("need at least 2 points per axis")
         _check_methods(self.methods, METHODS)
+        check_settings(STEP_SIZE, self.e_iters)
 
     def axis(self):
         return np.linspace(self.lo, self.hi, self.points)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Per-cell inference budgets for surface sweeps; cell i anneals with
-    ais.seed + i * ais.repeats."""
-
-    e_iters: int = 200
-    e_step_size: float = 0.1
-    ais: AisConfig = AisConfig()
-
-    def __post_init__(self):
-        check_settings(self.e_step_size, self.e_iters)
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,6 @@ class SurfaceRecord:
 class CvReport:
     """Per-fold metrics by method: accuracy[m] and lpd[m] hold FOLDS values."""
 
-    dataset: str
     methods: tuple
     accuracy: dict
     lpd: dict
@@ -106,7 +97,7 @@ def _mean_lpd(y, z):
 
 
 def _sweep_cell(args):
-    (X_train, y_train, X_test, y_test, ll, ls, methods, cfg, cell_seed) = args
+    (X_train, y_train, X_test, y_test, ll, ls, spec, cell_seed) = args
     n = y_train.size
     records = {}
     nan = float("nan")
@@ -114,14 +105,14 @@ def _sweep_cell(args):
         K = gram(X_train, Hyperparams(ll, ls))
     except NumericsError:
         logger.warning("cell (%g, %g): covariance factorization failed", ll, ls)
-        return [SurfaceRecord(ll, ls, m, nan, nan) for m in methods]
+        return [SurfaceRecord(ll, ls, m, nan, nan) for m in spec.methods]
 
-    shared = [m for m in TRAINABLE_METHODS if m in methods]
+    shared = [m for m in TRAINABLE_METHODS if m in spec.methods]
     bound = None  # the shared posterior's ELBO, a lower bound on log p(y)
     if shared:
         try:
             post, trace = e_step(
-                assemble(K, Sites.zeros(n)), y_train, step_size=cfg.e_step_size, iters=cfg.e_iters
+                assemble(K, Sites.zeros(n)), y_train, step_size=STEP_SIZE, iters=spec.e_iters
             )
             bound = trace[-1]
             lpd = _mean_lpd(y_test, predictive_z(post.scoring(), X_test))
@@ -131,7 +122,7 @@ def _sweep_cell(args):
         except NumericsError as exc:
             logger.warning("cell (%g, %g): shared inference failed: %s", ll, ls, exc)
 
-    if "ep" in methods:
+    if "ep" in spec.methods:
         try:
             ep_post, log_scale, _ = ep_inference(K, y_train)
             lpd = _mean_lpd(y_test, predictive_z(ep_post.scoring(), X_test))
@@ -139,9 +130,9 @@ def _sweep_cell(args):
         except NumericsError as exc:
             logger.warning("cell (%g, %g): EP failed: %s", ll, ls, exc)
 
-    if "mcmc" in methods:
+    if "mcmc" in spec.methods:
         try:
-            est = ais_lml(K, y_train, replace(cfg.ais, seed=cell_seed))
+            est = ais_lml(K, y_train, replace(spec.ais, seed=cell_seed))
             records["mcmc"] = (est.log_ml / n, nan)
             if bound is not None and est.log_ml < bound:
                 logger.warning("cell (%g, %g): AIS log_ml lies %.6g nats below the E-step's ELBO",
@@ -150,7 +141,7 @@ def _sweep_cell(args):
             logger.warning("cell (%g, %g): annealing failed: %s", ll, ls, exc)
 
     logger.info("cell (%g, %g) done", ll, ls)
-    return [SurfaceRecord(ll, ls, m, *records.get(m, (nan, nan))) for m in methods]
+    return [SurfaceRecord(ll, ls, m, *records.get(m, (nan, nan))) for m in spec.methods]
 
 
 def _pmap(fn, items, jobs):
@@ -165,7 +156,7 @@ def _pmap(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def grid_sweep(train, test, spec, cfg, jobs=1):
+def grid_sweep(train, test, spec, jobs=1):
     """Evaluate every method on every grid cell; failures yield NaN records.
 
     vi and ours share one natural-gradient inference per cell, so their
@@ -174,8 +165,8 @@ def grid_sweep(train, test, spec, cfg, jobs=1):
     Records are sorted by (log lengthscale, log magnitude, method).
     """
     args = [
-        (train.X, train.y, test.X, test.y, float(ll), float(ls), tuple(spec.methods), cfg,
-         cfg.ais.seed + cell_index * cfg.ais.repeats)
+        (train.X, train.y, test.X, test.y, float(ll), float(ls), spec,
+         spec.ais.seed + cell_index * spec.ais.repeats)
         for cell_index, (ll, ls) in enumerate(itertools.product(spec.axis(), repeat=2))
     ]
     cell_lists = _pmap(_sweep_cell, args, jobs)
@@ -221,7 +212,7 @@ def cross_validate(dataset, methods, cfg, seed, jobs=1):
     for fold, method, acc, lp in (score for scores in results for score in scores):
         accuracy[method][fold] = acc
         lpd[method][fold] = lp
-    return CvReport(dataset=dataset.name, methods=methods, accuracy=accuracy, lpd=lpd)
+    return CvReport(methods=methods, accuracy=accuracy, lpd=lpd)
 
 
 def paired_t_test(a, b):

@@ -128,15 +128,17 @@ def gram_grads(dist, K):
 def gram(X, theta, dist=None):
     """Train covariance with jitter escalation until Cholesky succeeds.
 
-    The GramMatrix keeps X itself (an array of floats is not copied) and
-    theta.  dist may pass cdist(X, X) precomputed (Dataset.distances),
+    The GramMatrix keeps X itself (a float64 array is not copied or viewed)
+    and theta.  dist may pass cdist(X, X) precomputed (Dataset.distances),
     bitwise alike.
     The jitter starts at 1e-6 * magnitude^2 and is raised tenfold per failed
     attempt up to 1e-2 * magnitude^2, after which FactorizationError is
     raised.  So is a magnitude^2 that is not finite and positive, or a kernel
     with a non-finite entry, and neither warns.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X)
+    if X.dtype != np.float64:  # not asarray(X, float): an unpickled X's equal dtype gives a view
+        X = X.astype(float)
     if X.ndim != 2:
         raise ValueError("expected a 2-d input matrix")
     with np.errstate(over="ignore"):  # np.exp overflows to inf, rejected below

@@ -67,7 +67,7 @@ def _write_block(handle, label, values):
 
 
 def save_model(path, artifact):
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"format={FORMAT_NAME}\n")
         handle.write(f"version={FORMAT_VERSION}\n")
         handle.write(f"name={artifact.name}\n")
@@ -99,8 +99,11 @@ def _value(path, key, text, parse, expected, valid=lambda v: True):
 def load_model(path):
     keys = {}
     blocks = {}
-    with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle]
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = [line.rstrip("\n") for line in handle]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     pos = 0
     while pos < len(lines) and "=" in lines[pos]:
         key, _, value = lines[pos].partition("=")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cvi import check_settings, e_step
+from .cvi import STEP_SIZE, check_settings, e_step
 from .errors import NumericsError
 from .data import Dataset
 from .kernel import Hyperparams, gram, gram_grads
@@ -36,7 +36,7 @@ class TrainConfig:
     objective: str = "elbo"
     theta0: Hyperparams = field(default_factory=Hyperparams)
     e_iters: int = 20
-    e_step_size: float = 0.1
+    e_step_size: float = STEP_SIZE
     m_iters: int = 20
     m_lr: float = 0.001
     outer_rounds: int = 50

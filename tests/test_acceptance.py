@@ -20,7 +20,6 @@ from probitgp import (
     Hyperparams,
     MarginalMoments,
     Sites,
-    SweepConfig,
     TrainConfig,
     ais_lml,
     assemble,
@@ -227,9 +226,9 @@ def test_criterion_7_surface_argmax_against_annealing():
     folds = make_folds(ds.n, seed=0)
     train_raw, test_raw = fold_datasets(ds, folds, 0)
     train, (test,) = standardize(train_raw, [test_raw])
-    spec = GridSpec(lo=-1.0, hi=5.0, points=7, methods=("vi", "ours", "mcmc"))
-    cfg = SweepConfig(ais=AisConfig(steps=2000, repeats=3, seed=0))
-    records = grid_sweep(train, test, spec, cfg, jobs=7)
+    spec = GridSpec(lo=-1.0, hi=5.0, points=7, methods=("vi", "ours", "mcmc"),
+                    ais=AisConfig(steps=2000, repeats=3, seed=0))
+    records = grid_sweep(train, test, spec, jobs=7)
 
     def argmax_cell(method):
         best, cell = -np.inf, None

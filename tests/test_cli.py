@@ -269,7 +269,21 @@ class TestPredict:
         code = run(["predict", "--model", str(model), "--data", str(bad),
                     "--label", "last", "--out", str(tmp_path / "o.csv")])
         assert code == 1
-        assert "feature count" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "feature count" in err and str(bad) in err
+
+    @pytest.mark.parametrize("culprit", ["model", "data"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys, culprit):
+        """A byte that is not UTF-8 in either input names that file."""
+        data, model, _ = self.fitted(tmp_path, seed=6)
+        bad = {"model": model, "data": data}[culprit]
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xe9", 1))
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model), "--data", str(data),
+                    "--label", "last", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("body,reason", [
         ("x1,x2,label\n", "no data rows"),
@@ -510,6 +524,11 @@ class TestSmallAndDegenerateData:
         assert "5 folds need n >= 5 rows, got n=2" in capsys.readouterr().err
 
 
+# every subcommand's flags it does not have
+UNKNOWN_FLAGS = [(command, flag) for flag in ("--jitter", "--no-such-flag")
+                 for command in cli_module._SPECS] + [("grid", "--e-step-size")]
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 1
@@ -565,7 +584,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, setting", [
         (["grid", "--points", "2", "--ais-T", "20", "--seed", "-1"], "seed"),
         (["cv", "--seed", "-1"], "seed"),
-        (["grid", "--e-step-size", "2"], "e_step_size"),
+        (["cv", "--e-step-size", "2"], "e_step_size"),
         (["grid", "--jobs", "0"], "jobs must be >= 1"),
         (["grid", "--jobs", "-1"], "jobs must be >= 1"),
         (["cv", "--jobs", "0"], "jobs must be >= 1"),
@@ -586,12 +605,25 @@ class TestExitCodes:
         assert setting in capsys.readouterr().err
         assert started == [] and not out.exists()
 
-    @pytest.mark.parametrize("command", list(cli_module._SPECS))
-    @pytest.mark.parametrize("flag", ["--jitter", "--no-such-flag"])
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--e-iters", "-1", "e_iters"), ("--ais-T", "0", "steps"),
+        ("--ais-repeats", "0", "repeats"), ("--seed", "-1", "seed"),
+    ])
+    def test_grid_settings_named_before_the_data_file_is_read(self, tmp_path, capsys,
+                                                              flag, value, setting):
+        missing = tmp_path / "missing.csv"
+        assert run(["grid", "--data", str(missing), "--out", str(tmp_path / "out.csv"),
+                    flag, value]) == 1
+        err = capsys.readouterr().err
+        assert setting in err and str(missing) not in err
+
+    @pytest.mark.parametrize("command, flag", UNKNOWN_FLAGS,
+                             ids=[f"{flag}-{command}" for command, flag in UNKNOWN_FLAGS])
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys, flag, command):
         """Every subcommand answers a flag it does not have, the --jitter that
         gram's ladder made redundant among them, with exit 1 and its own usage
-        on stderr."""
+        on stderr.  grid's E-step runs at cvi.STEP_SIZE, so grid has no
+        --e-step-size."""
         data = tmp_path / "d.csv"
         write_blobs_csv(data, n=10, seed=15)
         required = [arg for name, kwargs in cli_module._SPECS[command]
@@ -757,6 +789,45 @@ def test_bad_flag_value_exits_cleanly(ten_rows_and_model, tmp_path, monkeypatch,
         dict(cli_module._SPECS[command])[flag]["type"](value)
     except ValueError:
         assert code == 1 and err.startswith(f"usage: probitgp {command} ")
+
+
+# (training CSV bytes, whether the error must name the file): each makes
+# every training subcommand exit 1 before any work
+MALFORMED_CSVS = {
+    "empty": (b"", False),
+    "blank_only": (b"\n  \n\n", False),
+    "header_only": (b"a,b,c\n", False),
+    "ragged": (f"{TEN_ROWS}1,2\n".encode(), False),
+    "one_class": (TEN_ROWS.replace(",0\n", ",1\n").encode(), False),
+    "three_labels": (f"{TEN_ROWS}0.5,1,2\n".encode(), False),
+    "one_column": (b"".join(b"%d\n" % (i % 2) for i in range(10)), False),
+    "inf_cell": (f"{TEN_ROWS}inf,1,0\n".encode(), False),
+    "not_utf8": (TEN_ROWS.encode() + b"0.5,caf\xe9,1\n", True),
+    "overflowing_column": (
+        ("1e200,1,1\n-1e200,2,0\n" + "".join(TEN_ROWS.splitlines(True)[1:5])).encode(), True
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CSVS))
+@pytest.mark.parametrize("command", ["fit", "grid", "cv", "ais"])
+def test_malformed_training_csv_exits_one(tmp_path, capsys, command, case):
+    """An unusable training file exits 1 with one error line, no traceback,
+    no warning and no output file; a file that is not UTF-8 text, or whose
+    column overflows standardization, is named."""
+    body, named = MALFORMED_CSVS[case]
+    data = tmp_path / f"{case}.csv"
+    data.write_bytes(body)
+    out = tmp_path / "out" / "o.csv"
+    out.parent.mkdir()
+    argv = [command, "--data", str(data), "--out", str(out), *small_budgets(command)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert not named or data.stem in err
+    assert not list(out.parent.iterdir())
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,5 +1,7 @@
 """Label encoding, CSV loading, standardization, and fold construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -153,6 +155,16 @@ class TestStandardize:
         X = np.array([[0.0, 1.0], [1e308, 1.0], [0.0, 1e308]])
         with pytest.raises(ValueError, match="src.csv: non-finite standardized feature in row 1"):
             standardize_rows(X, np.zeros(2), np.array([1e-10, 1e-10]), "src.csv")
+
+    @pytest.mark.parametrize("column", ([1.0, 1e200, -1e200], [1e308, 1e308, 0.0]))
+    def test_column_whose_stats_overflow_is_named(self, column):
+        """|x| past ~1.3e154 overflows the sd's squares, and two 1e308 cells
+        the mean's sum; feature_stats names the column, with no warning."""
+        train = Dataset("src", np.column_stack([[0.0, 1.0, 2.0], column]), np.array([1, -1, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="src: feature column 1 is too large to standardize"):
+                feature_stats(train)
 
     def test_stats_shapes(self):
         train = Dataset("t", np.arange(12.0).reshape(4, 3), np.array([1, -1, 1, -1.0]))

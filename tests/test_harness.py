@@ -10,7 +10,6 @@ import helpers
 from probitgp import (
     AisConfig,
     GridSpec,
-    SweepConfig,
     TrainConfig,
     cross_validate,
     grid_sweep,
@@ -18,12 +17,12 @@ from probitgp import (
 )
 from probitgp import ep, harness
 from probitgp.ais import ais_lml
-from probitgp.cvi import e_step
+from probitgp.cvi import STEP_SIZE, e_step
 from probitgp.kernel import Hyperparams, gram
 from probitgp.posterior import Sites, assemble
 from probitgp.data import FOLDS
 
-DESK_CFG = SweepConfig(e_iters=40, ais=AisConfig(steps=60, repeats=1))
+DESK = dict(e_iters=40, ais=AisConfig(steps=60, repeats=1))  # each test's GridSpec budgets
 
 
 def same_records(a, b):
@@ -72,27 +71,19 @@ class TestGridSpec:
             GridSpec(methods=("vi", "bogus"))
         with pytest.raises(ValueError):
             GridSpec(methods=())
+        with pytest.raises(ValueError, match="e_iters"):
+            GridSpec(e_iters=-1)
 
     def test_methods_name_each_method_once(self):
         with pytest.raises(ValueError):
             GridSpec(methods=("vi", "vi"))
 
 
-class TestSweepConfig:
-    @pytest.mark.parametrize("fields, setting", [
-        (dict(e_iters=-1), "e_iters"), (dict(e_step_size=0.0), "e_step_size"),
-        (dict(e_step_size=2.0), "e_step_size"), (dict(e_step_size=np.nan), "e_step_size"),
-    ])
-    def test_e_step_settings_checked_at_construction(self, fields, setting):
-        with pytest.raises(ValueError, match=setting):
-            SweepConfig(**fields)
-
-
 class TestGridSweep:
     def test_record_layout_and_order(self):
         train, test = split_blobs()
-        spec = GridSpec(lo=-0.5, hi=0.5, points=2, methods=("vi", "ours"))
-        recs = grid_sweep(train, test, spec, DESK_CFG)
+        spec = GridSpec(lo=-0.5, hi=0.5, points=2, methods=("vi", "ours"), **DESK)
+        recs = grid_sweep(train, test, spec)
         assert len(recs) == 2 * 2 * 2
         keys = [(r.log_lengthscale, r.log_magnitude, r.method) for r in recs]
         assert keys == sorted(keys)
@@ -101,8 +92,8 @@ class TestGridSweep:
     def test_vi_and_ours_share_predictive_column(self):
         """Both labels come from one inference, so lpd matches bit for bit."""
         train, test = split_blobs(seed=1)
-        spec = GridSpec(lo=-0.5, hi=1.0, points=3, methods=("vi", "ours"))
-        recs = grid_sweep(train, test, spec, DESK_CFG)
+        spec = GridSpec(lo=-0.5, hi=1.0, points=3, methods=("vi", "ours"), **DESK)
+        recs = grid_sweep(train, test, spec)
         by_cell = {}
         for r in recs:
             by_cell.setdefault((r.log_lengthscale, r.log_magnitude), {})[r.method] = r
@@ -113,8 +104,8 @@ class TestGridSweep:
 
     def test_all_methods_produce_finite_records_on_easy_cell(self):
         train, test = split_blobs(seed=2)
-        spec = GridSpec(lo=0.0, hi=1.0, points=2, methods=("vi", "ours", "ep", "mcmc"))
-        recs = grid_sweep(train, test, spec, DESK_CFG)
+        spec = GridSpec(lo=0.0, hi=1.0, points=2, methods=("vi", "ours", "ep", "mcmc"), **DESK)
+        recs = grid_sweep(train, test, spec)
         assert len(recs) == 4 * 4
         for r in recs:
             assert np.isfinite(r.lml_per_n)
@@ -128,8 +119,8 @@ class TestGridSweep:
         NaN for ep and keeps the other methods' values."""
         monkeypatch.setattr(ep, "_log_gauss_site_integral", lambda *args: np.inf)
         train, test = split_blobs(seed=2)
-        spec = GridSpec(lo=0.0, hi=1.0, points=2, methods=("vi", "ours", "ep", "mcmc"))
-        recs = grid_sweep(train, test, spec, DESK_CFG)
+        spec = GridSpec(lo=0.0, hi=1.0, points=2, methods=("vi", "ours", "ep", "mcmc"), **DESK)
+        recs = grid_sweep(train, test, spec)
         assert len(recs) == 4 * 4
         for r in recs:
             if r.method == "ep":
@@ -140,18 +131,18 @@ class TestGridSweep:
 
     def test_parallel_equals_serial(self):
         train, test = split_blobs(seed=3)
-        spec = GridSpec(lo=-0.5, hi=0.5, points=2, methods=("vi", "ours", "mcmc"))
-        serial = grid_sweep(train, test, spec, DESK_CFG, jobs=1)
-        parallel = grid_sweep(train, test, spec, DESK_CFG, jobs=4)
+        spec = GridSpec(lo=-0.5, hi=0.5, points=2, methods=("vi", "ours", "mcmc"), **DESK)
+        serial = grid_sweep(train, test, spec, jobs=1)
+        parallel = grid_sweep(train, test, spec, jobs=4)
         assert same_records(serial, parallel)
 
     def test_ais_seed_depends_on_cell_not_schedule(self):
         """Two specs sharing a cell give that cell a different linear index,
         so only an identical grid guarantees identical mcmc numbers."""
         train, test = split_blobs(seed=4)
-        spec = GridSpec(lo=0.0, hi=1.0, points=2, methods=("mcmc",))
-        a = grid_sweep(train, test, spec, DESK_CFG)
-        b = grid_sweep(train, test, spec, DESK_CFG)
+        spec = GridSpec(lo=0.0, hi=1.0, points=2, methods=("mcmc",), **DESK)
+        a = grid_sweep(train, test, spec)
+        b = grid_sweep(train, test, spec)
         assert same_records(a, b)
 
 
@@ -161,19 +152,19 @@ class TestEvidenceBelowTheBound:
 
     LL, LS, SEED = 0.5, 1.0, 3
 
-    def cell(self, methods, cfg):
+    def cell(self, spec):
         train, test = split_blobs(seed=6)
-        args = (train.X, train.y, test.X, test.y, self.LL, self.LS, methods, cfg, self.SEED)
+        args = (train.X, train.y, test.X, test.y, self.LL, self.LS, spec, self.SEED)
         return train, harness._sweep_cell(args)
 
     def test_one_step_annealing_below_the_elbo_is_logged_with_its_gap(self, caplog):
         """One annealing step is importance sampling from the prior."""
-        cfg = SweepConfig(e_iters=40, ais=AisConfig(steps=1, repeats=2))
-        train, records = self.cell(("vi", "mcmc"), cfg)
+        spec = GridSpec(methods=("vi", "mcmc"), e_iters=40, ais=AisConfig(steps=1, repeats=2))
+        train, records = self.cell(spec)
         K = gram(train.X, Hyperparams(self.LL, self.LS))
         start = assemble(K, Sites.zeros(train.n))
-        bound = e_step(start, train.y, step_size=cfg.e_step_size, iters=cfg.e_iters)[1][-1]
-        log_ml = ais_lml(K, train.y, replace(cfg.ais, seed=self.SEED)).log_ml
+        bound = e_step(start, train.y, step_size=STEP_SIZE, iters=spec.e_iters)[1][-1]
+        log_ml = ais_lml(K, train.y, replace(spec.ais, seed=self.SEED)).log_ml
         assert log_ml < bound and records[1].lml_per_n == log_ml / train.n
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == [
@@ -181,7 +172,7 @@ class TestEvidenceBelowTheBound:
         ]
 
     def test_no_e_step_no_comparison(self, caplog):
-        self.cell(("mcmc",), SweepConfig(ais=AisConfig(steps=1, repeats=2)))
+        self.cell(GridSpec(methods=("mcmc",), ais=AisConfig(steps=1, repeats=2)))
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 

@@ -1,5 +1,7 @@
 """Covariance function and Gram construction."""
 
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -88,6 +90,12 @@ class TestGram:
         theta = Hyperparams(0.2, -0.4)
         K = gram(X, theta, cdist(X, X)) if given_distances else gram(X, theta)
         assert K.X is X and K.theta == theta
+
+    def test_gram_keeps_an_unpickled_array(self):
+        """An unpickled float64 array, as a --jobs worker receives it, has an
+        equal but distinct dtype; gram keeps it all the same."""
+        X = pickle.loads(pickle.dumps(RNG.standard_normal((5, 2))))
+        assert gram(X, Hyperparams()).X is X
 
     def test_duplicate_rows_make_base_kernel_singular(self):
         """Degeneracy witness: without jitter a duplicated input kills rank."""

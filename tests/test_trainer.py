@@ -21,6 +21,7 @@ from probitgp import (
     kernel,
     trainer,
 )
+from probitgp.cvi import STEP_SIZE
 from probitgp.kernel import JITTER_RUNGS
 from probitgp.posterior import LAMBDA2_CEIL
 
@@ -404,3 +405,13 @@ class TestFit:
             with pytest.raises(ValueError, match="must be finite"):
                 TrainConfig(outer_tol=bad)
         TrainConfig(m_lr=1.7e308, outer_tol=0.0)  # finite extremes stay valid
+
+    @pytest.mark.parametrize("fields, setting", [
+        (dict(e_iters=-1), "e_iters"), (dict(e_step_size=0.0), "e_step_size"),
+        (dict(e_step_size=2.0), "e_step_size"), (dict(e_step_size=np.nan), "e_step_size"),
+    ])
+    def test_e_step_settings_checked_at_construction(self, fields, setting):
+        """The defaults pass, the grid's fixed step among them."""
+        assert TrainConfig().e_step_size == STEP_SIZE
+        with pytest.raises(ValueError, match=setting):
+            TrainConfig(**fields)
