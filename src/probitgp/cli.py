@@ -219,7 +219,10 @@ def _cmd_predict(args):
     Xs = standardize_rows(X, artifact.feature_mean, artifact.feature_scale, args.data)
     # keeping only the scoring state frees K, V and chol_a before the first block
     state = assemble(gram(artifact.features, artifact.theta), artifact.sites).scoring()
-    p_pos = ndtr(predictive_z(state, Xs))
+    try:
+        p_pos = ndtr(predictive_z(state, Xs))
+    except ValueError as exc:  # a row whose kernel values overflow
+        raise ValueError(f"{args.data}: {exc}") from None
     with open(args.out, "w") as handle:
         handle.write(f"# {_resolved_command(args)}\n")
         handle.write("row,p_positive,label\n")

@@ -18,7 +18,7 @@ from scipy.special import log_ndtr, ndtr, stdtr
 
 from .ais import AisConfig, ais_lml
 from .cvi import STEP_SIZE, check_settings, e_step
-from .data import FOLDS, fold_datasets, make_folds, standardize
+from .data import FOLDS, apply_standardization, feature_stats, fold_datasets, make_folds
 from .ep import ep_energy, ep_inference
 from .errors import NumericsError
 from .kernel import Hyperparams, gram
@@ -85,10 +85,11 @@ class CvReport:
 
 
 def held_out_split(dataset, folds, fold):
-    """(train, test) of one fold, both standardized by the train rows' statistics."""
-    train_raw, test_raw = fold_datasets(dataset, folds, fold)
-    train, (test,) = standardize(train_raw, [test_raw])
-    return train, test
+    """(train, test) of one fold, both standardized by the train rows'
+    statistics, which a column that overflows them reports under dataset's name."""
+    train, test = fold_datasets(dataset, folds, fold)
+    mean, scale = feature_stats(replace(train, name=dataset.name))
+    return apply_standardization(train, mean, scale), apply_standardization(test, mean, scale)
 
 
 def _mean_lpd(y, z):

@@ -5,7 +5,8 @@ needs travels with the model: hyperparameters, site parameters, the
 standardized training inputs, and the standardization statistics.  Numbers
 are written by number_text, so save/load round-trips float64 exactly and
 the files diff cleanly.  load_model skips keys it does not know, such as
-the seed= line that older files carry.
+the seed= line that older files carry, and rejects a repeated key or block,
+naming the file.
 """
 
 from dataclasses import dataclass
@@ -106,8 +107,10 @@ def load_model(path):
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     pos = 0
     while pos < len(lines) and "=" in lines[pos]:
-        key, _, value = lines[pos].partition("=")
-        keys[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in lines[pos].partition("="))
+        if key in keys:
+            raise ValueError(f"{path}: key {key!r} is repeated")
+        keys[key] = value
         pos += 1
     if keys.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
@@ -139,11 +142,14 @@ def load_model(path):
         label = line[:-1]
         if label not in sizes:
             raise ValueError(f"{path}: unknown block {label!r}")
+        if label in blocks:
+            raise ValueError(f"{path}: block {label!r} is repeated")
         want = sizes[label]
         values = []
         while len(values) < want:
-            if pos >= len(lines):
-                raise ValueError(f"{path}: block {label!r} truncated")
+            if pos >= len(lines) or lines[pos].strip().endswith(":"):
+                raise ValueError(f"{path}: block {label!r} is short: "
+                                 f"{len(values)} of {want} values")
             try:
                 values.extend(float(tok) for tok in lines[pos].split())
             except ValueError:
@@ -155,12 +161,15 @@ def load_model(path):
     missing = [b for b in _BLOCKS if b not in blocks]
     if missing:
         raise ValueError(f"{path}: missing blocks {missing}")
-    return ModelArtifact(
-        name=keys["name"],
-        objective=objective,
-        theta=theta,
-        sites=Sites(blocks["lambda1"], blocks["lambda2"]),
-        feature_mean=blocks["feature_mean"],
-        feature_scale=blocks["feature_scale"],
-        features=blocks["features"].reshape(n, d),
-    )
+    try:  # sites and blocks that do not make a valid model
+        return ModelArtifact(
+            name=keys["name"],
+            objective=objective,
+            theta=theta,
+            sites=Sites(blocks["lambda1"], blocks["lambda2"]),
+            feature_mean=blocks["feature_mean"],
+            feature_scale=blocks["feature_scale"],
+            features=blocks["features"].reshape(n, d),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -2,20 +2,20 @@
 
 The E-step fits sites at fixed hyperparameters; the M-step ascends the chosen
 learning objective ("elbo" or "ep_like") in log-hyperparameter space with its
-exact gradient, holding the sites fixed.  Every probe builds the Gram matrix
-and assembles the posterior once at the probed point and returns the value
-and the gradient together, so the objective's dependence on the
-hyperparameters through the posterior is honored.  The Gram matrices of a
-fit share one distance matrix.  The E-step after each M-step gives the
+exact gradient, holding the sites fixed.  Each objective is read as
+log Z_q + sum_i c_i(m_i, v_i) at the sites, where (m_i, v_i) are q's
+marginals, so one weight matrix gives every objective's gradient.  Every
+probe builds the Gram matrix and assembles the posterior once at the probed
+point and returns the value and the gradient together.  The Gram matrices of
+a fit share one distance matrix.  The E-step after each M-step gives the
 round's ELBO; the last leaves the sites consistent with the final theta.
 
 Each posterior is assembled once and handed on, and it carries its sites
 and its Gram matrix, which carries theta, so it is the one value passed
 between the steps: the E-step's last posterior serves the M-step's first
-probe, and the last accepted probe's posterior serves the next E-step's
-first iteration.
-fit_start runs the opening E-step on its own, so fits that differ only in
-the objective (the two methods of one CV fold) can share it.
+probe, and the last accepted probe's posterior the next E-step's first
+iteration.  fit_start runs the opening E-step on its own, so fits that
+differ only in the objective (the two methods of one CV fold) can share it.
 """
 
 from dataclasses import dataclass, field
@@ -82,12 +82,23 @@ def _start_key(cfg):
     return (cfg.theta0, cfg.e_iters, cfg.e_step_size)
 
 
+def _objective_terms(post, y, objective):
+    """(value, h) of the objective ("elbo" or "ep_like") at post, read as
+    log Z_q + sum_i c_i(m_i, v_i): h = (dc/dm, dc/dv) per marginal, or None
+    for log Z_q (ep_like_energy) alone.  The ELBO's c_i is
+    E_q[log Phi(y_i f_i) - lam1 f_i - lam2 f_i^2]; with b = -2 lam2 its
+    h = (g_m - lam1 + b m, g_v + b / 2)."""
+    if objective == "ep_like":
+        return ep_like_energy(post), None
+    value, g_m, g_v = elbo(post, y)
+    b = -2.0 * post.sites.lam2
+    return value, (g_m - post.sites.lam1 + b * post.m, g_v + 0.5 * b)
+
+
 def learning_objective(post, y, objective):
     """The learning objective ("elbo" or "ep_like") of post's sites under
     post's Gram matrix."""
-    if objective == "elbo":
-        return elbo(post, y)[0]
-    return ep_like_energy(post)
+    return _objective_terms(post, y, objective)[0]
 
 
 def _value_and_grad(dataset, post, objective):
@@ -96,31 +107,29 @@ def _value_and_grad(dataset, post, objective):
     post is the posterior of the sites under
     gram(dataset.X, theta, dataset.distances) for the theta post.K carries.
     With B = diag(-2 lam2), Woodbury gives W = B^1/2 A^-1 B^1/2 = B - BSB and
-    Mt = (I + B K)^-1 = I - BS from the posterior covariance S.  The energy
-    has weights G = (alpha alpha' - W) / 2 wrt K; the ELBO chains
-    dm = S K^-1 dK alpha and dS = S K^-1 dK K^-1 S through the expectation
-    derivatives (g_m, g_v) and the KL.  Each gradient entry is sum(G * dK)
-    over one kernel derivative (GPML eq. 5.9), formed after S, W and Mt are
-    freed.  At extreme states either may come out non-finite, without a
-    warning: _m_step rejects such a probe, and stops on such a gradient.
+    Mt = (I + B K)^-1 = I - BS from the posterior covariance S.  With
+    dm = Mt' dK alpha and dS = Mt' dK Mt, every objective's weights wrt K are
+    G = (alpha alpha' - W) / 2 + Mt diag(h_v) Mt' + alpha (Mt h_m)', Mt formed
+    only when h is given.  Each gradient entry is sum(G * dK) over one kernel
+    derivative (GPML eq. 5.9), formed after S, W and Mt are freed.  At
+    extreme states either may come out non-finite, without a warning:
+    _m_step rejects such a probe, and stops on such a gradient.
     """
     alpha = post.alpha
     b = -2.0 * post.sites.lam2
     with np.errstate(over="ignore", invalid="ignore"):
+        value, h = _objective_terms(post, dataset.y, objective)
         S = post.covariance()
         W = np.diag(b) - b[:, None] * S * b[None, :]
-        if objective == "elbo":
-            value, g_m, g_v = elbo(post, dataset.y)
-            Mt = np.eye(b.size) - b[:, None] * S
-            del S
-            c = Mt @ (g_m + b * post.m) - 0.5 * alpha
-            G = Mt @ ((g_v + 0.5 * b)[:, None] * Mt.T) + np.outer(alpha, c) - 0.5 * W
-            del Mt
-        else:
-            del S
-            value = ep_like_energy(post)
-            G = 0.5 * (np.outer(alpha, alpha) - W)
+        Mt = None if h is None else np.eye(b.size) - b[:, None] * S
+        del S
+        G = 0.5 * (np.outer(alpha, alpha) - W)
         del W
+        if h is not None:
+            h_m, h_v = h
+            G += Mt @ (h_v[:, None] * Mt.T)
+            G += np.outer(alpha, Mt @ h_m)
+        del Mt
         d_ell, d_sig = gram_grads(dataset.distances, post.K)
         d_ell *= G
         d_sig *= G
@@ -211,9 +220,7 @@ def fit(dataset, cfg, start=None):
         raise ValueError("start was built for another dataset or configuration")
     post = start.post
     del start
-    objective_trace = []
-    elbo_trace = []
-    theta_trace = []
+    objective_trace, elbo_trace, theta_trace = [], [], []
     stopped = "round_cap"
     for _ in range(cfg.outer_rounds):
         theta = post.K.theta
@@ -222,18 +229,10 @@ def fit(dataset, cfg, start=None):
         new_theta = post.K.theta
         objective_trace.append(obj)
         elbo_trace.append(e_trace[0])  # ELBO at the M-step's sites and new_theta
-        theta_trace.append([new_theta.log_lengthscale, new_theta.log_magnitude])
-        delta = max(
-            abs(new_theta.log_lengthscale - theta.log_lengthscale),
-            abs(new_theta.log_magnitude - theta.log_magnitude),
-        )
+        theta_trace.append(new_theta.as_array())
+        delta = np.max(np.abs(new_theta.as_array() - theta.as_array()))
         if delta < cfg.outer_tol:
             stopped = "stalled" if cfg.m_iters > 0 and not accepted else "tolerance"
             break
-    return TrainResult(
-        objective_trace=np.array(objective_trace),
-        elbo_trace=np.array(elbo_trace),
-        theta_trace=np.array(theta_trace),
-        posterior=post,
-        stopped=stopped,
-    )
+    return TrainResult(objective_trace=np.array(objective_trace), elbo_trace=np.array(elbo_trace),
+                       theta_trace=np.array(theta_trace), posterior=post, stopped=stopped)

@@ -37,7 +37,7 @@ from probitgp import (
 )
 from probitgp import ep
 from probitgp.data import _parse_float
-from probitgp.kernel import JITTER_DEFAULT, _matern
+from probitgp.kernel import JITTER_DEFAULT, _matern, gram_grads
 from probitgp.likelihood import QUAD_ORDER, _phi_over_cdf, check_labels
 from probitgp.posterior import LAMBDA2_CEIL, VAR_TOL
 
@@ -203,6 +203,34 @@ def objective_value(dataset, sites, theta, objective, K=None):
     if objective == "elbo":
         return elbo(post, dataset.y)[0]
     return ep_like_energy(post)
+
+
+def value_and_grad_reference(dataset, post, objective):
+    """The M-step's value and log-theta gradient as trainer._value_and_grad
+    computed them with one gradient formula per objective.
+
+    With B = diag(-2 lam2), W = B - BSB and Mt = I - BS from the posterior
+    covariance S.  The energy has weights G = (alpha alpha' - W) / 2 wrt K;
+    the ELBO chains dm = S K^-1 dK alpha and dS = S K^-1 dK K^-1 S through
+    the expectation derivatives (g_m, g_v) and the KL.
+    """
+    alpha = post.alpha
+    b = -2.0 * post.sites.lam2
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = post.covariance()
+        W = np.diag(b) - b[:, None] * S * b[None, :]
+        if objective == "elbo":
+            value, g_m, g_v = elbo(post, dataset.y)
+            Mt = np.eye(b.size) - b[:, None] * S
+            c = Mt @ (g_m + b * post.m) - 0.5 * alpha
+            G = Mt @ ((g_v + 0.5 * b)[:, None] * Mt.T) + np.outer(alpha, c) - 0.5 * W
+        else:
+            value = ep_like_energy(post)
+            G = 0.5 * (np.outer(alpha, alpha) - W)
+        d_ell, d_sig = gram_grads(dataset.distances, post.K)
+        d_ell *= G
+        d_sig *= G
+        return value, np.array([np.sum(d_ell), np.sum(d_sig)])
 
 
 class ExpectationStats(NamedTuple):

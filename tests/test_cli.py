@@ -160,7 +160,7 @@ class TestPredict:
     ])
     def test_corrupt_model_block_is_usage_error(self, tmp_path, capsys, block, value):
         """A model with a non-finite or non-positive block is rejected at load,
-        naming the block, before any scoring."""
+        naming the file and the block, before any scoring."""
         data, model, _ = self.fitted(tmp_path, seed=6)
         lines = model.read_text().splitlines()
         row = lines.index(f"{block}:") + 1
@@ -170,7 +170,8 @@ class TestPredict:
         code = run(["predict", "--model", str(model), "--data", str(data),
                     "--label", "last", "--out", str(tmp_path / "o.csv")])
         assert code == 1
-        assert block in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and block in err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("key", [
@@ -814,7 +815,9 @@ MALFORMED_CSVS = {
 def test_malformed_training_csv_exits_one(tmp_path, capsys, command, case):
     """An unusable training file exits 1 with one error line, no traceback,
     no warning and no output file; a file that is not UTF-8 text, or whose
-    column overflows standardization, is named."""
+    column overflows standardization, is named.  Every subcommand reports
+    the overflowing column in fit's words: grid and cv standardize a fold's
+    rows, but under the file's name."""
     body, named = MALFORMED_CSVS[case]
     data = tmp_path / f"{case}.csv"
     data.write_bytes(body)
@@ -827,6 +830,104 @@ def test_malformed_training_csv_exits_one(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert not named or data.stem in err
+    assert not list(out.parent.iterdir())
+    if case == "overflowing_column":
+        assert run(["fit", "--data", str(data), "--out", str(out), *small_budgets("fit")]) == 1
+        assert capsys.readouterr().err == err
+
+
+# predict --data inputs that exit 1, each with an error naming the file: the
+# training table's unreadable files, a row wider than the model's, and a row
+# whose squared distances to the training rows overflow
+PREDICT_CSVS = {
+    **{case: MALFORMED_CSVS[case][0] for case in (
+        "empty", "blank_only", "header_only", "ragged", "inf_cell", "not_utf8")},
+    "wrong_width": b"a,b,c,d\n1,2,3,1\n",
+    "kernel_overflow": b"a,b,c\n1e308,1e308,1\n",
+}
+
+
+@pytest.mark.parametrize("case", list(PREDICT_CSVS))
+def test_malformed_predict_data_exits_one(ten_rows_and_model, tmp_path, capsys, case):
+    """An unusable --data file exits 1 with one error line naming it, no
+    traceback, no warning and no output file."""
+    _, model = ten_rows_and_model
+    data = tmp_path / f"{case}.csv"
+    data.write_bytes(PREDICT_CSVS[case])
+    out = tmp_path / "out" / "p.csv"
+    out.parent.mkdir()
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["predict", "--model", str(model), "--data", str(data), "--label", "last",
+                    "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: {data}") and err.count("\n") == 1, err
+    assert not list(out.parent.iterdir())
+    if case == "kernel_overflow":
+        assert "test row 0: kernel values are not finite" in err
+
+
+def _set_first(block, value):
+    """Edit of a model file's lines: the first value of block becomes value."""
+    def edit(lines):
+        row = lines.index(f"{block}:") + 1
+        lines[row] = " ".join([value] + lines[row].split()[1:])
+        return lines
+    return edit
+
+
+def _set_key(key, value):
+    return lambda lines: [f"{key}={value}" if line.startswith(f"{key}=") else line
+                          for line in lines]
+
+
+def _repeat_key(key, value):
+    def edit(lines):
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))
+        return lines[:row + 1] + [f"{key}={value}"] + lines[row + 1:]
+    return edit
+
+
+def _repeat_block(block):
+    def edit(lines):
+        start = lines.index(f"{block}:")
+        end = next(i for i in range(start + 1, len(lines)) if lines[i].endswith(":"))
+        return lines + lines[start:end]
+    return edit
+
+
+# (edit of the model file's lines, what the error must name besides the file);
+# the model fit on TEN_ROWS has n=10 and d=2
+CORRUPT_MODELS = {
+    "repeated_key": (_repeat_key("log_lengthscale", "5"), "key 'log_lengthscale' is repeated"),
+    "repeated_block": (_repeat_block("lambda1"), "block 'lambda1' is repeated"),
+    "positive_lambda2": (_set_first("lambda2", "0.5"), "lam2 must be <= 0"),
+    "nan_site": (_set_first("lambda1", "nan"), "site parameters must be finite"),
+    "n_too_large": (_set_key("n", 11), "block 'lambda1' is short"),
+    "n_too_small": (_set_key("n", 9), "block 'lambda1' has extra values"),
+    "d_too_large": (_set_key("d", 3), "block 'feature_mean' is short"),
+    "truncated": (lambda lines: lines[:-1], "block 'features' is short"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPT_MODELS))
+def test_corrupt_model_exits_one(ten_rows_and_model, tmp_path, capsys, case):
+    """A model file that load_model cannot take as written exits 1 with one
+    error line naming the file and what is wrong, no traceback and no
+    output file; none of them predicts from a silently altered model."""
+    data, fitted = ten_rows_and_model
+    edit, named = CORRUPT_MODELS[case]
+    model = tmp_path / "m.model"
+    model.write_text("\n".join(edit(fitted.read_text().splitlines())) + "\n")
+    out = tmp_path / "out" / "p.csv"
+    out.parent.mkdir()
+    capsys.readouterr()
+    code = run(["predict", "--model", str(model), "--data", str(data), "--label", "last",
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: {model}: ") and err.count("\n") == 1, err
+    assert named in err
     assert not list(out.parent.iterdir())
 
 

@@ -25,7 +25,9 @@ too; compare with
     diff -r -I '^# probitgp ' A B
 
 which ignores the header lines.  Then only the help_*.stdout files should
-differ, and the model files if the flag also had a model-file key.  The
+differ, and the model files if the flag also had a model-file key.  A
+change that moves only rounding is measured with tools/cli_diff.py A B,
+which prints the largest numeric move per differing file.  The
 script exits 1 if any command exits non-zero, or if a toy command's bodies
 (its CSVs without their header line) differ between --jobs 1 and --jobs 2;
 OUTDIR/toy keeps the --jobs 2 outputs.
