@@ -3,18 +3,25 @@
 Exit codes: 0 on success, 1 on usage errors, 2 on numeric failures.  Every
 output CSV starts with a comment line holding the fully resolved command
 (all defaults materialized); re-running that command reproduces the file
-bit for bit at the same BLAS thread count (predict's p_positive moves by
-~1e-14 across OpenBLAS thread counts).  A flag's default is read from the
-library type that owns the setting: TrainConfig for fit and cv, GridSpec
-for grid, AisConfig for ais.  --methods is checked where the library checks
-a method list: GridSpec, cross_validate.
+bit for bit, whatever OPENBLAS_NUM_THREADS says: run sets the OpenBLAS that
+numpy and scipy each bundle to one thread before any work, once per process
+(--jobs workers inherit it).  A build without those libraries keeps its own
+BLAS threads and logs one line.  The library API leaves the caller's thread
+setting alone.  A flag's default is read from the library type that owns
+the setting: TrainConfig for fit and cv, GridSpec for grid, AisConfig for
+ais.  --methods is checked where the library checks a method list:
+GridSpec, cross_validate.
 """
 
 import argparse
+import ctypes
+import functools
 import logging
 import sys
 from pathlib import Path
 
+import numpy
+import scipy
 from scipy.special import ndtr
 
 from .ais import AisConfig, ais_lml
@@ -309,6 +316,33 @@ def _cmd_ais(args):
     return EXIT_OK
 
 
+# the OpenBLAS that numpy's and scipy's wheels each bundle, and its thread setter
+_OPENBLAS_SETTERS = (
+    (numpy, "scipy_openblas_set_num_threads64_"),
+    (scipy, "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _one_blas_thread():
+    """Set the OpenBLAS pools bundled with numpy and scipy to one thread,
+    once per process.  A pool whose library or setter is not found (another
+    BLAS) is left as it is, and one line says so."""
+    missing = []
+    for package, symbol in _OPENBLAS_SETTERS:
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        try:
+            setter = getattr(ctypes.CDLL(str(next(libs.glob("libscipy_openblas*.so")))), symbol)
+        except (StopIteration, OSError, AttributeError):
+            missing.append(package.__name__)
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    if missing:
+        logger.info("no bundled OpenBLAS thread setter in %s: BLAS threads left as they are",
+                    " and ".join(missing))
+
+
 _HANDLERS = {
     "fit": _cmd_fit,
     "predict": _cmd_predict,
@@ -319,8 +353,10 @@ _HANDLERS = {
 
 
 def run(argv):
-    """Parse argv (without the program name) and execute; returns exit code."""
+    """Parse argv (without the program name) and execute; returns exit code.
+    BLAS runs on one thread from here on, in this process and its workers."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

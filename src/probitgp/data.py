@@ -5,6 +5,9 @@ feature cells are parsed as each row is read and stored in one flat float
 buffer, and only load_csv keeps the label column's strings.  However many
 rows the file has, memory holds no Python object per cell, and for
 read_feature_rows none per row.
+
+Dataset.distances, the distances between a dataset's rows that every Gram
+matrix of it is built from, is kernel.euclidean of its rows, computed once.
 """
 
 import csv
@@ -14,8 +17,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from .kernel import euclidean
 from .likelihood import check_labels
 
 FOLDS = 5  # folds of the held-out protocol: cv runs all of them, grid holds out the first
@@ -54,9 +57,9 @@ class Dataset:
 
     @cached_property
     def distances(self):
-        """cdist(X, X), computed once and read-only: every Gram matrix of X is
-        built from it."""
-        dist = cdist(self.X, self.X)
+        """euclidean(X), the distances between X's rows, computed once and
+        read-only: every Gram matrix of X is built from it."""
+        dist = euclidean(self.X)
         dist.setflags(write=False)
         return dist
 

@@ -5,18 +5,22 @@ positive definite, from at most JITTER_RUNGS rungs that scale with
 magnitude^2, so it ends for every finite theta.  Its GramMatrix records the
 jitter and the rows and theta it was built from, so a posterior of it
 carries them too.  gram keeps no Cholesky factor (only AIS computes one of
-K) and forms no identity and no second n x n matrix beyond the
+K) and forms no identity and no second copy of K beyond the
 factorization's scratch copy.
 
-The Matern evaluation takes optional caller-owned buffers, so prediction can
-reuse one workspace for every block of test rows (posterior.predictive_z).
+Distances come from one routine, euclidean, on numpy and BLAS alone.  Its
+squared distances round within about (d + 2) eps (|x - c|^2 + |z - c|^2), c
+the centre; a small distance can so be off by ~sqrt(eps) times the rows'
+spread, which the Matern form, flat to first order at 0, turns into a
+kernel error of ~eps.  euclidean and the Matern evaluation take optional
+caller-owned buffers, so prediction can reuse one workspace for every block
+of test rows (posterior.predictive_z).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky
-from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
 
@@ -67,12 +71,44 @@ class GramMatrix:
         return self.K.shape[0]
 
 
+def euclidean(X, Z=None, out=None, scratch=None):
+    """Euclidean distances between the rows of X and of Z: out[i, j] =
+    |X[i] - Z[j]|.  Z=None means Z = X; when Z is X the result is exactly
+    symmetric with exact zeros on its diagonal.
+
+    Both row sets are centred on Z's column means, and the squared distance
+    (|x|^2 + |z|^2) - 2 x.z is clamped at 0 before its square root.  out and
+    scratch may pass two C-contiguous (len(X), len(Z)) float arrays; the
+    result is then computed in them, bitwise as in new arrays, and out is
+    returned.  A squared distance that overflows gives inf or NaN, with no
+    warning.
+    """
+    if Z is None:
+        Z = X
+    same = Z is X
+    centre = Z.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
+        Xc = X - centre
+        Zc = Xc if same else Z - centre
+        sq_x = np.einsum("ij,ij->i", Xc, Xc)
+        sq_z = sq_x if same else np.einsum("ij,ij->i", Zc, Zc)
+        # Xc @ Xc.T is one BLAS syrk, so symmetric to the bit, as is the outer sum
+        cross = np.matmul(Xc, Zc.T, out=scratch)
+        cross *= 2.0
+        d2 = np.add.outer(sq_x, sq_z, out=out)
+        d2 -= cross
+        np.maximum(d2, 0.0, out=d2)
+    if same:
+        np.fill_diagonal(d2, 0.0)
+    return np.sqrt(d2, out=d2)
+
+
 def _matern(dist, theta, overwrite=False, quad=None, out=None):
     """sig^2 ((1 + u + u*u/3) exp(-u)) with u = sqrt(5) dist / ell.
 
     The same operations in the same order as that expression, so the same
     bits, but in place: u takes dist's own memory when overwrite is set (the
-    caller owns dist, as cross_gram owns its cdist output), else one new
+    caller owns dist, as cross_gram owns its euclidean output), else one new
     array, and two more buffers hold the rest: quad and out, new unless the
     caller passes arrays of dist's shape.  The result is out.  A scalar dist
     also works.
@@ -97,19 +133,21 @@ def cross_gram(X, Z, theta, work=None):
     work may pass three C-contiguous (len(X), len(Z)) float arrays, the
     distance, scratch and output buffers; the block is then computed in
     them, bitwise as in new arrays, and the output buffer is returned.
+    The distances are euclidean(X, Z), centred on Z's mean.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
         raise ValueError("expected 2-d inputs with matching column count")
     dist, quad, out = work or (None, None, None)
-    return _matern(cdist(X, Z, out=dist), theta, overwrite=True, quad=quad, out=out)
+    dist = euclidean(X, Z, out=dist, scratch=quad)
+    return _matern(dist, theta, overwrite=True, quad=quad, out=out)
 
 
 def gram_grads(dist, K):
     """Derivatives of K = gram(K.X, K.theta) wrt (log lengthscale, log magnitude).
 
-    dist = cdist(K.X, K.X).  With u = sqrt(5) r / ell, dK/dlog ell =
+    dist = euclidean(K.X).  With u = sqrt(5) r / ell, dK/dlog ell =
     sig^2 (u^2/3)(1 + u) exp(-u).  The jitter rung that K used scales with
     sig^2 like the kernel, so dK/dlog sig = 2 K.
     """
@@ -129,7 +167,7 @@ def gram(X, theta, dist=None):
     """Train covariance with jitter escalation until Cholesky succeeds.
 
     The GramMatrix keeps X itself (a float64 array is not copied or viewed)
-    and theta.  dist may pass cdist(X, X) precomputed (Dataset.distances),
+    and theta.  dist may pass euclidean(X) precomputed (Dataset.distances),
     bitwise alike.
     The jitter starts at 1e-6 * magnitude^2 and is raised tenfold per failed
     attempt up to 1e-2 * magnitude^2, after which FactorizationError is
@@ -153,7 +191,7 @@ def gram(X, theta, dist=None):
         ladder.append(ladder[-1] * 10.0)
 
     with np.errstate(all="ignore"):  # a non-finite kernel is rejected below
-        K = _matern(cdist(X, X), theta, overwrite=True) if dist is None else _matern(dist, theta)
+        K = _matern(euclidean(X), theta, overwrite=True) if dist is None else _matern(dist, theta)
         diag = np.diag_indices_from(K)
         base_diag = K[diag]  # a copy: each rung is base + j on the diagonal, as base + j I
         K[diag] = base_diag + ladder[-1]

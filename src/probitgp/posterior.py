@@ -24,9 +24,10 @@ ScoringState and scores test rows in blocks of PREDICT_BLOCK in one
 workspace allocated per call, so its memory grows with neither the row
 count nor the block count.  The variance needs V = L^-1 B^1/2 k* per block.
 Rather than one triangular solve per block, the state holds
-R = L^-1 B^1/2, so a block costs one triangular matrix product
-V' = k*' R' (BLAS trmm) on the transpose of the C-ordered block, which is
-Fortran-contiguous.
+R = L^-1 B^1/2, so a block costs one triangular matrix product V = R k*
+(BLAS trmm from the left).  Each block's kernel values are computed as
+(test rows, training rows) in C order, so k*, their transpose, is already
+in the Fortran order trmm reads.
 """
 
 from dataclasses import dataclass
@@ -47,8 +48,8 @@ LAMBDA2_CEIL = -1e-10
 VAR_TOL = -1e-10
 
 # test rows per predictive_z block: at n = 614 training rows its three kernel
-# buffers take 3.8 MB
-PREDICT_BLOCK = 256
+# buffers take 1.9 MB
+PREDICT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -200,9 +201,11 @@ def latent_predict(state, k_star, k_star_star_diag):
     if k_ss.shape != (k_star.shape[1],):
         raise ValueError("k_star_star_diag must align with k_star columns")
     mean = k_star.T @ state.alpha
-    # overwrite_b would write even into a read-only k_star, so trmm copies it
-    Vt = dtrmm(1.0, state.R, k_star.T, side=1, lower=1, trans_a=1)
-    var = k_ss - np.einsum("ij,ij->i", Vt, Vt)
+    # V = R k*: trmm multiplies from the left, and copies k_star (overwrite_b
+    # would write even into a read-only one); a Fortran-ordered k_star, the
+    # transpose of a C-ordered (test x train) block, is copied as it lies
+    V = dtrmm(1.0, state.R, k_star, lower=1)
+    var = k_ss - np.einsum("ij,ij->j", V, V)
     if not np.all(var >= VAR_TOL):  # NaN fails this too
         raise NumericsError("predictive variance is not finite or fell below tolerance")
     var = np.clip(var, 0.0, None)
@@ -226,13 +229,13 @@ def predictive_z(state, X_test):
     for start in range(0, rows, PREDICT_BLOCK):
         block = X_test[start:start + PREDICT_BLOCK]
         w = block.shape[0]
-        work = [buf[:n * w].reshape(n, w) for buf in flat]
+        work = [buf[:n * w].reshape(w, n) for buf in flat]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by row
-            k_star = cross_gram(X_train, block, theta, work)
-        ok = np.isfinite(k_star, out=finite[:n * w].reshape(n, w)).all(axis=0)
+            k_block = cross_gram(block, X_train, theta, work)  # (test rows, training rows)
+        ok = np.isfinite(k_block, out=finite[:n * w].reshape(w, n)).all(axis=1)
         bad = np.flatnonzero(~ok)
         if bad.size:
             raise ValueError(f"test row {start + bad[0]}: kernel values are not finite")
-        mm = latent_predict(state, k_star, k_ss[:w])
+        mm = latent_predict(state, k_block.T, k_ss[:w])
         z[start:start + w] = mm.mean / np.sqrt(1.0 + mm.var)
     return z

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.spatial.distance import cdist
 from scipy.special import log_ndtr, ndtr, roots_hermite
 
 from probitgp import (
@@ -37,7 +36,7 @@ from probitgp import (
 )
 from probitgp import ep
 from probitgp.data import _parse_float
-from probitgp.kernel import JITTER_DEFAULT, _matern, gram_grads
+from probitgp.kernel import JITTER_DEFAULT, _matern, euclidean, gram_grads
 from probitgp.likelihood import QUAD_ORDER, _phi_over_cdf, check_labels
 from probitgp.posterior import LAMBDA2_CEIL, VAR_TOL
 
@@ -411,8 +410,9 @@ def ep_inference_reference(K, y, tol=ep.CONVERGENCE_TOL):
 
 def gram_reference(X, theta, jitter):
     """Matern-5/2 Gram matrix of X plus jitter * I, in the operation order
-    kernel.gram used when it built every matrix from cdist(X, X) itself."""
-    r = cdist(X, X) / theta.lengthscale
+    kernel.gram used when it built every matrix from its distances itself;
+    the distances are kernel.euclidean(X), as gram's are."""
+    r = euclidean(X) / theta.lengthscale
     u = np.sqrt(5.0) * r
     return theta.magnitude ** 2 * ((1.0 + u + u * u / 3.0) * np.exp(-u)) + jitter * np.eye(len(X))
 
@@ -546,9 +546,11 @@ def predictive_prob(y, moments):
 def predict_reference(post, theta, X_train, X_test):
     """Probit predictive z for all test rows at once, as grid cells, CV folds
     and predict computed it before prediction was blocked: one cross_gram,
-    one latent_predict, mean / sqrt(1 + var).  theta and X_train are given
-    here, not read from the posterior."""
-    k_star = cross_gram(X_train, X_test, theta)
+    one latent_predict, mean / sqrt(1 + var).  The kernel block is built as
+    predictive_z builds each of its blocks, (test rows, training rows), and
+    handed on transposed.  theta and X_train are given here, not read from
+    the posterior."""
+    k_star = cross_gram(X_test, X_train, theta).T
     k_ss = np.full(X_test.shape[0], theta.magnitude ** 2)
     mm = latent_predict(post.scoring(), k_star, k_ss)
     return mm.mean / np.sqrt(1.0 + mm.var)

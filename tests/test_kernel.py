@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cholesky
-from scipy.spatial.distance import cdist
 
 import helpers
 from helpers import matern52
@@ -88,7 +87,7 @@ class TestGram:
         posterior of K carries both."""
         X = RNG.standard_normal((9, 3))
         theta = Hyperparams(0.2, -0.4)
-        K = gram(X, theta, cdist(X, X)) if given_distances else gram(X, theta)
+        K = gram(X, theta, kernel.euclidean(X)) if given_distances else gram(X, theta)
         assert K.X is X and K.theta == theta
 
     def test_gram_keeps_an_unpickled_array(self):

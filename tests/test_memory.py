@@ -17,7 +17,6 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 import helpers
 from probitgp import (
@@ -155,7 +154,7 @@ def test_gram_forms_no_identity(given_distances, first_rungs_fail, monkeypatch):
     rng = np.random.default_rng(6)
     X = rng.standard_normal((N, 4))
     theta = Hyperparams(0.3, 0.2)
-    args = (X, theta, cdist(X, X)) if given_distances else (X, theta)
+    args = (X, theta, kernel.euclidean(X)) if given_distances else (X, theta)
     K, peak = peak_bytes(gram, *args)
     assert peak <= 3.05 * NN_BYTES, peak / NN_BYTES
     assert helpers.rung(K, theta) == (3 if first_rungs_fail else 0)

@@ -3,9 +3,11 @@
 posterior.predictive_z scores test rows in blocks of PREDICT_BLOCK;
 helpers.predict_reference scores them all with one cross_gram and one
 latent_predict.  When the rows fit in one block both run the same operations
-on the same arrays and must agree bit for bit.  Beyond one block the
-triangular solve and the column sums may round differently at block edges,
-so z must agree to 1e-13 relative with identical signs.
+on the same arrays and must agree bit for bit: the reference, too, builds
+its kernel block as (test rows, training rows) and multiplies its transpose
+by the scoring state's triangular factor.  Beyond one block the triangular
+product and the column sums may round differently at block edges, so z
+must agree to 1e-13 relative with identical signs.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ from probitgp.posterior import LAMBDA2_CEIL, PREDICT_BLOCK
 
 # one row, one block, a block and a one-row tail, three blocks; and fixed
 # counts that cross several block edges whatever PREDICT_BLOCK is
-ROW_COUNTS = tuple(sorted({1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 3 * PREDICT_BLOCK, 1024, 1025, 3072}))
+ROW_COUNTS = tuple(sorted({1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 3 * PREDICT_BLOCK,
+                           256, 257, 768, 1024, 1025, 3072}))
 SITE_KINDS = ("zero", "ceiling", "e_step")
 RTOL = 1e-13
 
