@@ -25,10 +25,7 @@ import scipy
 from scipy.special import ndtr
 
 from .ais import AisConfig, ais_lml
-from .data import (
-    apply_standardization, feature_stats, load_csv, make_folds, read_feature_rows, standardize,
-    standardize_rows,
-)
+from .data import load_csv, make_folds, read_feature_rows, standardize, standardize_rows
 from .errors import NumericsError
 from .harness import (
     FOLDS, TRAINABLE_METHODS, GridSpec, cross_validate, grid_sweep, held_out_split, paired_t_test,
@@ -81,7 +78,6 @@ _TRAIN_FLAGS = [
     ("--e-iters", dict(type=int, default=_TRAIN.e_iters)),
     ("--m-iters", dict(type=int, default=_TRAIN.m_iters)),
     ("--e-step-size", dict(type=float, default=_TRAIN.e_step_size)),
-    ("--m-lr", dict(type=float, default=_TRAIN.m_lr)),
     ("--rounds", dict(type=int, default=_TRAIN.outer_rounds)),
     ("--tol", dict(type=float, default=_TRAIN.outer_tol)),
 ]
@@ -178,7 +174,6 @@ def _train_config(args, **fields):
         e_iters=args.e_iters,
         e_step_size=args.e_step_size,
         m_iters=args.m_iters,
-        m_lr=args.m_lr,
         outer_rounds=args.rounds,
         outer_tol=args.tol,
     )
@@ -190,8 +185,7 @@ def _ais_config(args):
 
 def _cmd_fit(args):
     dataset = load_csv(args.data, args.label)
-    mean, scale = feature_stats(dataset)
-    train = apply_standardization(dataset, mean, scale)
+    train, mean, scale = standardize(dataset)
     result = train_fit(train, _train_config(args, objective=args.objective))
     artifact = ModelArtifact(
         name=dataset.name, objective=args.objective,
@@ -303,7 +297,7 @@ def _cmd_cv(args):
 
 def _cmd_ais(args):
     dataset = load_csv(args.data, args.label)
-    train, _ = standardize(dataset)
+    train = standardize(dataset)[0]
     theta = Hyperparams(args.log_lengthscale, args.log_magnitude)
     K = gram(train.X, theta)
     est = ais_lml(K, train.y, _ais_config(args))

@@ -250,12 +250,12 @@ def apply_standardization(ds, mean, scale):
     return Dataset(name=ds.name, X=standardize_rows(ds.X, mean, scale, ds.name), y=ds.y)
 
 
-def standardize(train, others=()):
-    """Z-score all datasets using the training set's column statistics."""
-    mean, scale = feature_stats(train)
-    out_train = apply_standardization(train, mean, scale)
-    out_others = [apply_standardization(o, mean, scale) for o in others]
-    return out_train, out_others
+def standardize(dataset):
+    """(standardized, mean, scale): dataset z-scored by its own column
+    statistics, and those statistics (feature_stats), which
+    apply_standardization carries to other rows."""
+    mean, scale = feature_stats(dataset)
+    return apply_standardization(dataset, mean, scale), mean, scale
 
 
 def make_folds(n, seed):

@@ -48,8 +48,8 @@ def expectation_stats(y, mean, var):
     """Vectorized E[log Phi(y f)], dE/dmean, dE/dvar under f ~ N(mean, var).
 
     The mean derivative integrates d/df log Phi(y f); the variance derivative
-    is half the expected second derivative.  Zero-variance entries collapse to
-    the exact point evaluation.
+    is half the expected second derivative.  At var = 0 every node sits at the
+    mean, so the quadrature is the point evaluation there.
     """
     y = check_labels(np.atleast_1d(y))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -74,14 +74,6 @@ def expectation_stats(y, mean, var):
         e = lp @ _WEIGHTS
         g_m = d1 @ _WEIGHTS
         g_v = 0.5 * (d2 @ _WEIGHTS)
-
-    point = var == 0.0
-    if np.any(point):
-        z0 = y[point] * mean[point]
-        r0 = _phi_over_cdf(z0)
-        e[point] = log_ndtr(z0)
-        g_m[point] = y[point] * r0
-        g_v[point] = -0.5 * r0 * (z0 + r0)
     return e, g_m, g_v
 
 

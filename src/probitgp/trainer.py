@@ -2,7 +2,8 @@
 
 The E-step fits sites at fixed hyperparameters; the M-step ascends the chosen
 learning objective ("elbo" or "ep_like") in log-hyperparameter space with its
-exact gradient, holding the sites fixed.  Each objective is read as
+exact gradient, in steps of M_STEP that halve until the objective does not
+fall, holding the sites fixed.  Each objective is read as
 log Z_q + sum_i c_i(m_i, v_i) at the sites, where (m_i, v_i) are q's
 marginals, so one weight matrix gives every objective's gradient.  Every
 probe builds the Gram matrix and assembles the posterior once at the probed
@@ -29,6 +30,7 @@ from .kernel import Hyperparams, gram, gram_grads
 from .posterior import GaussianPosterior, Sites, assemble, elbo, ep_like_energy
 
 OBJECTIVES = ("elbo", "ep_like")
+M_STEP = 0.001  # the M-step's full step on log-theta, before any halving
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,6 @@ class TrainConfig:
     e_iters: int = 20
     e_step_size: float = STEP_SIZE
     m_iters: int = 20
-    m_lr: float = 0.001
     outer_rounds: int = 50
     outer_tol: float = 1e-4
 
@@ -48,8 +49,8 @@ class TrainConfig:
         check_settings(self.e_step_size, self.e_iters)
         if self.m_iters < 0 or self.outer_rounds < 1:
             raise ValueError("iteration counts out of range")
-        if not (0 < self.m_lr < np.inf and 0 <= self.outer_tol < np.inf):  # NaN fails too
-            raise ValueError("m_lr must be finite and > 0, and outer_tol finite and >= 0")
+        if not 0 <= self.outer_tol < np.inf:  # NaN fails too
+            raise ValueError("outer_tol must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,9 @@ def _value_and_grad(dataset, post, objective):
 
 
 def _m_step(dataset, cfg, post):
-    """cfg.m_iters exact-gradient ascent steps on log-theta from post.K.theta;
-    step halving up to 10 times per iteration; post.sites stay fixed throughout.
+    """cfg.m_iters exact-gradient ascent steps of M_STEP on log-theta from
+    post.K.theta; step halving up to 10 times per iteration; post.sites stay
+    fixed throughout.
 
     post serves the first probe.  Returns (value, post, accepted) at the
     last accepted point: the objective there, the posterior the probe built
@@ -165,7 +167,7 @@ def _m_step(dataset, cfg, post):
     for _ in range(cfg.m_iters):
         if not np.isfinite(grad).all():
             break
-        step = cfg.m_lr
+        step = M_STEP
         for _ in range(11):  # full step, then up to 10 halvings
             with np.errstate(over="ignore"):  # probe rejects a non-finite point
                 cand = th + step * grad

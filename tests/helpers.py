@@ -29,12 +29,13 @@ from probitgp import (
     elbo,
     ep_like_energy,
     ep_tilted_moments,
+    ess_step,
     expectation_stats,
     gram,
     latent_predict,
     temperature,
 )
-from probitgp import ep
+from probitgp import ep, trainer
 from probitgp.data import _parse_float
 from probitgp.kernel import JITTER_DEFAULT, _matern, euclidean, gram_grads
 from probitgp.likelihood import QUAD_ORDER, _phi_over_cdf, check_labels
@@ -163,16 +164,21 @@ def make_blobs(n, d, seed, spread=1.2):
 
 
 def make_probit_gp(n, d, seed, theta=None):
-    """Labels sampled from the generative model itself at the given theta."""
+    """(dataset, f): labels sampled from the generative model itself at the
+    given theta, and the latent f ~ N(0, gram(X, theta).K) that drew them.
+
+    A one-class draw of (f, y) is redrawn whole, so the returned f is an
+    exact draw from the posterior p(f | y) of the returned labels.
+    """
     theta = theta or Hyperparams(0.0, 0.0)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, (n, d))
-    K = gram(X, theta)
-    f = cholesky(K.K, lower=True) @ rng.standard_normal(n)
-    y = np.where(rng.uniform(size=n) < ndtr(f), 1.0, -1.0)
-    if np.all(y == y[0]):  # one-class draw; flip the extreme point
-        y[np.argmin(f)] = -y[0]
-    return Dataset(name=f"gp{n}x{d}", X=X, y=y)
+    L = cholesky(gram(X, theta).K, lower=True)
+    while True:
+        f = L @ rng.standard_normal(n)
+        y = np.where(rng.uniform(size=n) < ndtr(f), 1.0, -1.0)
+        if not np.all(y == y[0]):
+            return Dataset(name=f"gp{n}x{d}", X=X, y=y), f
 
 
 def gaussian_loglik_stats(noise_var, targets):
@@ -250,8 +256,9 @@ def expected_loglik(y, moments):
 def fd_m_step(dataset, sites, theta, cfg, h=1e-4):
     """Finite-difference M-step, the trainer's former implementation.
 
-    cfg.m_iters ascent steps on log-theta with central-difference gradients
-    (step h); step halving up to 10 times per iteration; sites stay fixed.
+    cfg.m_iters ascent steps of trainer.M_STEP on log-theta with
+    central-difference gradients (step h); step halving up to 10 times per
+    iteration; sites stay fixed.
     """
 
     def value_at(vec):
@@ -272,7 +279,7 @@ def fd_m_step(dataset, sites, theta, cfg, h=1e-4):
             grad[j] = (value_at(th + offset) - value_at(th - offset)) / (2.0 * h)
         if not np.isfinite(grad).all():
             break
-        step = cfg.m_lr
+        step = trainer.M_STEP
         for _ in range(11):  # full step, then up to 10 halvings
             cand = th + step * grad
             val = value_at(cand)
@@ -312,6 +319,32 @@ def _ess_step_reference(f, loglik, prior_chol, rng, cur_loglik=None):
             hi = angle
         angle = rng.uniform(lo, hi)
     raise NumericsError("elliptical slice bracket collapsed without acceptance")
+
+
+def reverse_ais(K, y, f, cfg):
+    """Per-chain reverse annealing estimates from an exact posterior sample f
+    (bidirectional Monte Carlo: Grosse, Ghahramani & Adams 2015).
+
+    ais_lml's chain run backwards, on seeds cfg.seed, cfg.seed + 1, ...: from
+    g = y * f at tau = 1, step t = cfg.steps, ..., 1 adds
+    (tau_t - tau_{t-1}) * loglik(g), then moves g by ess_step at tau_{t-1}.
+    exp(-estimate) is unbiased for 1 / p(y), so each estimate is a
+    stochastic upper bound on log p(y), as ais_lml's are lower bounds.
+    """
+    y = check_labels(y)
+    L = y[:, None] * cholesky(K.K, lower=True)  # prior factor of g = y * f
+    taus = [temperature(t, cfg.steps) for t in range(cfg.steps + 1)]
+    per_chain = np.empty(cfg.repeats)
+    for r in range(cfg.repeats):
+        rng = np.random.default_rng(cfg.seed + r)
+        g = y * f
+        cur = float(np.sum(log_ndtr(g)))
+        total = 0.0
+        for tau_prev, tau_now in zip(taus[-2::-1], taus[:0:-1]):
+            total += (tau_now - tau_prev) * cur
+            g, cur = ess_step(g, L, rng, cur_loglik=cur, tau=tau_prev)
+        per_chain[r] = total
+    return per_chain
 
 
 def ais_lml_reference(K, y, cfg):
@@ -502,14 +535,6 @@ def expectation_stats_reference(y, mean, var, quad_order=QUAD_ORDER):
     e = lp @ w
     g_m = d1 @ w
     g_v = 0.5 * (d2 @ w)
-
-    point = var == 0.0
-    if np.any(point):
-        z0 = y[point] * mean[point]
-        r0 = _phi_over_cdf(z0)
-        e[point] = log_ndtr(z0)
-        g_m[point] = y[point] * r0
-        g_v[point] = -0.5 * r0 * (z0 + r0)
     return e, g_m, g_v
 
 

@@ -221,11 +221,13 @@ def test_criterion_7_surface_argmax_against_annealing():
     if not helpers.have_dataset("sonar"):
         pytest.skip(f"criterion 7: SKIP, missing ['sonar']; {MISSING_DATA_HINT}")
     from probitgp import fold_datasets, make_folds, standardize
+    from probitgp.data import apply_standardization
 
     ds = load_csv(helpers.dataset_path("sonar"))
     folds = make_folds(ds.n, seed=0)
     train_raw, test_raw = fold_datasets(ds, folds, 0)
-    train, (test,) = standardize(train_raw, [test_raw])
+    train, mean, scale = standardize(train_raw)
+    test = apply_standardization(test_raw, mean, scale)
     spec = GridSpec(lo=-1.0, hi=5.0, points=7, methods=("vi", "ours", "mcmc"),
                     ais=AisConfig(steps=2000, repeats=3, seed=0))
     records = grid_sweep(train, test, spec, jobs=7)

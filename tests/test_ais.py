@@ -15,11 +15,15 @@ from probitgp import (
     AisEstimate,
     GridSpec,
     Hyperparams,
+    Sites,
     ais_lml,
+    assemble,
+    e_step,
     ess_step,
     gram,
     temperature,
 )
+from probitgp.cvi import STEP_SIZE
 
 LOG_HALF = -0.69314718055994531
 
@@ -274,6 +278,36 @@ class TestAisEstimates:
         for y in ([0.0, 1.0], [1.0, 2.0], [-1.0, np.nan]):
             with pytest.raises(ValueError):
                 ais_lml(K, np.array(y), cfg)
+
+
+class TestBidirectionalBounds:
+    """Bidirectional Monte Carlo above n = 2 (Grosse, Ghahramani & Adams
+    2015): on labels drawn from the model at theta, the latent f that drew
+    them is an exact posterior sample, and reverse chains from it bound
+    log p(y) from above in expectation, as ais_lml's forward chains and any
+    ELBO bound it from below.  Seeds, sizes and the 3-SE tolerances were set
+    before the first run; the data are one fixed draw per cell."""
+
+    STEPS, CHAINS = 2000, 8
+
+    @staticmethod
+    def mean_and_se(values):
+        return values.mean(), values.std(ddof=1) / np.sqrt(values.size)
+
+    @pytest.mark.parametrize("log_magnitude, data_seed", [(0.0, 31), (3.0, 32)])
+    def test_forward_and_elbo_lie_below_the_reverse_bound(self, log_magnitude, data_seed):
+        theta = Hyperparams(0.0, log_magnitude)
+        data, f = helpers.make_probit_gp(40, 2, data_seed, theta)
+        K = gram(data.X, theta)
+        forward = ais_lml(K, data.y, AisConfig(steps=self.STEPS, repeats=self.CHAINS, seed=0))
+        reverse = helpers.reverse_ais(K, data.y, f,
+                                      AisConfig(steps=self.STEPS, repeats=self.CHAINS, seed=100))
+        fwd, fwd_se = self.mean_and_se(forward.per_repeat)
+        rev, rev_se = self.mean_and_se(reverse)
+        bound = e_step(assemble(K, Sites.zeros(data.n)), data.y, step_size=STEP_SIZE,
+                       iters=2000)[1][-1]
+        assert fwd <= rev + 3.0 * np.hypot(fwd_se, rev_se)
+        assert bound <= rev + 3.0 * rev_se
 
 
 class TestReferenceEquivalence:

@@ -569,17 +569,18 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["fit", "--m-lr", "nan"], ["fit", "--m-lr", "inf"],
-        ["fit", "--tol", "nan"], ["fit", "--tol", "inf"], ["cv", "--m-lr", "nan"],
+        ["fit", "--tol", "nan"], ["fit", "--tol", "inf"], ["cv", "--tol", "nan"],
+        ["cv", "--tol", "inf"], ["fit", "--tol", "-1"],
     ])
     def test_non_finite_training_settings_rejected(self, tmp_path, capsys, argv):
-        """A NaN rate would pass a bare m_lr > 0 and leave theta where it is,
-        and a NaN tolerance would switch the tolerance off."""
+        """A NaN tolerance would switch the tolerance off, an infinite one
+        would end every fit after its first round, and a negative one can
+        never be met."""
         data, out = tmp_path / "d.csv", tmp_path / "out"
         write_blobs_csv(data, n=10, seed=15)
         command, *flags = argv
         assert run([command, "--data", str(data), "--out", str(out), *flags]) == 1
-        assert "must be finite" in capsys.readouterr().err
+        assert "outer_tol must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, setting", [
@@ -680,24 +681,26 @@ class TestJitterLadderEnd:
 TEN_ROWS = "a,b,c\n" + "".join(f"{0.3 * i},{(7 * i) % 5},{i % 2}\n" for i in range(10))
 
 # (argv after --data and --out, exit code, what a fit that exits 0 prints
-# as stopped=): hyperparameters past what the floats can hold or the E-step
-# can follow, and M-step rates that throw their probes there or past the
-# floats.  The grids run a short AIS chain; it is not what fails.
+# as stopped=, M-step step in place of trainer.M_STEP or None): hyperparameters
+# past what the floats can hold or the E-step can follow, and M-step steps
+# that throw their probes there (1e6: every probe rejected) or past the
+# floats (1.7e308: every step overflows).  The grids run a short AIS chain;
+# it is not what fails.
 EXTREME_RUNS = [
-    (["fit", "--log-magnitude", "800"], 2, None),
-    (["fit", "--log-magnitude", "-400"], 2, None),
-    (["fit", "--log-magnitude", "360"], 2, None),
-    (["fit", "--log-magnitude", "300"], 0, "stalled"),
-    (["fit", "--log-lengthscale", "-800"], 2, None),
-    (["fit", "--log-lengthscale", "800"], 0, "round_cap"),
-    (["fit", "--m-lr", "1.7e308", "--rounds", "3"], 0, "stalled"),
-    (["ais", "--log-magnitude", "800"], 2, None),
-    (["ais", "--log-magnitude", "-400"], 2, None),
-    (["cv", "--m-lr", "1e6", "--rounds", "2"], 0, None),
-    (["grid", "--points", "2", "--hi", "800"], 0, None),
-    (["grid", "--points", "2", "--lo", "0", "--hi", "20"], 0, None),
-    (["grid", "--points", "2", "--lo", "-50", "--hi", "50"], 0, None),
-    (["grid", "--points", "2", "--lo", "0", "--hi", "15"], 0, None),
+    (["fit", "--log-magnitude", "800"], 2, None, None),
+    (["fit", "--log-magnitude", "-400"], 2, None, None),
+    (["fit", "--log-magnitude", "360"], 2, None, None),
+    (["fit", "--log-magnitude", "300"], 0, "stalled", None),
+    (["fit", "--log-lengthscale", "-800"], 2, None, None),
+    (["fit", "--log-lengthscale", "800"], 0, "round_cap", None),
+    (["fit", "--rounds", "3"], 0, "stalled", 1.7e308),
+    (["ais", "--log-magnitude", "800"], 2, None, None),
+    (["ais", "--log-magnitude", "-400"], 2, None, None),
+    (["cv", "--rounds", "2"], 0, None, 1e6),
+    (["grid", "--points", "2", "--hi", "800"], 0, None, None),
+    (["grid", "--points", "2", "--lo", "0", "--hi", "20"], 0, None, None),
+    (["grid", "--points", "2", "--lo", "-50", "--hi", "50"], 0, None, None),
+    (["grid", "--points", "2", "--lo", "0", "--hi", "15"], 0, None, None),
 ]
 EXTREME_SECONDS = 10
 
@@ -722,13 +725,17 @@ def time_limit(seconds):
 
 
 @pytest.mark.parametrize(
-    "argv, expected, stopped", EXTREME_RUNS,
-    ids=[" ".join(a).replace("--", "") for a, *_ in EXTREME_RUNS],
+    "argv, expected, stopped, m_step", EXTREME_RUNS,
+    ids=[" ".join(a).replace("--", "") + ("" if m is None else f" M_STEP {m:g}")
+         for a, _, _, m in EXTREME_RUNS],
 )
-def test_extreme_hyperparameters_exit_cleanly_in_time(tmp_path, capsys, argv, expected, stopped):
+def test_extreme_hyperparameters_exit_cleanly_in_time(tmp_path, capsys, monkeypatch, argv,
+                                                      expected, stopped, m_step):
     """Each run ends within the time limit with 0 or 2 and no traceback.  A
     fit says why it stopped, and a grid writes all 16 rows, each value
     finite or NaN (a failed cell)."""
+    if m_step is not None:
+        monkeypatch.setattr(probitgp.trainer, "M_STEP", m_step)
     data, out = tmp_path / "ten.csv", tmp_path / "out.csv"
     data.write_text(TEN_ROWS)
     command, *flags = argv

@@ -131,25 +131,30 @@ class TestStandardize:
     def test_worked_example(self):
         """Column (1, 3) has mean 2 and population sd 1, so maps to (-1, +1)."""
         train = Dataset("t", np.array([[1.0], [3.0]]), np.array([1.0, -1.0]))
-        out, _ = standardize(train)
+        out, mean, scale = standardize(train)
         assert_allclose(out.X, [[-1.0], [1.0]])
+        assert_allclose(mean, [2.0])
+        assert_allclose(scale, [1.0])
 
     def test_test_rows_use_train_stats(self):
         train = Dataset("t", np.array([[1.0], [3.0]]), np.array([1.0, -1.0]))
         test = Dataset("s", np.array([[3.0]]), np.array([1.0]))
-        _, (out_test,) = standardize(train, [test])
-        assert_allclose(out_test.X, [[1.0]])
+        _, mean, scale = standardize(train)
+        assert_allclose(apply_standardization(test, mean, scale).X, [[1.0]])
 
     def test_constant_column_passes_through_centered(self):
         train = Dataset("t", np.array([[5.0, 1.0], [5.0, 3.0]]), np.array([1.0, -1.0]))
-        out, _ = standardize(train)
+        out = standardize(train)[0]
         assert_allclose(out.X[:, 0], [0.0, 0.0])  # scale 1, centered
         assert_allclose(out.X[:, 1], [-1.0, 1.0])
 
     def test_apply_standardization_is_standardize_bitwise(self):
         train = Dataset("t", np.array([[0.1, 7.0], [0.4, -3.0], [2.9, 1.0]]), np.array([1, -1, 1.0]))
-        out = apply_standardization(train, *feature_stats(train))
-        assert np.array_equal(out.X, standardize(train)[0].X) and out.name == "t"
+        out, mean, scale = standardize(train)
+        assert np.array_equal(out.X, apply_standardization(train, *feature_stats(train)).X)
+        assert out.name == "t"
+        for mine, stats in zip((mean, scale), feature_stats(train)):
+            assert np.array_equal(mine, stats)
 
     def test_first_non_finite_row_is_named(self):
         X = np.array([[0.0, 1.0], [1e308, 1.0], [0.0, 1e308]])

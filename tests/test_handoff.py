@@ -24,7 +24,7 @@ from probitgp import cvi, ep, posterior
 from probitgp.trainer import fit_start
 from probitgp.data import FOLDS
 
-CFG = TrainConfig(e_iters=6, m_iters=3, m_lr=0.01, outer_rounds=3, outer_tol=0.0)
+CFG = TrainConfig(e_iters=6, m_iters=3, outer_rounds=3, outer_tol=0.0)
 
 
 class AssembleRecorder:
@@ -127,7 +127,7 @@ class TestFitStart:
         ds = helpers.make_blobs(12, 2, 25)
         start = fit_start(ds, CFG)
         for objective in ("elbo", "ep_like"):
-            cfg = replace(CFG, objective=objective, m_lr=0.02, m_iters=2, outer_tol=1e-3)
+            cfg = replace(CFG, objective=objective, m_iters=2, outer_tol=1e-3)
             a, b = fit(ds, cfg), fit(ds, cfg, start=start)
             assert np.array_equal(a.theta_trace, b.theta_trace)
             assert np.array_equal(a.objective_trace, b.objective_trace)

@@ -112,7 +112,7 @@ class TestExpectationStatsReference:
         y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
         mean = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 1.6, n)
         var = 10.0 ** rng.uniform(-8, 3, n)
-        var[::7] = 0.0  # exact point evaluations
+        var[::7] = 0.0  # every node at the mean
         new = expectation_stats(y, mean, var)
         ref = helpers.expectation_stats_reference(y, mean, var)
         for a, b in zip(new, ref):

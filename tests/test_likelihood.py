@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from helpers import (
@@ -14,7 +15,9 @@ from helpers import (
     predictive_prob,
 )
 from probitgp import MarginalMoments, ep_tilted_moments
-from probitgp.likelihood import QUAD_ORDER, expectation_stats
+from probitgp.likelihood import QUAD_ORDER, _phi_over_cdf, expectation_stats
+
+ZERO_VARIANCE_MEANS = [0.0, 0.7, -0.7, 40.0, -40.0, 1e4, -1e4, 1e150, -1e150, 1e200, -1e200]
 
 # frozen 30-digit constants
 LOG_PHI_0 = -0.69314718055994531
@@ -56,6 +59,21 @@ class TestExpectedLoglik:
     def test_zero_variance_collapses_to_exact(self):
         stats = expected_loglik(1, MarginalMoments(0.7, 0.0))
         assert_allclose(stats.e, log_lik(1, 0.7), rtol=1e-15)
+
+    @pytest.mark.parametrize("mean", ZERO_VARIANCE_MEANS)
+    @pytest.mark.parametrize("y", [1.0, -1.0])
+    def test_zero_variance_is_the_point_evaluation(self, y, mean):
+        """At var = 0 the quadrature gives log Phi(z), y r and -r (z + r) / 2,
+        with z = y m and r = phi(z) / Phi(z), to 1e-15 relative; where those
+        are not finite (|m| past ~1e150 against the label) it returns the
+        same non-finite values without a warning, which pytest would raise."""
+        e, g_m, g_v = expectation_stats([y], [mean], [0.0])
+        z = np.array([y * mean])
+        with np.errstate(all="ignore"):
+            r = _phi_over_cdf(z)
+            expected = (log_ndtr(z), y * r, -0.5 * r * (z + r))
+        for got, want in zip((e, g_m, g_v), expected):
+            assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     def test_monte_carlo_oracle(self):
         """Quadrature agrees with a 10^7-sample Monte Carlo estimate to 3 SE."""

@@ -160,7 +160,7 @@ def test_fit_leaves_dataset_distances_unchanged():
     ds = helpers.make_blobs(40, 3, seed=21)
     before = ds.distances.copy()
     assert not ds.distances.flags.writeable
-    cfg = TrainConfig(e_iters=5, m_iters=3, m_lr=0.01, outer_rounds=2, outer_tol=0.0)
+    cfg = TrainConfig(e_iters=5, m_iters=3, outer_rounds=2, outer_tol=0.0)
     fit(ds, cfg)
     assert np.array_equal(ds.distances, before)
     assert np.array_equal(gram(ds.X, cfg.theta0, ds.distances).K, gram(ds.X, cfg.theta0).K)

@@ -280,8 +280,11 @@ class TestFdEquivalence:
     @pytest.mark.parametrize("objective", ["elbo", "ep_like"])
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_same_theta_and_trace(self, objective, seed, monkeypatch):
+        """At ten times trainer.M_STEP, so that three rounds move theta by
+        more than 1e-3 for both objectives."""
+        monkeypatch.setattr(trainer, "M_STEP", 0.01)
         ds = blob_dataset(n=14, seed=seed)
-        cfg = TrainConfig(objective=objective, e_iters=10, m_iters=6, m_lr=0.01,
+        cfg = TrainConfig(objective=objective, e_iters=10, m_iters=6,
                           outer_rounds=3, outer_tol=0.0)
         exact = fit(ds, cfg)
         oracle = self.fd_fit(ds, cfg, monkeypatch)
@@ -306,7 +309,7 @@ class TestFdEquivalence:
         and recorded theta; the ELBO comes from the next E-step's first value."""
         ds = blob_dataset(n=12, seed=15)
         for objective in ("elbo", "ep_like"):
-            cfg = TrainConfig(objective=objective, e_iters=8, m_iters=4, m_lr=0.01,
+            cfg = TrainConfig(objective=objective, e_iters=8, m_iters=4,
                               outer_rounds=3, outer_tol=0.0)
             res = fit(ds, cfg)
             assert len(res.theta_trace) == 3
@@ -335,15 +338,17 @@ class TestFit:
         res = fit(ds, cfg, start=start)
         assert res.theta == cfg.theta0 and res.stopped == "stalled"
 
-    @pytest.mark.parametrize("kind, m_iters, m_lr", [
+    @pytest.mark.parametrize("kind, m_iters, m_step", [
         ("accepted", 3, 0.01), ("stalled", 3, 1.7e308), ("no_m_step", 0, 0.01),
     ])
-    def test_theta_is_the_final_posteriors(self, kind, m_iters, m_lr):
+    def test_theta_is_the_final_posteriors(self, monkeypatch, kind, m_iters, m_step):
         """result.theta is the theta of the final posterior's Gram matrix,
         which is gram(dataset.X, theta) to the bit, for a fit whose M-step
-        moved theta, one whose every step overflowed, and one with none."""
+        moved theta, one whose every step (of m_step) overflowed, and one
+        with none."""
+        monkeypatch.setattr(trainer, "M_STEP", m_step)
         ds = blob_dataset(n=12, seed=18)
-        cfg = TrainConfig(e_iters=5, m_iters=m_iters, m_lr=m_lr, outer_rounds=2)
+        cfg = TrainConfig(e_iters=5, m_iters=m_iters, outer_rounds=2)
         res = fit(ds, cfg)
         K = res.posterior.K
         assert res.theta == K.theta and K.X is ds.X
@@ -424,14 +429,10 @@ class TestFit:
             TrainConfig(objective="nope")
         with pytest.raises(ValueError):
             TrainConfig(outer_rounds=0)
-        with pytest.raises(ValueError):
-            TrainConfig(m_lr=0.0)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="must be finite"):
-                TrainConfig(m_lr=bad)
-            with pytest.raises(ValueError, match="must be finite"):
+        for bad in (np.nan, np.inf, -1e-300):
+            with pytest.raises(ValueError, match="outer_tol must be finite and >= 0"):
                 TrainConfig(outer_tol=bad)
-        TrainConfig(m_lr=1.7e308, outer_tol=0.0)  # finite extremes stay valid
+        TrainConfig(outer_tol=0.0)  # the finite extreme stays valid
 
     @pytest.mark.parametrize("fields, setting", [
         (dict(e_iters=-1), "e_iters"), (dict(e_step_size=0.0), "e_step_size"),
