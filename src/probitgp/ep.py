@@ -45,7 +45,8 @@ def ep_inference(K, y, tol=CONVERGENCE_TOL):
     log_scale their per-site log normalizers.  converged means the largest
     natural-parameter change in the final sweep fell below tol.  Sites whose
     cavity precision is not positive are skipped for that sweep (counted and
-    logged).  A non-finite log scale raises NumericsError.
+    logged).  A site update or log scale that is not finite raises
+    NumericsError.
     """
     labels = np.asarray(y, dtype=float).tolist()
     n = len(labels)
@@ -77,6 +78,8 @@ def ep_inference(K, y, tol=CONVERGENCE_TOL):
             nu_new = tilted.mean / tilted.var - cav_gam
             tau_d = max((1.0 - DAMPING) * tau + DAMPING * tau_new, -2.0 * LAMBDA2_CEIL)
             nu_d = (1.0 - DAMPING) * nu + DAMPING * nu_new
+            if not (math.isfinite(tau_d) and math.isfinite(nu_d)):
+                raise NumericsError(f"EP site {i} update is not finite")
             d_tau = tau_d - tau
             d_nu = nu_d - nu
             lam1[i] = nu_d

@@ -5,16 +5,14 @@ positive definite, from at most JITTER_RUNGS rungs that scale with
 magnitude^2, so it ends for every finite theta.  Its GramMatrix records the
 jitter and the rows and theta it was built from, so a posterior of it
 carries them too.  gram keeps no Cholesky factor (only AIS computes one of
-K) and forms no identity and no second copy of K beyond the
-factorization's scratch copy.
+K) and forms no identity and no second copy of K beyond the one the
+factorization works in.
 
 Distances come from one routine, euclidean, on numpy and BLAS alone.  Its
 squared distances round within about (d + 2) eps (|x - c|^2 + |z - c|^2), c
 the centre; a small distance can so be off by ~sqrt(eps) times the rows'
 spread, which the Matern form, flat to first order at 0, turns into a
-kernel error of ~eps.  euclidean and the Matern evaluation take optional
-caller-owned buffers, so prediction can reuse one workspace for every block
-of test rows (posterior.predictive_z).
+kernel error of ~eps.
 """
 
 from dataclasses import dataclass
@@ -71,17 +69,14 @@ class GramMatrix:
         return self.K.shape[0]
 
 
-def euclidean(X, Z=None, out=None, scratch=None):
+def euclidean(X, Z=None):
     """Euclidean distances between the rows of X and of Z: out[i, j] =
     |X[i] - Z[j]|.  Z=None means Z = X; when Z is X the result is exactly
     symmetric with exact zeros on its diagonal.
 
     Both row sets are centred on Z's column means, and the squared distance
-    (|x|^2 + |z|^2) - 2 x.z is clamped at 0 before its square root.  out and
-    scratch may pass two C-contiguous (len(X), len(Z)) float arrays; the
-    result is then computed in them, bitwise as in new arrays, and out is
-    returned.  A squared distance that overflows gives inf or NaN, with no
-    warning.
+    (|x|^2 + |z|^2) - 2 x.z is clamped at 0 before its square root.  A
+    squared distance that overflows gives inf or NaN, with no warning.
     """
     if Z is None:
         Z = X
@@ -93,9 +88,9 @@ def euclidean(X, Z=None, out=None, scratch=None):
         sq_x = np.einsum("ij,ij->i", Xc, Xc)
         sq_z = sq_x if same else np.einsum("ij,ij->i", Zc, Zc)
         # Xc @ Xc.T is one BLAS syrk, so symmetric to the bit, as is the outer sum
-        cross = np.matmul(Xc, Zc.T, out=scratch)
+        cross = Xc @ Zc.T
         cross *= 2.0
-        d2 = np.add.outer(sq_x, sq_z, out=out)
+        d2 = np.add.outer(sq_x, sq_z)
         d2 -= cross
         np.maximum(d2, 0.0, out=d2)
     if same:
@@ -103,22 +98,21 @@ def euclidean(X, Z=None, out=None, scratch=None):
     return np.sqrt(d2, out=d2)
 
 
-def _matern(dist, theta, overwrite=False, quad=None, out=None):
+def _matern(dist, theta, overwrite=False):
     """sig^2 ((1 + u + u*u/3) exp(-u)) with u = sqrt(5) dist / ell.
 
     The same operations in the same order as that expression, so the same
     bits, but in place: u takes dist's own memory when overwrite is set (the
     caller owns dist, as cross_gram owns its euclidean output), else one new
-    array, and two more buffers hold the rest: quad and out, new unless the
-    caller passes arrays of dist's shape.  The result is out.  A scalar dist
-    also works.
+    array, and two more arrays hold the rest, the last of them the result.
+    A scalar dist also works.
     """
     dist = np.asarray(dist, dtype=float)
     u = np.divide(dist, theta.lengthscale, out=dist if overwrite else np.empty_like(dist))
     u *= _SQRT5
-    quad = np.multiply(u, u, out=quad)
+    quad = u * u
     quad /= 3.0
-    out = np.add(u, 1.0, out=out)
+    out = u + 1.0
     out += quad
     del quad
     np.exp(np.negative(u, out=u), out=u)
@@ -127,21 +121,16 @@ def _matern(dist, theta, overwrite=False, quad=None, out=None):
     return out
 
 
-def cross_gram(X, Z, theta, work=None):
+def cross_gram(X, Z, theta):
     """Covariance block between row sets: out[i, j] = k(X[i], Z[j]). No jitter.
 
-    work may pass three C-contiguous (len(X), len(Z)) float arrays, the
-    distance, scratch and output buffers; the block is then computed in
-    them, bitwise as in new arrays, and the output buffer is returned.
     The distances are euclidean(X, Z), centred on Z's mean.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
         raise ValueError("expected 2-d inputs with matching column count")
-    dist, quad, out = work or (None, None, None)
-    dist = euclidean(X, Z, out=dist, scratch=quad)
-    return _matern(dist, theta, overwrite=True, quad=quad, out=out)
+    return _matern(euclidean(X, Z), theta, overwrite=True)
 
 
 def gram_grads(dist, K):

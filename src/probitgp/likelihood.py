@@ -78,7 +78,11 @@ def expectation_stats(y, mean, var):
 
 
 def ep_tilted_moments(y, cavity):
-    """Normalizer and moments of Phi(y f) * N(f; cavity) in closed form."""
+    """Normalizer and moments of Phi(y f) * N(f; cavity) in closed form.
+
+    At extreme cavities the moments can come out non-finite; they are
+    returned so, without a warning, and ep_inference rejects the site update.
+    """
     y = float(y)
     if y not in (-1.0, 1.0):
         raise ValueError("labels must lie in {-1, +1}")
@@ -87,8 +91,9 @@ def ep_tilted_moments(y, cavity):
         raise ValueError("cavity must have finite mean and variance > 0")
     denom = math.sqrt(1.0 + v)
     z = y * m / denom
-    log_z = float(log_ndtr(z))
-    ratio = float(_phi_over_cdf(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_z = float(log_ndtr(z))
+        ratio = float(_phi_over_cdf(z))
     mean = m + y * v * ratio / denom
     var = v - v * v * ratio * (z + ratio) / (1.0 + v)
     return log_z, MarginalMoments(mean=mean, var=min(max(var, 1e-15 * v), v))

@@ -20,9 +20,10 @@ or theta beside it.  Assembly keeps at most three n x n arrays alive, its
 outputs included.
 
 predictive_z, the one prediction path (GPML Alg. 3.2), takes a posterior's
-ScoringState and scores test rows in blocks of PREDICT_BLOCK in one
-workspace allocated per call, so its memory grows with neither the row
-count nor the block count.  The variance needs V = L^-1 B^1/2 k* per block.
+ScoringState and scores test rows in blocks of PREDICT_BLOCK, each block's
+kernel values in new arrays that are freed before the next block's are
+computed, so its memory grows with neither the row count nor the block
+count.  The variance needs V = L^-1 B^1/2 k* per block.
 Rather than one triangular solve per block, the state holds
 R = L^-1 B^1/2, so a block costs one triangular matrix product V = R k*
 (BLAS trmm from the left).  Each block's kernel values are computed as
@@ -47,8 +48,8 @@ LAMBDA2_CEIL = -1e-10
 # predictive variances may round slightly negative; beyond this it is an error
 VAR_TOL = -1e-10
 
-# test rows per predictive_z block: at n = 614 training rows its three kernel
-# buffers take 1.9 MB
+# test rows per predictive_z block: at n = 614 training rows each of the three
+# arrays of its kernel evaluation takes 0.63 MB
 PREDICT_BLOCK = 128
 
 
@@ -220,22 +221,18 @@ def predictive_z(state, X_test):
     that overflows) is a ValueError that names it.
     """
     X_train, theta = state.X, state.theta
-    n, rows = X_train.shape[0], X_test.shape[0]
+    rows = X_test.shape[0]
     z = np.empty(rows)
-    width = min(PREDICT_BLOCK, rows)
-    flat = [np.empty(n * width) for _ in range(3)]  # distances / u, scratch, kernel
-    finite = np.empty(n * width, dtype=bool)
-    k_ss = np.full(width, theta.magnitude ** 2)
+    k_ss = np.full(min(PREDICT_BLOCK, rows), theta.magnitude ** 2)
     for start in range(0, rows, PREDICT_BLOCK):
         block = X_test[start:start + PREDICT_BLOCK]
         w = block.shape[0]
-        work = [buf[:n * w].reshape(w, n) for buf in flat]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by row
-            k_block = cross_gram(block, X_train, theta, work)  # (test rows, training rows)
-        ok = np.isfinite(k_block, out=finite[:n * w].reshape(w, n)).all(axis=1)
-        bad = np.flatnonzero(~ok)
+            k_block = cross_gram(block, X_train, theta)  # (test rows, training rows)
+        bad = np.flatnonzero(~np.isfinite(k_block).all(axis=1))
         if bad.size:
             raise ValueError(f"test row {start + bad[0]}: kernel values are not finite")
         mm = latent_predict(state, k_block.T, k_ss[:w])
+        del k_block  # freed before the next block's kernel is computed
         z[start:start + w] = mm.mean / np.sqrt(1.0 + mm.var)
     return z

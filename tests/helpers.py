@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr, roots_hermite
 
 from probitgp import (
@@ -439,6 +440,39 @@ def ep_inference_reference(K, y, tol=ep.CONVERGENCE_TOL):
     if not np.isfinite(log_scale).all():
         raise NumericsError("EP site log scales are not finite")
     return post, log_scale, converged
+
+
+# ep_type2_fit's log-theta box: the grid's default range [-1, 5], widened
+# to -3 at the short-lengthscale and small-magnitude ends
+EP_TYPE2_BOX = ((-3.0, 5.0), (-3.0, 5.0))
+
+
+def ep_evidence(dataset, log_theta, tol):
+    """(ep_energy, posterior) of EP run from zero sites to tol at log-theta;
+    NumericsError unless it converged."""
+    K = gram(dataset.X, Hyperparams(*log_theta), dataset.distances)
+    post, log_scale, converged = ep.ep_inference(K, dataset.y, tol=tol)
+    if not converged:
+        raise NumericsError(f"EP did not converge at log-theta {log_theta}")
+    return ep.ep_energy(post, log_scale), post
+
+
+def ep_type2_fit(dataset, theta0, tol=1e-10):
+    """EP type-II learning: L-BFGS-B on -ep_energy over log-theta within
+    EP_TYPE2_BOX, EP re-run from zero sites to tol at every probe.
+
+    At EP's fixed point only K's explicit dependence on theta counts (GPML
+    5.5.2), so the gradient is trainer._value_and_grad's ep_like gradient at
+    EP's sites.  Returns (theta, energy, result): the Hyperparams reached,
+    EP's evidence there and scipy's OptimizeResult.
+    """
+    def negated(log_theta):
+        energy, post = ep_evidence(dataset, log_theta, tol)
+        return -energy, -trainer._value_and_grad(dataset, post, "ep_like")[1]
+
+    result = minimize(negated, theta0.as_array(), jac=True, method="L-BFGS-B",
+                      bounds=EP_TYPE2_BOX)
+    return Hyperparams(*result.x), -float(result.fun), result
 
 
 def gram_reference(X, theta, jitter):

@@ -92,15 +92,6 @@ def test_self_distances_are_symmetric_with_a_zero_diagonal(name):
         assert np.array_equal(euclidean(X), euclidean(X, X))
 
 
-def test_buffers_give_the_same_bits():
-    X, Z = case("d=8")
-    for B in (Z, X):
-        out, scratch = np.empty((len(X), len(B))), np.empty((len(X), len(B)))
-        D = euclidean(X, B, out=out, scratch=scratch)
-        assert D is out
-        assert np.array_equal(D, euclidean(X, B))
-
-
 def test_overflowing_rows_give_non_finite_distances_silently():
     """A squared distance beyond float64 is inf or NaN, with no warning; gram
     and predictive_z reject the kernel it gives."""

@@ -10,6 +10,7 @@ import helpers
 from probitgp import (
     AisConfig,
     GridSpec,
+    MarginalMoments,
     TrainConfig,
     cross_validate,
     grid_sweep,
@@ -49,6 +50,17 @@ def split_blobs(n=14, seed=0):
         Dataset("train", ds.X[:cut], ds.y[:cut]),
         Dataset("test", ds.X[cut:], ds.y[cut:]),
     )
+
+
+def only_ep_failed(records):
+    """ep's records are NaN; every other method's value is finite, and its
+    predictive column too, except annealing's, which has none."""
+    for r in records:
+        if r.method == "ep":
+            assert np.isnan(r.lml_per_n) and np.isnan(r.lpd_per_n)
+        else:
+            assert np.isfinite(r.lml_per_n)
+            assert np.isfinite(r.lpd_per_n) or r.method == "mcmc"
 
 
 class TestGridSpec:
@@ -122,12 +134,18 @@ class TestGridSweep:
         spec = GridSpec(lo=0.0, hi=1.0, points=2, methods=("vi", "ours", "ep", "mcmc"), **DESK)
         recs = grid_sweep(train, test, spec)
         assert len(recs) == 4 * 4
-        for r in recs:
-            if r.method == "ep":
-                assert np.isnan(r.lml_per_n) and np.isnan(r.lpd_per_n)
-            else:
-                assert np.isfinite(r.lml_per_n)
-                assert np.isfinite(r.lpd_per_n) or r.method == "mcmc"
+        only_ep_failed(recs)
+
+    def test_a_non_finite_ep_site_costs_the_cell_its_ep_record_only(self, monkeypatch):
+        """A non-finite tilted moment is a NumericsError in EP, so the cell
+        records NaN for ep and keeps the other methods' values."""
+        nan = float("nan")
+        monkeypatch.setattr(ep, "ep_tilted_moments", lambda y, cav: (0.0, MarginalMoments(nan, nan)))
+        train, test = split_blobs(seed=2)
+        spec = GridSpec(methods=("vi", "ours", "ep", "mcmc"), **DESK)
+        records = harness._sweep_cell((train.X, train.y, test.X, test.y, 0.5, 1.0, spec, 3))
+        assert [r.method for r in records] == list(spec.methods)
+        only_ep_failed(records)
 
     def test_parallel_equals_serial(self):
         train, test = split_blobs(seed=3)

@@ -163,6 +163,17 @@ class TestTiltedMoments:
         assert up.mean > 0 > down.mean
         assert_allclose(up.mean, -down.mean, rtol=1e-12)
 
+    @pytest.mark.parametrize("cavity, want", [
+        ((1e150, 1e-300), (-5.000000000000001e299, -np.inf, np.nan)),
+        ((1e200, 1.0), (-np.inf, np.nan, np.nan)),
+    ])
+    def test_extreme_cavities_give_non_finite_moments_silently(self, cavity, want):
+        """Far against the label the closed form overflows: log Z, the mean
+        and the variance come back as they are, with no warning (which
+        pytest would raise), and ep_inference rejects such a site update."""
+        log_z, tilted = ep_tilted_moments(-1, MarginalMoments(*cavity))
+        np.testing.assert_array_equal((log_z, tilted.mean, tilted.var), want)
+
     def test_invalid_cavity_rejected(self):
         with pytest.raises(ValueError):
             ep_tilted_moments(1, MarginalMoments(0.0, 0.0))

@@ -2,8 +2,9 @@
 
 tracemalloc sees every numpy buffer, so its peak over a call is the most
 memory the call held at once (BLAS's own scratch aside).  The bounds:
-predictive_z scores in one workspace per call, so its peak does not grow
-with the number of blocks, and predict scores holding the posterior's
+predictive_z computes each block's kernel values in new arrays and frees
+them before the next block, so its peak does not grow with the number of
+blocks, and predict scores holding the posterior's
 ScoringState only, so the posterior it assembled is freed first; assemble
 keeps at most three n x n arrays alive, its outputs V and chol_a included;
 gram forms no identity, so its peak is the three n x n buffers of the
@@ -55,8 +56,9 @@ def test_scoring_peak_does_not_grow_with_the_block_count():
     z_one, one = peak_bytes(predictive_z, state, X_test[:PREDICT_BLOCK])
     z_all, eight = peak_bytes(predictive_z, state, X_test)
     assert eight <= 1.1 * one, (one, eight)
-    # three kernel buffers, a mask and trmm's copy of the kernel values
-    assert one <= 4.25 * N * PREDICT_BLOCK * 8, one / (N * PREDICT_BLOCK * 8)
+    # the Matern evaluation's three arrays; the kernel values and trmm's copy
+    # of them, the two a block keeps after it, take less
+    assert one <= 3.25 * N * PREDICT_BLOCK * 8, one / (N * PREDICT_BLOCK * 8)
     assert np.array_equal(z_one, z_all[:PREDICT_BLOCK])
 
 
