@@ -29,11 +29,9 @@ CONVERGENCE_TOL = 1e-6
 
 
 def _log_gauss_site_integral(mean, var, lam1, lam2):
-    # log int N(f; mean, var) exp(lam1 f + lam2 f^2) df, requires var > 0, lam2 < 1/(2 var)
+    # log int N(f; mean, var) exp(lam1 f + lam2 f^2) df for var > 0, lam2 <= LAMBDA2_CEIL < 0
     rho = 1.0 / var
     rho_new = rho - 2.0 * lam2
-    if rho_new <= 0:
-        raise NumericsError("site integral does not exist")
     shift = mean * rho + lam1
     return 0.5 * (math.log(rho) - math.log(rho_new)) - 0.5 * mean * mean * rho + 0.5 * shift * shift / rho_new
 
@@ -92,6 +90,7 @@ def ep_inference(K, y, tol=CONVERGENCE_TOL):
             S = dger(-c, s, s, a=S, overwrite_a=True)
             m += (d_nu - c * float(s @ lam1)) * s
             max_delta = max(max_delta, abs(d_tau), abs(d_nu))
+        del S, post  # the sweep's covariance and the old factor go before the next assembly
         post = assemble(K, Sites(lam1, lam2))
         skipped_total += skipped
         if max_delta < tol:

@@ -2,8 +2,9 @@
 
 Gaussian expectations of the log-likelihood log Phi(y f) by Gauss-Hermite
 quadrature of the one order QUAD_ORDER, and the closed-form tilted moments
-used by EP.  All cumulative-normal work goes through log_ndtr so nothing
-underflows for |f| well past 30.
+used by EP; both take phi/Phi from _inverse_mills, given the log_ndtr value
+they already have.  All cumulative-normal work goes through log_ndtr so
+nothing underflows for |f| well past 30.
 """
 
 import math
@@ -35,13 +36,9 @@ def check_labels(y):
     return y
 
 
-def _norm_logpdf(z):
-    return -0.5 * (z * z + _LOG_2PI)
-
-
-def _phi_over_cdf(z):
-    # phi(z)/Phi(z), stable for z far into the left tail
-    return np.exp(_norm_logpdf(z) - log_ndtr(z))
+def _inverse_mills(z, log_cdf):
+    # phi(z)/Phi(z) from log_cdf = log Phi(z), stable for z far into the left tail
+    return np.exp(-0.5 * (z * z + _LOG_2PI) - log_cdf)
 
 
 def expectation_stats(y, mean, var):
@@ -67,7 +64,7 @@ def expectation_stats(y, mean, var):
         f = mean[:, None] + np.sqrt(2.0 * var)[:, None] * _NODES[None, :]
         z = y[:, None] * f
         lp = log_ndtr(z)
-        ratio = np.exp(_norm_logpdf(z) - lp)  # phi/Phi, reusing the one log_ndtr
+        ratio = _inverse_mills(z, lp)
         d1 = y[:, None] * ratio           # d/df log Phi(y f)
         d2 = -ratio * (z + ratio)         # d^2/df^2, independent of y since y^2 = 1
 
@@ -93,7 +90,7 @@ def ep_tilted_moments(y, cavity):
     z = y * m / denom
     with np.errstate(over="ignore", invalid="ignore"):
         log_z = float(log_ndtr(z))
-        ratio = float(_phi_over_cdf(z))
+        ratio = float(_inverse_mills(z, log_z))
     mean = m + y * v * ratio / denom
     var = v - v * v * ratio * (z + ratio) / (1.0 + v)
     return log_z, MarginalMoments(mean=mean, var=min(max(var, 1e-15 * v), v))

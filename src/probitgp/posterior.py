@@ -105,9 +105,9 @@ class GaussianPosterior:
     sites: Sites
 
     def covariance(self):
-        """Full posterior covariance, symmetrized; formed anew on every call."""
+        """Full posterior covariance, formed anew on every call; exactly
+        symmetric, as K is and V'V is one BLAS syrk that numpy mirrors."""
         S = self.K.K - self.V.T @ self.V
-        S = 0.5 * (S + S.T)
         if not np.isfinite(S).all():
             raise NumericsError("posterior covariance has non-finite values")
         return S
@@ -128,23 +128,26 @@ def assemble(K, sites):
     n = Km.shape[0]
     if sites.n != n:
         raise ValueError("site count must match the Gram matrix")
-    sqrt_b = np.sqrt(-2.0 * sites.lam2)
-    # Fortran order lets LAPACK work in place: chol_a takes A's memory and
-    # V takes bk's, so no n x n array besides these two is made
-    bk = np.multiply(sqrt_b[:, None], Km, order="F")
-    A = np.multiply(bk, sqrt_b[None, :], order="F")
-    A += 0.0  # a zero site gives -0.0 entries; I + (...) made them +0.0
-    A[np.diag_indices(n)] += 1.0
-    try:
-        chol_a = cholesky(A, lower=True, overwrite_a=True)  # also rejects non-finite sites
-    except np.linalg.LinAlgError as exc:  # B >= 0 makes this near-impossible
-        raise FactorizationError("posterior factorization failed") from exc
-    # chol_a and B^1/2 come from the A that cholesky has just checked
-    V = solve_triangular(chol_a, bk, lower=True, overwrite_b=True, check_finite=False)
-    var = np.diag(Km) - np.einsum("ij,ij->j", V, V)
-    k_lam = Km @ sites.lam1
-    alpha = sites.lam1 - sqrt_b * cho_solve((chol_a, True), sqrt_b * k_lam, check_finite=False)
-    m = Km @ alpha
+    # sites that overflow B^1/2 K B^1/2 are a NumericsError below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sqrt_b = np.sqrt(-2.0 * sites.lam2)
+        # Fortran order lets LAPACK work in place: chol_a takes A's memory and
+        # V takes bk's, so no n x n array besides these two is made
+        bk = np.multiply(sqrt_b[:, None], Km, order="F")
+        A = np.multiply(bk, sqrt_b[None, :], order="F")
+        A += 0.0  # a zero site gives -0.0 entries; I + (...) made them +0.0
+        A[np.diag_indices(n)] += 1.0
+        if not np.isfinite(A).all():
+            raise NumericsError("site precisions overflow the posterior factor")
+        try:
+            chol_a = cholesky(A, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:  # B >= 0 makes this near-impossible
+            raise FactorizationError("posterior factorization failed") from exc
+        V = solve_triangular(chol_a, bk, lower=True, overwrite_b=True, check_finite=False)
+        var = np.diag(Km) - np.einsum("ij,ij->j", V, V)
+        k_lam = Km @ sites.lam1
+        alpha = sites.lam1 - sqrt_b * cho_solve((chol_a, True), sqrt_b * k_lam, check_finite=False)
+        m = Km @ alpha
     log_det_ikb = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
     if not (np.isfinite(m).all() and np.isfinite(var).all()):
         raise NumericsError("posterior assembly produced non-finite values")

@@ -938,6 +938,24 @@ def test_corrupt_model_exits_one(ten_rows_and_model, tmp_path, capsys, case):
     assert not list(out.parent.iterdir())
 
 
+def test_overflowing_site_precision_exits_two(ten_rows_and_model, tmp_path, capsys):
+    """A lambda2 entry of -1e308 is finite, so the model loads, but its
+    precision overflows the posterior factor: predict exits 2 with one
+    numeric-failure line, no traceback, no warning (which pytest would
+    raise) and no output file."""
+    data, fitted = ten_rows_and_model
+    model = tmp_path / "m.model"
+    edit = _set_first("lambda2", "-1e308")
+    model.write_text("\n".join(edit(fitted.read_text().splitlines())) + "\n")
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    code = run(["predict", "--model", str(model), "--data", str(data), "--label", "last",
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("numeric failure: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     """scipy.stats costs about a second of import time; the CLI needs none of it."""
     src = str(Path(probitgp.__file__).resolve().parent.parent)

@@ -22,6 +22,7 @@ from probitgp.cvi import STEP_SIZE, e_step
 from probitgp.kernel import Hyperparams, gram
 from probitgp.posterior import Sites, assemble
 from probitgp.data import FOLDS
+from probitgp.errors import NumericsError
 
 DESK = dict(e_iters=40, ais=AisConfig(steps=60, repeats=1))  # each test's GridSpec budgets
 
@@ -52,11 +53,12 @@ def split_blobs(n=14, seed=0):
     )
 
 
-def only_ep_failed(records):
-    """ep's records are NaN; every other method's value is finite, and its
-    predictive column too, except annealing's, which has none."""
+def only_failed(records, failed):
+    """The records of the methods in failed are NaN; every other method's
+    value is finite, and its predictive column too, except annealing's,
+    which has none."""
     for r in records:
-        if r.method == "ep":
+        if r.method in failed:
             assert np.isnan(r.lml_per_n) and np.isnan(r.lpd_per_n)
         else:
             assert np.isfinite(r.lml_per_n)
@@ -134,7 +136,7 @@ class TestGridSweep:
         spec = GridSpec(lo=0.0, hi=1.0, points=2, methods=("vi", "ours", "ep", "mcmc"), **DESK)
         recs = grid_sweep(train, test, spec)
         assert len(recs) == 4 * 4
-        only_ep_failed(recs)
+        only_failed(recs, {"ep"})
 
     def test_a_non_finite_ep_site_costs_the_cell_its_ep_record_only(self, monkeypatch):
         """A non-finite tilted moment is a NumericsError in EP, so the cell
@@ -145,7 +147,25 @@ class TestGridSweep:
         spec = GridSpec(methods=("vi", "ours", "ep", "mcmc"), **DESK)
         records = harness._sweep_cell((train.X, train.y, test.X, test.y, 0.5, 1.0, spec, 3))
         assert [r.method for r in records] == list(spec.methods)
-        only_ep_failed(records)
+        only_failed(records, {"ep"})
+
+    @staticmethod
+    def cell_with_failing(monkeypatch, name):
+        """The four-method cell's records with harness.<name> raising NumericsError."""
+        def fail(*args, **kwargs):
+            raise NumericsError(f"{name} failed")
+
+        monkeypatch.setattr(harness, name, fail)
+        train, test = split_blobs(seed=2)
+        spec = GridSpec(methods=("vi", "ours", "ep", "mcmc"), **DESK)
+        return harness._sweep_cell((train.X, train.y, test.X, test.y, 0.5, 1.0, spec, 3))
+
+    def test_a_failed_shared_inference_costs_the_cell_its_vi_and_ours_records_only(
+            self, monkeypatch):
+        only_failed(self.cell_with_failing(monkeypatch, "e_step"), {"vi", "ours"})
+
+    def test_a_failed_annealing_costs_the_cell_its_mcmc_record_only(self, monkeypatch):
+        only_failed(self.cell_with_failing(monkeypatch, "ais_lml"), {"mcmc"})
 
     def test_parallel_equals_serial(self):
         train, test = split_blobs(seed=3)

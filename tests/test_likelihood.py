@@ -12,10 +12,11 @@ from helpers import (
     expectation_stats_reference,
     expected_loglik,
     log_lik,
+    phi_over_cdf,
     predictive_prob,
 )
-from probitgp import MarginalMoments, ep_tilted_moments
-from probitgp.likelihood import QUAD_ORDER, _phi_over_cdf, expectation_stats
+from probitgp import MarginalMoments, ep_tilted_moments, likelihood
+from probitgp.likelihood import QUAD_ORDER, expectation_stats
 
 ZERO_VARIANCE_MEANS = [0.0, 0.7, -0.7, 40.0, -40.0, 1e4, -1e4, 1e150, -1e150, 1e200, -1e200]
 
@@ -70,7 +71,7 @@ class TestExpectedLoglik:
         e, g_m, g_v = expectation_stats([y], [mean], [0.0])
         z = np.array([y * mean])
         with np.errstate(all="ignore"):
-            r = _phi_over_cdf(z)
+            r = phi_over_cdf(z)
             expected = (log_ndtr(z), y * r, -0.5 * r * (z + r))
         for got, want in zip((e, g_m, g_v), expected):
             assert_allclose(got, want, rtol=1e-15, atol=0.0)
@@ -173,6 +174,19 @@ class TestTiltedMoments:
         pytest would raise), and ep_inference rejects such a site update."""
         log_z, tilted = ep_tilted_moments(-1, MarginalMoments(*cavity))
         np.testing.assert_array_equal((log_z, tilted.mean, tilted.var), want)
+
+    def test_log_cdf_is_taken_once(self, monkeypatch):
+        """The ratio phi/Phi reuses the log Phi(z) that log Z already is."""
+        calls = []
+
+        def counting_log_ndtr(z):
+            calls.append(z)
+            return log_ndtr(z)
+
+        monkeypatch.setattr(likelihood, "log_ndtr", counting_log_ndtr)
+        log_z, _ = ep_tilted_moments(-1, MarginalMoments(0.8, 1.5))
+        assert len(calls) == 1
+        assert log_z == log_ndtr(-0.8 / np.sqrt(2.5))
 
     def test_invalid_cavity_rejected(self):
         with pytest.raises(ValueError):

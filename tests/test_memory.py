@@ -1,4 +1,5 @@
-"""Working sets of scoring, assembly, the Gram matrix, the row reader and fit.
+"""Working sets of scoring, assembly, covariance(), EP, the Gram matrix, the
+row reader and fit.
 
 tracemalloc sees every numpy buffer, so its peak over a call is the most
 memory the call held at once (BLAS's own scratch aside).  The bounds:
@@ -7,10 +8,12 @@ them before the next block, so its peak does not grow with the number of
 blocks, and predict scores holding the posterior's
 ScoringState only, so the posterior it assembled is freed first; assemble
 keeps at most three n x n arrays alive, its outputs V and chol_a included;
-gram forms no identity, so its peak is the three n x n buffers of the
-Matern evaluation; read_feature_rows keeps no label strings; fit holds one
-E-step posterior at a time.  Where the code works in place, it must give the same bits as the
-former expressions.
+covariance() forms S = K - V'V, exactly symmetric as it is, in two n x n
+buffers; EP drops a sweep's S and the previous posterior before it
+assembles the next; gram forms no identity, so its peak is the three
+n x n buffers of the Matern evaluation; read_feature_rows keeps no label
+strings; fit holds one E-step posterior at a time.  Where the code works in
+place, it must give the same bits as the former expressions.
 """
 
 import tracemalloc
@@ -21,8 +24,8 @@ import pytest
 
 import helpers
 from probitgp import (
-    GramMatrix, Hyperparams, Sites, TrainConfig, assemble, fit, gram, kernel, posterior,
-    predictive_z, read_feature_rows,
+    GramMatrix, Hyperparams, Sites, TrainConfig, assemble, ep_inference, fit, gram, kernel,
+    posterior, predictive_z, read_feature_rows,
 )
 from probitgp.posterior import PREDICT_BLOCK
 import probitgp.cli as cli
@@ -111,6 +114,27 @@ def test_assemble_keeps_at_most_three_square_arrays():
     K, sites, _, _, _ = scoring_instance(N, 1)
     _, peak = peak_bytes(assemble, K, sites)
     assert peak <= 3 * NN_BYTES, peak / NN_BYTES
+
+
+def test_covariance_forms_no_symmetrized_copy():
+    """V'V and S = K - V'V only: at n = 166 each n x n array is below
+    numpy's 256 KiB threshold for reusing a temporary, so a symmetrizing
+    0.5 (S + S') would add a third (3.00 n x n)."""
+    n = 166
+    K, sites, _, _, _ = scoring_instance(n, 1)
+    post = assemble(K, sites)
+    S, peak = peak_bytes(post.covariance)
+    assert peak <= 2.25 * n * n * 8, peak / (n * n * 8)
+    assert np.array_equal(S, S.T)
+
+
+def test_ep_frees_the_sweep_before_assembling():
+    """Each sweep's S and the previous posterior (V, chol_a) are dropped
+    before the next assembly; keeping them reads 5.20 n x n."""
+    ds = helpers.make_blobs(N, 8, seed=8)
+    K = gram(ds.X, Hyperparams(1.0, 1.0))
+    _, peak = peak_bytes(ep_inference, K, ds.y)
+    assert peak <= 4.5 * NN_BYTES, peak / NN_BYTES
 
 
 def test_fit_keeps_one_e_step_posterior_alive():

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import helpers
 from probitgp import (
+    Dataset,
     Hyperparams,
     MarginalMoments,
     Sites,
@@ -17,6 +18,7 @@ from probitgp import (
     latent_predict,
     prior_kl,
 )
+from probitgp.errors import NumericsError
 
 HALF_LOG_TWO = 0.34657359027997264
 
@@ -82,12 +84,35 @@ class TestAssemble:
         assert_allclose(post.alpha, np.linalg.solve(K.K, post.m), rtol=1e-8, atol=1e-12)
 
     def test_posterior_is_spd_and_symmetric(self):
+        """S = K - V'V is exactly symmetric with nothing symmetrizing it, for
+        random SPD matrices and for gram's, from rows and from distances."""
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            K, sites = random_instance(10, rng)
-            post = assemble(K, sites)
-            assert np.array_equal(post.covariance(), post.covariance().T)
-            assert np.linalg.eigvalsh(post.covariance()).min() > 0
+        instances = [random_instance(10, rng) for _ in range(20)]
+        for n in (1, 2, 166):
+            ds = Dataset("d", rng.standard_normal((n, 3)), np.ones(n))
+            sites = Sites(*helpers.random_sites_arrays(n, rng))
+            theta = Hyperparams(-0.5, 0.3)
+            instances += [(gram(ds.X, theta), sites), (gram(ds.X, theta, ds.distances), sites)]
+        for K, sites in instances:
+            S = assemble(K, sites).covariance()
+            assert np.array_equal(S, S.T)
+            assert np.linalg.eigvalsh(S).min() > 0
+
+    @pytest.mark.parametrize("lam2", (-1e308, -1e306))
+    def test_overflowing_site_precision_is_a_numeric_error(self, lam2):
+        """A finite lam2 whose precision overflows B (-1e308) or only the
+        diagonal of B^1/2 K B^1/2 (-1e306 against sigma^2 = e^6) raises
+        NumericsError with no warning, which pytest would raise; -1e300
+        still assembles."""
+        X = np.random.default_rng(8).standard_normal((5, 2))
+        K = gram(X, Hyperparams(0.0, 3.0))
+        lam2s = np.full(5, -0.5)
+        lam2s[2] = lam2
+        with pytest.raises(NumericsError, match="site precisions overflow"):
+            assemble(K, Sites(np.zeros(5), lam2s))
+        lam2s[2] = -1e300
+        post = assemble(K, Sites(np.zeros(5), lam2s))
+        assert np.isfinite(post.var).all() and np.isfinite(post.log_det_ikb)
 
     def test_conjugate_regression_oracle(self):
         """Gaussian-likelihood sites reproduce the closed-form regression posterior."""
