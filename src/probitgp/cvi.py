@@ -12,10 +12,12 @@ from a posterior, post.sites under post.K, and returns the posterior of the
 sites it ends with, so a caller that already holds the starting posterior
 (the trainer's M-step, for one) never assembles it twice.
 
-An update diverges when its sites are not finite, when their posterior has
-a negative marginal variance (lost to cancellation) or when its ELBO is not
-finite.  The E-step then stops at the last state before it, so numeric
-breakdown at extreme hyperparameters is a shortened trace, not an error.
+An update diverges when its sites are not finite, when assembling their
+posterior fails (finite sites whose precisions overflow the posterior
+factor), when that posterior has a negative marginal variance (lost to
+cancellation) or when its ELBO is not finite.  The E-step then stops at
+the last state before it, so numeric breakdown at extreme hyperparameters
+is a shortened trace, not an error.
 Only one posterior of the E-step's own is alive at a time; the rare
 diverged path assembles the last finite sites again.
 """
@@ -24,6 +26,7 @@ import logging
 
 import numpy as np
 
+from .errors import NumericsError
 from .posterior import LAMBDA2_CEIL, Sites, assemble, elbo
 
 logger = logging.getLogger(__name__)
@@ -65,8 +68,11 @@ def e_step(post, y, step_size, iters):
         lam2 = np.minimum(lam2, LAMBDA2_CEIL)
         value = np.nan
         if np.isfinite(lam1).all() and np.isfinite(lam2).all():
-            post = assemble(K, Sites(lam1, lam2))
-            if np.all(post.var >= 0.0):  # cancellation can leave one below 0
+            try:
+                post = assemble(K, Sites(lam1, lam2))
+            except NumericsError:  # finite sites whose precisions overflow the factor
+                pass
+            if post is not None and np.all(post.var >= 0.0):  # cancellation can leave one below 0
                 value, g_m, g_v = elbo(post, y)
         if not np.isfinite(value):
             logger.warning("E-step diverged at iteration %d; keeping last finite state", it + 1)

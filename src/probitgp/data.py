@@ -74,60 +74,46 @@ def _parse_float(cell):
 def encode_labels(values):
     """Map raw label values onto {-1, +1}.
 
-    Numeric {0, 1} maps 0 -> -1; numeric {-1, +1} is kept; any other pair of
-    two distinct trimmed strings maps the lexicographically smaller one to -1.
-    Already-encoded labels therefore re-encode to themselves.
+    values must hold exactly two distinct trimmed strings.  If they parse to
+    the numbers {0, 1} or {-1, 1}, the smaller number maps to -1; otherwise
+    the lexicographically smaller string does.  So "+1" and "-1" map to +1
+    and -1 although "+1" sorts first, and already-encoded labels re-encode
+    to themselves.
     """
     raw = [str(v).strip() for v in values]
     distinct = sorted(set(raw))
     if len(distinct) != 2:
         raise ValueError(f"expected exactly two label values, got {len(distinct)}")
-    as_float = [_parse_float(s) for s in distinct]
-    if None not in as_float:
-        fset = set(as_float)
-        if fset == {0.0, 1.0}:
-            mapping = {distinct[as_float.index(0.0)]: -1.0, distinct[as_float.index(1.0)]: 1.0}
-        elif fset == {-1.0, 1.0}:
-            mapping = {distinct[as_float.index(-1.0)]: -1.0, distinct[as_float.index(1.0)]: 1.0}
-        else:
-            mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
-    else:
-        mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
+    if {_parse_float(s) for s in distinct} in ({0.0, 1.0}, {-1.0, 1.0}):
+        distinct.sort(key=_parse_float)
+    mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
     return np.array([mapping[s] for s in raw])
 
 
-def _label_index(path, first, label_column, labelled):
+def _label_index(path, first, label_column):
     """(label index, whether first is a header) for a file whose first
-    non-blank row is first.  A named label column requires a header; for
-    positional labels, or none (labelled false), the first row is a header
-    iff any non-label cell fails to parse as a number."""
-    width = len(first)
-    if not labelled:
-        return None, any(_parse_float(c) is None for c in first)
-    if width < 2:
-        raise ValueError(f"{path}: need at least one feature and one label column")
-    positional = None
-    if isinstance(label_column, int):
-        positional = label_column
-    elif isinstance(label_column, str):
-        stripped = label_column.strip()
-        if stripped == "last":
-            positional = width - 1
-        else:
-            try:
-                positional = int(stripped)
-            except ValueError:
-                positional = None
-    if positional is not None:
-        idx = positional if positional >= 0 else width + positional
+    non-blank row is first.  label_column None means no label column, and
+    the index is None.  "last" or an integer (or its text) is a position,
+    negative from the end; a named label column requires a header.
+    Otherwise the first row is a header iff a non-label cell fails to parse
+    as a number."""
+    idx = None
+    if label_column is not None:
+        width = len(first)
+        if width < 2:
+            raise ValueError(f"{path}: need at least one feature and one label column")
+        text = str(label_column).strip()
+        try:
+            position = width - 1 if text == "last" else int(text)
+        except ValueError:
+            header = [c.strip() for c in first]
+            if label_column not in header:
+                raise ValueError(f"label column {label_column!r} not found in header") from None
+            return header.index(label_column), True
+        idx = position if position >= 0 else width + position
         if not 0 <= idx < width:
             raise ValueError(f"label column {label_column} out of range for width {width}")
-        first_features = [c for j, c in enumerate(first) if j != idx]
-        return idx, any(_parse_float(c) is None for c in first_features)
-    header = [c.strip() for c in first]
-    if label_column not in header:
-        raise ValueError(f"label column {label_column!r} not found in header")
-    return header.index(label_column), True
+    return idx, any(_parse_float(c) is None for j, c in enumerate(first) if j != idx)
 
 
 def _csv_rows(path):
@@ -142,9 +128,10 @@ def _csv_rows(path):
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_table(path, label_column, labelled, keep_labels=True):
+def _read_table(path, label_column, keep_labels=True):
     """(X, labels): the CSV's finite float features as an (n, d) array and
-    its label column's raw strings (empty unless labelled and keep_labels).
+    its label column's raw strings (empty if label_column is None or
+    keep_labels is false).
 
     One pass over csv.reader: each row's cells are parsed and dropped as it
     is read, so no per-cell Python object outlives its row; features go to
@@ -164,7 +151,7 @@ def _read_table(path, label_column, labelled, keep_labels=True):
         if width is None:
             width = len(row)
             try:
-                idx, has_header = _label_index(path, row, label_column, labelled)
+                idx, has_header = _label_index(path, row, label_column)
             except ValueError as exc:
                 error = exc
                 continue
@@ -203,7 +190,7 @@ def load_csv(path, label_column="last"):
     label_column is a column name, an integer position, or "last".  Features
     must parse as finite floats; labels are encoded via encode_labels.
     """
-    X, labels = _read_table(path, label_column, labelled=True)
+    X, labels = _read_table(path, label_column)
     return Dataset(name=Path(path).stem, X=X, y=encode_labels(labels))
 
 
@@ -213,7 +200,7 @@ def read_feature_rows(path, label_column=None):
     For unlabeled prediction inputs; labels (if present) are ignored, not
     validated.  Returns an (n, d) array of finite floats, n >= 1.
     """
-    return _read_table(path, label_column, labelled=label_column is not None, keep_labels=False)[0]
+    return _read_table(path, label_column, keep_labels=False)[0]
 
 
 def feature_stats(train):

@@ -21,7 +21,6 @@ FORMAT_NAME = "probitgp-model"
 FORMAT_VERSION = 1
 
 _KEYS = ("name", "objective", "log_lengthscale", "log_magnitude", "n", "d")
-_BLOCKS = ("feature_mean", "feature_scale", "lambda1", "lambda2", "features")
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def load_model(path):
         if len(values) != want:
             raise ValueError(f"{path}: block {label!r} has extra values")
         blocks[label] = np.array(values)
-    missing = [b for b in _BLOCKS if b not in blocks]
+    missing = [b for b in sizes if b not in blocks]
     if missing:
         raise ValueError(f"{path}: missing blocks {missing}")
     try:  # sites and blocks that do not make a valid model

@@ -233,6 +233,21 @@ class TestPredict:
         assert run(argv) == 0
         assert out.read_bytes() == without
 
+    def test_model_with_a_blank_line_between_blocks_predicts_the_same_bytes(self, tmp_path):
+        """load_model skips blank lines between blocks: predict writes the
+        same file, byte for byte, as from the model without them."""
+        data, model, _ = self.fitted(tmp_path, seed=6)
+        out = tmp_path / "pred.csv"
+        argv = ["predict", "--model", str(model), "--data", str(data),
+                "--label", "last", "--out", str(out)]
+        assert run(argv) == 0
+        without = out.read_bytes()
+        lines = model.read_text().splitlines()
+        lines.insert(lines.index("lambda1:"), "")
+        model.write_text("\n".join(lines) + "\n")
+        assert run(argv) == 0
+        assert out.read_bytes() == without
+
     def test_model_with_a_jitter_none_line_predicts_the_same_bytes(self, tmp_path):
         """Model files of fits before gram alone picked the jitter carry
         jitter=none after objective=, and predict reads them as before."""
@@ -884,6 +899,18 @@ def _set_first(block, value):
     return edit
 
 
+def _set_all(block, value):
+    """Edit of a model file's lines: every value of block, which is not the
+    last block, becomes value."""
+    def edit(lines):
+        row = lines.index(f"{block}:") + 1
+        while not lines[row].endswith(":"):
+            lines[row] = " ".join(value for _ in lines[row].split())
+            row += 1
+        return lines
+    return edit
+
+
 def _set_key(key, value):
     return lambda lines: [f"{key}={value}" if line.startswith(f"{key}=") else line
                           for line in lines]
@@ -915,6 +942,9 @@ CORRUPT_MODELS = {
     "n_too_small": (_set_key("n", 9), "block 'lambda1' has extra values"),
     "d_too_large": (_set_key("d", 3), "block 'feature_mean' is short"),
     "truncated": (lambda lines: lines[:-1], "block 'features' is short"),
+    "trailing_numbers": (lambda lines: lines + ["1 2"], "expected a block label, got '1 2'"),
+    "renamed_block": (lambda lines: ["lambda3:" if line == "lambda2:" else line for line in lines],
+                      "unknown block 'lambda3'"),
 }
 
 
@@ -940,20 +970,22 @@ def test_corrupt_model_exits_one(ten_rows_and_model, tmp_path, capsys, case):
 
 def test_overflowing_site_precision_exits_two(ten_rows_and_model, tmp_path, capsys):
     """A lambda2 entry of -1e308 is finite, so the model loads, but its
-    precision overflows the posterior factor: predict exits 2 with one
-    numeric-failure line, no traceback, no warning (which pytest would
-    raise) and no output file."""
+    precision overflows the posterior factor; every lambda1 entry at 1e308
+    loads too, but overflows the posterior mean.  Either way predict exits 2
+    with one numeric-failure line naming the failure, no traceback, no
+    warning (which pytest would raise) and no output file."""
     data, fitted = ten_rows_and_model
     model = tmp_path / "m.model"
-    edit = _set_first("lambda2", "-1e308")
-    model.write_text("\n".join(edit(fitted.read_text().splitlines())) + "\n")
     out = tmp_path / "p.csv"
-    capsys.readouterr()
-    code = run(["predict", "--model", str(model), "--data", str(data), "--label", "last",
-                "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith("numeric failure: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err and not out.exists()
+    for edit, named in ((_set_first("lambda2", "-1e308"), "site precisions overflow"),
+                        (_set_all("lambda1", "1e308"), "assembly produced non-finite values")):
+        model.write_text("\n".join(edit(fitted.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model), "--data", str(data), "--label", "last",
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("numeric failure: ") and err.count("\n") == 1, err
+        assert named in err and "Traceback" not in err and not out.exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

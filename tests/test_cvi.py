@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import helpers
 from probitgp import (
     MarginalMoments,
+    NumericsError,
     Sites,
     assemble,
     cvi,
@@ -42,11 +43,13 @@ class TestMechanics:
         # the reported trace end is exactly the ELBO of the returned sites
         assert trace[-1] == elbo(assemble(K, post.sites), y)[0]
 
-    @pytest.mark.parametrize("breakdown", ["non_finite_update", "negative_variance"])
+    @pytest.mark.parametrize("breakdown",
+                             ["non_finite_update", "negative_variance", "assembly_fails"])
     def test_breakdown_keeps_the_last_finite_state(self, monkeypatch, caplog, breakdown):
-        """Non-finite sites from the third update, or a negative marginal
-        variance in its posterior, is a divergence: the E-step returns the
-        state after two updates, as iters=2 does, and logs a warning."""
+        """Non-finite sites from the third update, a negative marginal
+        variance in its posterior, or an assembly of it that fails, is a
+        divergence: the E-step returns the state after two updates, as
+        iters=2 does, and logs a warning."""
         K, y = toy_problem()
         post2, trace2 = e_step(assemble(K, Sites.zeros(len(y))), y, step_size=0.1, iters=2)
         calls = []
@@ -59,6 +62,14 @@ class TestMechanics:
                 return e, (np.full_like(g_m, np.nan) if len(calls) == 3 else g_m), g_v
 
             monkeypatch.setattr(posterior, "expectation_stats", stats)
+        elif breakdown == "assembly_fails":
+            def assemble_that_fails(K, sites):
+                calls.append(1)
+                if len(calls) == 3:  # the posterior of the third update
+                    raise NumericsError("site precisions overflow the posterior factor")
+                return assemble(K, sites)
+
+            monkeypatch.setattr(cvi, "assemble", assemble_that_fails)
         else:
             def assemble_with_a_negative_variance(K, sites):
                 post = assemble(K, sites)

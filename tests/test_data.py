@@ -36,6 +36,18 @@ class TestEncodeLabels:
     def test_other_numeric_pair_lexicographic(self):
         # {1, 2} is not a recognized numeric convention; falls back to string order
         assert_allclose(encode_labels(["1", "2"]), [-1, 1])
+        # "10" < "2" as strings: the order is lexicographic, not by value
+        assert_allclose(encode_labels(["10", "2"]), [-1, 1])
+
+    @pytest.mark.parametrize("values, expected", [
+        (["+1", "-1", "+1"], [1, -1, 1]),  # "+1" < "-1" as strings
+        (["+1", "0"], [1, -1]),            # "+1" < "0"
+        (["1e0", "0"], [1, -1]),           # a spelling of 1 that is not "1"
+    ])
+    def test_numeric_pairs_order_by_value(self, values, expected):
+        """{0, 1} and {-1, 1} map the smaller number to -1 however the
+        strings are spelled, even where string order would say otherwise."""
+        assert_allclose(encode_labels(values), expected)
 
     def test_whitespace_trimmed(self):
         assert_allclose(encode_labels([" b", "g ", "b"]), [-1, 1, -1])
@@ -122,6 +134,10 @@ class TestDataset:
             Dataset("x", np.zeros((2, 2)), np.array([1.0, 2.0]))  # bad labels
         with pytest.raises(ValueError):
             Dataset("x", np.zeros(4), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="align"):
+            Dataset("x", np.zeros((2, 2)), np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Dataset("x", np.array([[0.0, np.inf], [0.0, 0.0]]), np.array([1.0, -1.0]))
         ds = Dataset("x", np.zeros((2, 2)), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             ds.X[0, 0] = 5.0

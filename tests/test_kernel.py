@@ -96,6 +96,18 @@ class TestGram:
         X = pickle.loads(pickle.dumps(RNG.standard_normal((5, 2))))
         assert gram(X, Hyperparams()).X is X
 
+    def test_gram_of_an_int_matrix_is_its_float_gram(self):
+        X = np.array([[0, 1], [2, 3], [4, 7], [5, 5]])
+        theta = Hyperparams(0.3, -0.2)
+        assert np.array_equal(gram(X, theta).K, gram(X.astype(float), theta).K)
+
+    def test_bad_input_shapes_rejected(self):
+        X = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match="matching column count"):
+            cross_gram(X, np.zeros((3, 3)), Hyperparams())
+        with pytest.raises(ValueError, match="2-d input matrix"):
+            gram(X[:, 0], Hyperparams())
+
     def test_duplicate_rows_make_base_kernel_singular(self):
         """Degeneracy witness: without jitter a duplicated input kills rank."""
         X = RNG.standard_normal((6, 2))

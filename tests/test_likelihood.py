@@ -126,6 +126,12 @@ class TestExpectedLoglik:
         b = order_100(-1, -1.5, 4.0)
         assert abs(a.g_v - b.g_v) < 1e-6
 
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError, match="must align"):
+            expectation_stats([1.0, -1.0], [0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="must be >= 0"):
+            expectation_stats([1.0], [0.0], [-0.1])
+
     def test_g_v_is_nonpositive(self):
         """Log-concavity: the variance gradient never turns positive."""
         rng = np.random.default_rng(7)

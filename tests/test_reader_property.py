@@ -72,10 +72,10 @@ def csv_files(draw):
     return text
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     """("ok", value) or ("error", message) of a ValueError."""
     try:
-        return "ok", fn(*args)
+        return "ok", fn(*args, **kwargs)
     except ValueError as exc:
         return "error", str(exc)
 
@@ -115,7 +115,7 @@ def test_load_csv_matches_the_former_reader(tmp_path_factory, text, label):
     with open(path, "w", newline="") as handle:
         handle.write(text)
     kind, ref = outcome(helpers.load_csv_reference, path, label)
-    got_kind, got = outcome(_read_table, path, label, True)
+    got_kind, got = outcome(_read_table, path, label, keep_labels=True)
     assert got_kind == kind
     if kind == "error":
         assert got == ref
