@@ -1,21 +1,23 @@
-"""Classic expectation propagation with scaled Gaussian sites (GPML Alg. 3.5).
+"""Expectation propagation with scaled Gaussian sites, updated in parallel.
 
-Sequential sweeps in index order, at most SWEEPS of them: form the cavity
-by natural-parameter subtraction, moment-match against the closed-form
-tilted distribution, damp the site move in natural parameters by DAMPING
-and update the posterior by rank one, its covariance in place (BLAS dger)
-and its mean in O(n), so a site costs O(n^2).  Each sweep ends with a fresh
-assembly, which clears the drift the updates accumulate.  Each site also
-keeps a log scale chosen so the scaled site integrates the tilted evidence
-against its cavity; summing those scales on top of the unnormalized-site
-energy recovers the standard EP marginal-likelihood approximation.
+Each sweep, at most SWEEPS of them, takes the shape of the E-step
+(GPML §3.6; parallel EP as in Vehtari et al. 2020, "Expectation
+propagation as a way of life"): every site's cavity comes from the current
+posterior's marginals by natural-parameter subtraction, each site is
+moment-matched against its closed-form tilted distribution, its move in
+natural parameters is damped by DAMPING, and one assembly gives the next
+posterior.  EP's fixed point does not depend on the order of the site
+updates, so the parallel sweep reaches the sites of the sequential one
+(GPML Alg. 3.5).  Each site also keeps a log scale chosen so the scaled
+site integrates the tilted evidence against its cavity; summing those
+scales on top of the unnormalized-site energy recovers the standard EP
+marginal-likelihood approximation.
 """
 
 import logging
 import math
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .errors import NumericsError
 from .likelihood import MarginalMoments, ep_tilted_moments
@@ -37,13 +39,15 @@ def _log_gauss_site_integral(mean, var, lam1, lam2):
 
 
 def ep_inference(K, y, tol=CONVERGENCE_TOL):
-    """Run EP from zero sites; returns (post, log_scale, converged).
+    """Run damped parallel EP from zero sites; returns (post, log_scale, converged).
 
-    post is the GaussianPosterior of the final sites, which it carries, and
-    log_scale their per-site log normalizers.  converged means the largest
-    natural-parameter change in the final sweep fell below tol.  Sites whose
-    cavity precision is not positive are skipped for that sweep (counted and
-    logged).  A site update or log scale that is not finite raises
+    Every sweep moves all sites from the cavities of one posterior and then
+    assembles the next, so a sweep costs one assembly and n scalar tilted
+    moments.  post is the GaussianPosterior of the final sites, which it
+    carries, and log_scale their per-site log normalizers.  converged means
+    the largest natural-parameter change in the final sweep fell below tol.
+    Sites whose cavity precision is not positive are skipped for that sweep
+    (counted and logged).  A site update or log scale that is not finite raises
     NumericsError.
     """
     labels = np.asarray(y, dtype=float).tolist()
@@ -57,40 +61,32 @@ def ep_inference(K, y, tol=CONVERGENCE_TOL):
     converged = False
     skipped_total = 0
     for _ in range(SWEEPS):
-        S = post.covariance().T  # S is symmetric: its transpose is Fortran-ordered for dger
-        m = post.m.copy()
+        # a variance that rounds to zero or below gives a cavity that is skipped
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cav_rhos = (1.0 / post.var + 2.0 * lam2).tolist()
+            cav_gams = (post.m / post.var - lam1).tolist()
+        del post  # the old factor goes before the next assembly
         max_delta = 0.0
         skipped = 0
         for i in range(n):
-            s_ii = S.item(i, i)
-            tau = -2.0 * lam2.item(i)
-            nu = lam1.item(i)
-            cav_rho = 1.0 / s_ii - tau
-            cav_gam = m.item(i) / s_ii - nu
+            cav_rho, cav_gam = cav_rhos[i], cav_gams[i]
             if not 0.0 < cav_rho < math.inf:
                 skipped += 1
                 continue
             cav = MarginalMoments(mean=cav_gam / cav_rho, var=1.0 / cav_rho)
             log_z, tilted = ep_tilted_moments(labels[i], cav)
+            tau = -2.0 * lam2.item(i)
+            nu = lam1.item(i)
             tau_new = 1.0 / tilted.var - cav_rho
             nu_new = tilted.mean / tilted.var - cav_gam
             tau_d = max((1.0 - DAMPING) * tau + DAMPING * tau_new, -2.0 * LAMBDA2_CEIL)
             nu_d = (1.0 - DAMPING) * nu + DAMPING * nu_new
             if not (math.isfinite(tau_d) and math.isfinite(nu_d)):
                 raise NumericsError(f"EP site {i} update is not finite")
-            d_tau = tau_d - tau
-            d_nu = nu_d - nu
-            lam1[i] = nu_d
+            lam1[i] = nu_d  # site i's cavity is already taken: the sweep moves every site at once
             lam2[i] = -0.5 * tau_d
             log_scale[i] = log_z - _log_gauss_site_integral(cav.mean, cav.var, nu_d, -0.5 * tau_d)
-            # rank one: S' = (S^-1 + d_tau e_i e_i')^-1 = S - c s s' and
-            # m' = S' lam1' = m + d_nu s - c s (s' lam1'), with s = S e_i
-            s = S[:, i].copy()
-            c = d_tau / (1.0 + d_tau * s_ii)
-            S = dger(-c, s, s, a=S, overwrite_a=True)
-            m += (d_nu - c * float(s @ lam1)) * s
-            max_delta = max(max_delta, abs(d_tau), abs(d_nu))
-        del S, post  # the sweep's covariance and the old factor go before the next assembly
+            max_delta = max(max_delta, abs(tau_d - tau), abs(nu_d - nu))
         post = assemble(K, Sites(lam1, lam2))
         skipped_total += skipped
         if max_delta < tol:

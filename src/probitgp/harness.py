@@ -125,7 +125,9 @@ def _sweep_cell(args):
 
     if "ep" in spec.methods:
         try:
-            ep_post, log_scale, _ = ep_inference(K, y_train)
+            ep_post, log_scale, converged = ep_inference(K, y_train)
+            if not converged:
+                logger.warning("cell (%g, %g): EP stopped at its sweep cap unconverged", ll, ls)
             lpd = _mean_lpd(y_test, predictive_z(ep_post.scoring(), X_test))
             records["ep"] = (ep_energy(ep_post, log_scale) / n, lpd)
         except NumericsError as exc:

@@ -390,12 +390,14 @@ def ais_lml_reference(K, y, cfg):
 
 
 def ep_inference_reference(K, y, tol=ep.CONVERGENCE_TOL):
-    """ep_inference with a full refresh after every site, the library's former loop.
+    """Sequential EP (GPML Alg. 3.5), the library's former loop: the oracle
+    for the fixed point that ep_inference's parallel sweeps reach.
 
-    Each site update forms the rank-one correction as an outer product and
-    recomputes m = S lam1 in full, O(n^2) memory traffic and an O(n^2)
-    product per site.  Same sweeps, damping, skips and site integrals;
-    returns (post, log_scale, converged).
+    Each site's cavity is taken from the posterior that the sites before it
+    in the sweep have already moved: each site update forms the rank-one
+    correction as an outer product and recomputes m = S lam1 in full.  Same
+    sweep cap, damping, skips and site integrals; returns (post, log_scale,
+    converged).
     """
     y = np.asarray(y, dtype=float)
     n = y.size

@@ -172,6 +172,17 @@ class TestStandardize:
         for mine, stats in zip((mean, scale), feature_stats(train)):
             assert np.array_equal(mine, stats)
 
+    @pytest.mark.parametrize("mean, scale, match", [
+        (np.zeros(2), np.array([1.0, 0.0]), "invalid standardization stats"),
+        (np.array([0.0, np.nan]), np.ones(2), "invalid standardization stats"),
+        (np.zeros(3), np.ones(2), "must match the column count"),
+    ])
+    def test_invalid_stats_are_rejected(self, mean, scale, match):
+        """A scale <= 0, a non-finite mean, or stats of another column count."""
+        ds = Dataset("t", np.array([[0.1, 7.0], [0.4, -3.0]]), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match=match):
+            apply_standardization(ds, mean, scale)
+
     def test_first_non_finite_row_is_named(self):
         X = np.array([[0.0, 1.0], [1e308, 1.0], [0.0, 1e308]])
         with pytest.raises(ValueError, match="src.csv: non-finite standardized feature in row 1"):

@@ -150,13 +150,18 @@ class TestEvidenceQuality:
             assert abs(ep_energy(post, log_scale) - truth) < 1e-2
 
 
-class TestRankOneUpdate:
-    """ep_inference's O(n^2) site update against the full-refresh loop of
-    helpers.ep_inference_reference: the same sweeps up to rounding."""
+class TestSequentialFixedPoint:
+    """The parallel sweep reaches the fixed point of sequential EP
+    (helpers.ep_inference_reference, GPML Alg. 3.5): EP's fixed point does
+    not depend on the order of the site updates.  Both loops stop once no
+    site moves by tol, so the sites agree to a small multiple of it.  The
+    log scales are checked through the energy that sums them: each one
+    depends on its cavity, which the two loops' last sweeps take from
+    different posteriors (they differ by up to 1.7e-5 at (2, 5))."""
 
     @pytest.mark.parametrize("log_l, log_s", [(-1.0, -1.0), (0.3, 0.0), (2.0, 2.0),
                                               (2.0, 5.0), (5.0, 5.0)])
-    def test_matches_full_refresh(self, log_l, log_s):
+    def test_reaches_the_sequential_fixed_point(self, log_l, log_s):
         ds = helpers.make_blobs(60, 4, 36)
         K = gram(ds.X, Hyperparams(log_l, log_s))
         post, log_scale, converged = ep_inference(K, ds.y)
@@ -165,8 +170,8 @@ class TestRankOneUpdate:
         energy, ref_energy = ep_energy(post, log_scale), ep_energy(ref_post, ref_scale)
         assert abs(energy - ref_energy) <= 1e-9 * abs(ref_energy)
         for got, want in ((post.sites.lam1, ref_post.sites.lam1),
-                          (post.sites.lam2, ref_post.sites.lam2), (log_scale, ref_scale)):
-            assert_allclose(got, want, rtol=0.0, atol=1e-8)
+                          (post.sites.lam2, ref_post.sites.lam2)):
+            assert_allclose(got, want, rtol=0.0, atol=10 * ep.CONVERGENCE_TOL)
 
 
 class TestTypeTwoLearning:

@@ -214,6 +214,27 @@ class TestEvidenceBelowTheBound:
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
+class TestEpNonConvergence:
+    """A cell whose EP stops at ep.SWEEPS without converging says so in
+    the log; its records keep the values of the last sweep."""
+
+    def cell(self):
+        train, test = split_blobs(seed=6)
+        spec = GridSpec(methods=("ep",), **DESK)
+        return harness._sweep_cell((train.X, train.y, test.X, test.y, 0.5, 1.0, spec, 3))
+
+    def test_one_sweep_is_logged(self, caplog, monkeypatch):
+        monkeypatch.setattr(ep, "SWEEPS", 1)
+        (record,) = self.cell()
+        assert np.isfinite(record.lml_per_n) and np.isfinite(record.lpd_per_n)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["cell (0.5, 1): EP stopped at its sweep cap unconverged"]
+
+    def test_a_converged_ep_logs_no_warning(self, caplog):
+        self.cell()
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
 class TestCrossValidate:
     CFG = TrainConfig(e_iters=15, m_iters=2, outer_rounds=2)
 

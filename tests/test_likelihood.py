@@ -156,10 +156,15 @@ class TestTiltedMoments:
             assert_allclose(tilted.var, m2 / z_num - (m1 / z_num) ** 2, atol=1e-8)
 
     def test_variance_shrinks_and_z_is_probability(self):
+        """The last two cavities lie far against the label, where the closed
+        form's variance cancels below zero (-0.296 and -0.0307) and the
+        clamp keeps it positive."""
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            y = -1.0 if rng.uniform() < 0.5 else 1.0
-            m, v = rng.uniform(-4, 4), rng.uniform(0.05, 8.0)
+        cases = [(-1.0 if rng.uniform() < 0.5 else 1.0, rng.uniform(-4, 4), rng.uniform(0.05, 8.0))
+                 for _ in range(200)]
+        cases += [(1.0, -3144.0354715915 * np.sqrt(101.0), 100.0),
+                  (1.0, -9547.716114208057 * np.sqrt(2.0), 1.0)]
+        for y, m, v in cases:
             log_z, tilted = ep_tilted_moments(y, MarginalMoments(m, v))
             assert log_z <= 0
             assert 0 < tilted.var < v
